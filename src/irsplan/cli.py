@@ -172,7 +172,13 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
                     "draws_per_cell": int(built.n_draws.max()), "seed": built.seed}
     snrmodel.save_model(model, out_dir / "model.txt")
 
-    result: PlanResult = run(scenario, model, sco_config)
+    try:
+        result: PlanResult = run(scenario, model, sco_config)
+    except SubproblemError as exc:
+        # keep the descent so far; main() reports the failure and exits 4
+        if exc.trace is not None:
+            artifacts.write_trace_csv(out_dir / "trace.csv", exc.trace)
+        raise
 
     summary = {
         "scenario": artifacts.scenario_payload(scenario),

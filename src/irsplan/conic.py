@@ -11,14 +11,17 @@ means a nonnegative-orthant coordinate, dimension >= 2 a second-order cone
 {(t, v) : ||v|| <= t}. The dual variable z lives in the same cone.
 
 The algorithm is a Mehrotra predictor-corrector path follower with
-Nesterov-Todd scaling, one dense LDL/LU factorization of the reduced KKT
-system per iteration and iterative refinement on every solve. It is fully
-deterministic. Primal infeasibility is reported on residual stagnation
-rather than via a homogeneous embedding certificate.
+Nesterov-Todd scaling, one sparse LU factorization of the full
+quasi-definite KKT system per iteration and iterative refinement on every
+solve. It is fully deterministic. Primal infeasibility is reported on
+residual stagnation rather than via a homogeneous embedding certificate.
 
-Cone vectors are handled through their Jordan-algebra operations; a
-dimension-1 cone is the degenerate second-order cone, so one code path
-covers both.
+Cones are handled in groups of equal dimension: ``cone_index`` maps each
+distinct dimension d to a (k, d) array of row indices, so every cone
+operation (Jordan product and divide, margins, step to the boundary, NT
+scaling) is a few array expressions per group. A dimension-1 cone is the
+degenerate second-order cone with an empty v part, so one code path covers
+both.
 """
 
 from __future__ import annotations
@@ -102,96 +105,96 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-algebra / cone helpers. All operate on stacked vectors.
+# Jordan-algebra / cone helpers. All operate on stacked vectors; ``index`` is
+# the output of ``cone_index`` and each helper works group by group on the
+# (k, d) blocks ``u[idx]``, whose column 0 is t and columns 1: are v.
+
+# Centering used when the Mehrotra estimate is unusable (degenerate affine
+# step); normally the centering parameter adapts per iteration.
+_BARRIER_REDUCTION = 0.1
+# Iterations without a 10% drop of the worst residual before giving up.
+_STAGNATION_WINDOW = 20
 
 
-def _cone_slices(dims):
-    out = []
-    start = 0
-    for d in dims:
-        out.append(slice(start, start + d))
-        start += d
-    return out
+def cone_index(dims) -> list:
+    """Row indices of the cones, one (k, d) array per distinct dimension d."""
+    dims = np.asarray(dims, dtype=int)
+    starts = np.cumsum(dims) - dims
+    return [starts[dims == d, None] + np.arange(d) for d in np.unique(dims)]
 
 
-def cone_identity(dims) -> Array:
-    e = np.zeros(sum(dims))
-    start = 0
-    for d in dims:
-        e[start] = 1.0
-        start += d
+def _rowdot(a: Array, b: Array) -> Array:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _jnorm2(b: Array) -> Array:
+    """t^2 - ||v||^2 of each row of a (k, d) block."""
+    return b[:, 0] ** 2 - _rowdot(b[:, 1:], b[:, 1:])
+
+
+def _jsign(d: int) -> Array:
+    """Diagonal of the reflection J = diag(1, -1, ..., -1)."""
+    sign = -np.ones(d)
+    sign[0] = 1.0
+    return sign
+
+
+def cone_identity(index) -> Array:
+    e = np.zeros(sum(idx.size for idx in index))
+    for idx in index:
+        e[idx[:, 0]] = 1.0
     return e
 
 
-def cone_margin(u: Array, slices) -> float:
-    """Smallest interior margin t - ||v|| (or the value itself for dim 1)."""
-    worst = math.inf
-    for sl in slices:
-        block = u[sl]
-        if block.size == 1:
-            worst = min(worst, block[0])
-        else:
-            worst = min(worst, block[0] - np.linalg.norm(block[1:]))
-    return worst
+def cone_margin(u: Array, index) -> float:
+    """Smallest interior margin t - ||v|| (the value itself for dim 1)."""
+    return min((float(np.min(u[idx[:, 0]] - np.linalg.norm(u[idx[:, 1:]], axis=1)))
+                for idx in index), default=math.inf)
 
 
-def jordan_product(u: Array, v: Array, slices) -> Array:
+def jordan_product(u: Array, v: Array, index) -> Array:
     out = np.empty_like(u)
-    for sl in slices:
-        ub, vb = u[sl], v[sl]
-        if ub.size == 1:
-            out[sl] = ub * vb
-        else:
-            out[sl][0] = ub @ vb
-            out[sl][1:] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    for idx in index:
+        ub, vb = u[idx], v[idx]
+        out[idx[:, 0]] = _rowdot(ub, vb)
+        out[idx[:, 1:]] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
     return out
 
 
-def jordan_divide(lam: Array, d: Array, slices) -> Array:
-    """Solve lam o u = d for u, block by block."""
+def jordan_divide(lam: Array, d: Array, index) -> Array:
+    """Solve lam o u = d for u, cone by cone."""
     out = np.empty_like(d)
-    for sl in slices:
-        lb, db = lam[sl], d[sl]
-        if lb.size == 1:
-            out[sl] = db / lb
-        else:
-            l0, l1 = lb[0], lb[1:]
-            det = l0 * l0 - l1 @ l1
-            u0 = (l0 * db[0] - l1 @ db[1:]) / det
-            out[sl][0] = u0
-            out[sl][1:] = (db[1:] - u0 * l1) / l0
+    for idx in index:
+        lb, db = lam[idx], d[idx]
+        l0, l1 = lb[:, 0], lb[:, 1:]
+        u0 = (l0 * db[:, 0] - _rowdot(l1, db[:, 1:])) / _jnorm2(lb)
+        out[idx[:, 0]] = u0
+        out[idx[:, 1:]] = (db[:, 1:] - u0[:, None] * l1) / l0[:, None]
     return out
 
 
-def max_step_to_boundary(u: Array, du: Array, slices) -> float:
-    """Largest alpha >= 0 with u + alpha*du still in the cone closure."""
+def max_step_to_boundary(u: Array, du: Array, index) -> float:
+    """Largest alpha >= 0 with u + alpha*du still in the cone closure.
+
+    Per cone the step is bounded by the t + alpha dt >= 0 face and by the
+    smallest positive root of jnorm2(u + alpha du) = a alpha^2 + b alpha + c,
+    where c > 0 for interior u (a linear equation where a vanishes).
+    """
     alpha = math.inf
-    for sl in slices:
-        ub, db = u[sl], du[sl]
-        if ub.size == 1:
-            if db[0] < 0:
-                alpha = min(alpha, -ub[0] / db[0])
-            continue
-        # roots of jnorm2(u + t du) = 0 plus the u0 + t du0 >= 0 face
-        u0, u1 = ub[0], ub[1:]
-        d0, d1 = db[0], db[1:]
-        if d0 < 0:
-            alpha = min(alpha, -u0 / d0)
-        a = d0 * d0 - d1 @ d1
-        b = 2.0 * (u0 * d0 - u1 @ d1)
-        c = u0 * u0 - u1 @ u1
-        # c > 0 for interior u; smallest positive root bounds the step
-        if abs(a) < 1e-300:
-            if b < 0:
-                alpha = min(alpha, -c / b)
-            continue
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        sq = math.sqrt(disc)
-        for root in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)):
-            if root > 1e-300:
-                alpha = min(alpha, root)
+    for idx in index:
+        ub, db = u[idx], du[idx]
+        u0, d0 = ub[:, 0], db[:, 0]
+        a = _jnorm2(db)
+        b = 2.0 * (u0 * d0 - _rowdot(ub[:, 1:], db[:, 1:]))
+        c = _jnorm2(ub)
+        flat = np.abs(a) < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            face = np.where(d0 < 0, -u0 / d0, math.inf)
+            linear = np.where(flat & (b < 0), -c / b, math.inf)
+            sq = np.sqrt(b * b - 4.0 * a * c)          # nan: no real root
+            roots = np.where(flat, math.inf, [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+        alpha = min(alpha, float(face.min()), float(linear.min()),
+                    float(roots[roots > 1e-300].min(initial=math.inf)))
     return alpha
 
 
@@ -201,94 +204,59 @@ class _NTScaling:
     For a second-order cone the scaling point is w = eta * wbar with
     wbar = (sbar + J zbar) / (2 gamma); W is the quadratic representation of
     its Jordan square root u = (wbar + e) / sqrt(2 (wbar_0 + 1)), giving
-    W = eta (2 u u' - J) and the defining identity W^2 z = s.
+    W = eta (2 u u' - J) and the defining identity W^2 z = s. For dimension 1
+    this reduces to W = sqrt(s / z). Per cone group, ``eta`` is (k,) and
+    ``wbar`` and ``u`` are (k, d).
     """
 
-    def __init__(self, s: Array, z: Array, slices):
-        self.slices = slices
-        self.kind = []     # per cone: ("lp", w) or ("soc", eta, u)
-        for sl in slices:
-            sb, zb = s[sl], z[sl]
-            if sb.size == 1:
-                self.kind.append(("lp", math.sqrt(sb[0] / zb[0])))
-            else:
-                snorm2 = sb[0] ** 2 - sb[1:] @ sb[1:]
-                znorm2 = zb[0] ** 2 - zb[1:] @ zb[1:]
-                snorm = math.sqrt(snorm2)
-                znorm = math.sqrt(znorm2)
-                sbar = sb / snorm
-                zbar = zb / znorm
-                gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
-                wbar = sbar.copy()
-                wbar[0] += zbar[0]
-                wbar[1:] -= zbar[1:]
-                wbar /= 2.0 * gamma
-                eta = (snorm2 / znorm2) ** 0.25
-                self.kind.append(("soc", eta, wbar))
-
-    @staticmethod
-    def _apply_soc(eta, wbar, block, inverse):
-        # W v = eta (2 u (u'v) - J v) with u the Jordan sqrt of wbar;
-        # W^-1 v = (1/eta)(2 Ju (Ju'v) - J v)
-        u = wbar.copy()
-        u[0] += 1.0
-        u /= math.sqrt(2.0 * (wbar[0] + 1.0))
-        if inverse:
-            u[1:] = -u[1:]
-            scale = 1.0 / eta
-        else:
-            scale = eta
-        jv = block.copy()
-        jv[1:] = -jv[1:]
-        proj = u @ block                       # scalar for vectors, (k,) for matrices
-        return scale * (2.0 * np.multiply.outer(u, proj) - jv)
+    def __init__(self, s: Array, z: Array, index):
+        self.index = index
+        self.eta, self.wbar, self.u = [], [], []
+        for idx in index:
+            sb, zb = s[idx], z[idx]
+            snorm2, znorm2 = _jnorm2(sb), _jnorm2(zb)
+            if not (np.all(snorm2 > 0) and np.all(znorm2 > 0)):
+                raise ValueError("iterate left the cone interior")
+            sbar = sb / np.sqrt(snorm2)[:, None]
+            zbar = zb / np.sqrt(znorm2)[:, None]
+            gamma = np.sqrt((1.0 + _rowdot(sbar, zbar)) / 2.0)
+            wbar = (sbar + _jsign(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
+            u = wbar.copy()
+            u[:, 0] += 1.0
+            u /= np.sqrt(2.0 * (wbar[:, 0] + 1.0))[:, None]
+            self.eta.append((snorm2 / znorm2) ** 0.25)
+            self.wbar.append(wbar)
+            self.u.append(u)
 
     def apply(self, v: Array, inverse: bool = False) -> Array:
-        """W v (or W^-1 v); v may be a stacked vector or an (m, k) matrix."""
-        v = np.asarray(v, dtype=float)
+        """W v (or W^-1 v) for a stacked vector v.
+
+        W v = eta (2 u (u'v) - J v) and W^-1 v = (1/eta)(2 Ju (Ju'v) - J v).
+        """
         out = np.empty_like(v)
-        for sl, kind in zip(self.slices, self.kind):
-            block = v[sl]
-            if kind[0] == "lp":
-                w = kind[1]
-                out[sl] = block / w if inverse else block * w
-            else:
-                _, eta, wbar = kind
-                out[sl] = self._apply_soc(eta, wbar, block, inverse)
+        for idx, eta, u in zip(self.index, self.eta, self.u):
+            sign = _jsign(idx.shape[1])
+            if inverse:
+                u, eta = sign * u, 1.0 / eta
+            vb = v[idx]
+            out[idx] = eta[:, None] * (2.0 * u * _rowdot(u, vb)[:, None] - sign * vb)
         return out
 
     def w2_blocks(self) -> list:
-        """Dense per-cone blocks of W^2 (the quadratic representation P(w))."""
-        blocks = []
-        for kind in self.kind:
-            if kind[0] == "lp":
-                blocks.append(np.array([[kind[1] ** 2]]))
-            else:
-                _, eta, wbar = kind
-                d = wbar.size
-                j = -np.eye(d)
-                j[0, 0] = 1.0
-                blocks.append(eta**2 * (2.0 * np.outer(wbar, wbar) - j))
-        return blocks
-
-    def scaled_point(self, s: Array, z: Array) -> Array:
-        return self.apply(z)       # lam = W z
+        """Per group, the (k, d, d) dense blocks of W^2 (the quadratic
+        representation P(w) = eta^2 (2 wbar wbar' - J))."""
+        return [(eta**2)[:, None, None]
+                * (2.0 * wbar[:, :, None] * wbar[:, None, :] - np.diag(_jsign(wbar.shape[1])))
+                for eta, wbar in zip(self.eta, self.wbar)]
 
 
-def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
-          barrier_reduction: float = 0.1, stagnation_window: int = 20) -> ConicSolution:
-    """Solve the cone program. Deterministic for identical inputs.
-
-    ``barrier_reduction`` is the centering fallback used when the Mehrotra
-    estimate is unusable (degenerate affine step); normally the centering
-    parameter adapts per iteration.
-    """
+def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
+    """Solve the cone program. Deterministic for identical inputs."""
     c, G, h, A, b = problem.c, problem.G, problem.h, problem.A, problem.b
     n, m, p = c.size, h.size, b.size
-    dims = problem.dims
-    slices = _cone_slices(dims)
-    n_cones = len(dims)
-    e = cone_identity(dims)
+    index = cone_index(problem.dims)
+    n_cones = len(problem.dims)
+    e = cone_identity(index)
     reg = 1e-10
 
     norm_c = 1.0 + np.linalg.norm(c)
@@ -296,7 +264,10 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
     norm_b = 1.0 + np.linalg.norm(b)
 
     G_sp = scipy.sparse.csc_matrix(G)
-    A_sp = scipy.sparse.csc_matrix(A) if p else None
+    A_sp = scipy.sparse.csc_matrix(A)
+    # row and column of every entry of the per-group W^2 blocks
+    w2_rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel() for idx in index])
+    w2_cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx in index])
 
     def factor(scaling):
         """Sparse LU of the full quasi-definite KKT matrix
@@ -312,31 +283,25 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
         if scaling is None:
             w2 = scipy.sparse.identity(m, format="csc")
         else:
-            w2 = scipy.sparse.block_diag(scaling.w2_blocks(), format="csc")
-        blocks = [
-            [reg * scipy.sparse.identity(n), A_sp.T if p else None, G_sp.T],
-            [A_sp, -reg * scipy.sparse.identity(p), None] if p else None,
+            data = np.concatenate([blk.ravel() for blk in scaling.w2_blocks()])
+            w2 = scipy.sparse.csc_matrix((data, (w2_rows, w2_cols)), shape=(m, m))
+        kkt = scipy.sparse.bmat([
+            [reg * scipy.sparse.identity(n), A_sp.T, G_sp.T],
+            [A_sp, -reg * scipy.sparse.identity(p), None],
             [G_sp, None, -(w2 + reg * scipy.sparse.identity(m))],
-        ]
-        blocks = [row for row in blocks if row is not None]
-        if not p:
-            blocks = [[blocks[0][0], blocks[0][2]], [blocks[1][0], blocks[1][2]]]
-        kkt = scipy.sparse.bmat(blocks, format="csc")
+        ], format="csc")
         return scipy.sparse.linalg.splu(kkt), w2
 
-    def kkt_solve(lu, w2, scaling, bx, by, bz):
+    def kkt_solve(lu, w2, bx, by, bz):
         """Solve the KKT system with refinement against the unregularized
         operator; returns (dx, dy, dz)."""
         rhs = np.concatenate([bx, by, bz])
 
         def unreg_residual(sol):
-            dx = sol[:n]
-            dy = sol[n:n + p]
-            dz = sol[n + p:]
-            r1 = (A.T @ dy if p else 0.0) + G.T @ dz - bx
-            r2 = A @ dx - by if p else np.zeros(0)
-            r3 = G @ dx - w2 @ dz - bz
-            return np.concatenate([r1, r2, r3])
+            dx, dy, dz = sol[:n], sol[n:n + p], sol[n + p:]
+            return np.concatenate([A.T @ dy + G.T @ dz - bx,
+                                   A @ dx - by,
+                                   G @ dx - w2 @ dz - bz])
 
         sol = lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
@@ -347,24 +312,23 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
 
     # --- initial point: two solves with identity scaling, then shift into the cone
     lu0, w20 = factor(None)
-    x, y, dz = kkt_solve(lu0, w20, None, np.zeros(n), b.copy(), h.copy())
+    x, y, dz = kkt_solve(lu0, w20, np.zeros(n), b.copy(), h.copy())
     s = -dz                      # equals h - G x up to regularization
-    margin = cone_margin(s, slices)
+    margin = cone_margin(s, index)
     if margin < 1e-8:
         s = s + (1.0 + abs(margin)) * e
-    _, y, z = kkt_solve(lu0, w20, None, -c, np.zeros(p), np.zeros(m))
-    margin = cone_margin(z, slices)
+    _, y, z = kkt_solve(lu0, w20, -c, np.zeros(p), np.zeros(m))
+    margin = cone_margin(z, index)
     if margin < 1e-8:
         z = z + (1.0 + abs(margin)) * e
 
     def residuals(x, y, s, z):
-        rx = A.T @ y + G.T @ z + c if p else G.T @ z + c
+        rx = A.T @ y + G.T @ z + c
         ry = A @ x - b
         rz = G @ x + s - h
         gap = float(s @ z)
         pobj = float(c @ x)
-        pres = max(np.linalg.norm(rz) / norm_h,
-                   (np.linalg.norm(ry) / norm_b) if p else 0.0)
+        pres = max(np.linalg.norm(rz) / norm_h, np.linalg.norm(ry) / norm_b)
         dres = np.linalg.norm(rx) / norm_c
         gapres = gap / max(1.0, abs(pobj))
         return rx, ry, rz, gap, pobj, float(pres), float(dres), float(gapres)
@@ -393,19 +357,19 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
             stall = 0
         else:
             stall += 1
-            if stall >= stagnation_window:
+            if stall >= _STAGNATION_WINDOW:
                 break
 
         try:
-            scaling = _NTScaling(s, z, slices)
-            lam = scaling.scaled_point(s, z)
+            scaling = _NTScaling(s, z, index)
+            lam = scaling.apply(z)                 # lam = W z
             lu, w2 = factor(scaling)
 
             # predictor (affine) direction
-            d_aff = -jordan_product(lam, lam, slices)
-            u = jordan_divide(lam, d_aff, slices)
+            lam_sq = jordan_product(lam, lam, index)
+            u = jordan_divide(lam, -lam_sq, index)
             bz_t = -rz - scaling.apply(u)
-            dx_a, dy_a, dz_a = kkt_solve(lu, w2, scaling, -rx, -ry, bz_t)
+            dx_a, dy_a, dz_a = kkt_solve(lu, w2, -rx, -ry, bz_t)
         except (ValueError, RuntimeError, np.linalg.LinAlgError,
                 scipy.linalg.LinAlgError):
             break      # numerically exhausted; report the best iterate
@@ -413,32 +377,32 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
 
         alpha_aff = min(
             1.0,
-            max_step_to_boundary(s, ds_a, slices),
-            max_step_to_boundary(z, dz_a, slices),
+            max_step_to_boundary(s, ds_a, index),
+            max_step_to_boundary(z, dz_a, index),
         )
         mu_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a)) / n_cones
         if mu > 0 and np.isfinite(mu_aff):
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
         else:
-            sigma = barrier_reduction
+            sigma = _BARRIER_REDUCTION
 
         # corrector + centering
         correction = jordan_product(
-            scaling.apply(ds_a, inverse=True), scaling.apply(dz_a), slices
+            scaling.apply(ds_a, inverse=True), scaling.apply(dz_a), index
         )
-        d_comb = -jordan_product(lam, lam, slices) - correction + sigma * mu * e
-        u = jordan_divide(lam, d_comb, slices)
+        d_comb = -lam_sq - correction + sigma * mu * e
+        u = jordan_divide(lam, d_comb, index)
         bz_t = -rz - scaling.apply(u)
         try:
-            dx_c, dy_c, dz_c = kkt_solve(lu, w2, scaling, -rx, -ry, bz_t)
+            dx_c, dy_c, dz_c = kkt_solve(lu, w2, -rx, -ry, bz_t)
         except (ValueError, RuntimeError, np.linalg.LinAlgError,
                 scipy.linalg.LinAlgError):
             break
         ds_c = -rz - G @ dx_c
 
         alpha = 0.99 * min(
-            max_step_to_boundary(s, ds_c, slices),
-            max_step_to_boundary(z, dz_c, slices),
+            max_step_to_boundary(s, ds_c, index),
+            max_step_to_boundary(z, dz_c, index),
         )
         alpha = min(1.0, alpha)
         if not np.isfinite(alpha) or alpha <= 1e-13:
@@ -450,7 +414,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200,
         z = z + alpha * dz_c
         # keep iterates numerically interior
         for vec in (s, z):
-            margin = cone_margin(vec, slices)
+            margin = cone_margin(vec, index)
             if margin <= 0.0:
                 vec += (abs(margin) + 1e-14) * e
 

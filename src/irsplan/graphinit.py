@@ -23,7 +23,8 @@ import numpy as np
 
 from . import audit
 from .errors import GraphInfeasibleError, InfeasibleEndpointError
-from .scenario import LinkClass, Scenario, los_class_batch, obstacle_margin
+from .scenario import (LinkClass, Scenario, distances_batch, los_class_batch,
+                       obstacle_margin)
 from .snrmodel import SnrModel, snr_hat
 
 
@@ -56,10 +57,7 @@ def _edge_energy(scenario: Scenario, length):
 
 def _node_rates(points, scenario: Scenario, model: SnrModel) -> np.ndarray:
     ap_los, irs_los = los_class_batch(points, scenario)
-    dz_ap = scenario.z_robot - scenario.z_ap
-    dz_irs = scenario.z_robot - scenario.z_irs
-    d_ap = np.sqrt(np.sum((points - scenario.ap_pos) ** 2, axis=-1) + dz_ap**2)
-    d_irs = np.sqrt(np.sum((points - scenario.irs_pos) ** 2, axis=-1) + dz_irs**2)
+    d_ap, d_irs = distances_batch(points, scenario)
     rates = np.empty(len(points))
     for ap in (True, False):
         for irs in (True, False):

@@ -96,11 +96,6 @@ def linearize_obstacles(prev_traj, obstacles) -> list:
     return rows
 
 
-def linear_obstacle_value(row: LinearObstacle, q) -> float:
-    """Evaluate the linearized quadratic (the affine minorant of f) at q."""
-    return row.minorant(q)
-
-
 def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) -> PlanResult:
     """Full descent from the graph initializer to a stationary trajectory."""
     selection: InitSelection = select_initial(scenario, model,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FileFormatError, FitFailureError, UnsupportedVersionError
 from .radiomap import RadioMap
-from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances
+from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances, distances_batch
 
 log = logging.getLogger(__name__)
 
@@ -236,7 +236,7 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
     """
     xs, ys = radio_map.cell_centers()
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    d_ap, d_irs = _grid_distances(grid, scenario)
+    d_ap, d_irs = distances_batch(grid, scenario)
     values = radio_map.avg_snr.reshape(-1)
     ap_los = radio_map.ap_los.reshape(-1)
     irs_los = radio_map.irs_los.reshape(-1)
@@ -279,14 +279,6 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
                              inherited_from=donor.label())
     return SnrModel(fits=fits, scenario_hash=radio_map.scenario_hash,
                     fit_mode="per_class")
-
-
-def _grid_distances(points, scenario):
-    dz_ap = scenario.z_robot - scenario.z_ap
-    dz_irs = scenario.z_robot - scenario.z_irs
-    d_ap = np.sqrt(np.sum((points - scenario.ap_pos) ** 2, axis=-1) + dz_ap**2)
-    d_irs = np.sqrt(np.sum((points - scenario.irs_pos) ** 2, axis=-1) + dz_irs**2)
-    return d_ap, d_irs
 
 
 def _nearest_populated(link: LinkClass, fitted: dict) -> LinkClass:

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 
-from irsplan.conic import ConicProblem, _cone_slices
+from irsplan.conic import ConicProblem
 from irsplan.scenario import scenario_overrides
 from irsplan.snrmodel import RateLinearization
 from irsplan.socp import LinearObstacle, assemble_p4
+
+
+def _cone_slices(dims):
+    starts = np.cumsum(dims) - dims
+    return [slice(int(a), int(a + d)) for a, d in zip(starts, dims)]
 
 
 def random_certified_socp(seed):

@@ -6,7 +6,9 @@ import pytest
 
 from irsplan import artifacts
 from irsplan.cli import main
+from irsplan.errors import SubproblemError
 from irsplan.radiomap import load_map
+from irsplan.sco import IterationRecord
 from irsplan.snrmodel import load_model
 
 from conftest import DESK_CONFIG
@@ -88,6 +90,27 @@ def test_infeasible_plan_exits_2_with_summary(tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["result"]["status"] == "infeasible"
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_numerical_failure_writes_trace_and_exits_4(tmp_path, monkeypatch):
+    trace = [IterationRecord(iteration=0, energy=1500.0, improvement=0.0,
+                             status="initial", max_violation=0.0, wall_time=0.0,
+                             trust_radius=1.0),
+             IterationRecord(iteration=1, energy=1400.0, improvement=0.0625,
+                             status="optimal", max_violation=0.0, wall_time=0.1,
+                             trust_radius=1.0)]
+
+    def failing_run(*args, **kwargs):
+        raise SubproblemError("subproblem failed at iteration 2", trace=trace)
+
+    monkeypatch.setattr("irsplan.cli.run", failing_run)
+    out = tmp_path / "run"
+    code = main(["plan", "--config", DESK_CONFIG, "--out", str(out), *SMALL])
+    assert code == 4
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("# irsplan-trace")
+    assert lines[2:] == ["0,1500.0,0.0,initial,0.0", "1,1400.0,0.0625,optimal,0.0"]
     assert not (out / "trajectory.csv").exists()
 
 

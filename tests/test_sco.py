@@ -6,8 +6,7 @@ import pytest
 from irsplan import audit
 from irsplan.scenario import (Obstacle, motion_energy, obstacle_margin,
                               scenario_overrides)
-from irsplan.sco import (ScoConfig, linear_obstacle_value,
-                         linearize_obstacles, run)
+from irsplan.sco import ScoConfig, linearize_obstacles, run
 
 from conftest import straight_line
 
@@ -22,7 +21,7 @@ def test_obstacle_linearization_exact_at_anchor(desk_scenario):
         by_slot.setdefault(row.slot, []).append(row)
     for slot, slot_rows in by_slot.items():
         anchor = prev[slot]
-        values = sorted(linear_obstacle_value(r, anchor) for r in slot_rows)
+        values = sorted(r.minorant(anchor) for r in slot_rows)
         true_vals = sorted(obstacle_margin(anchor, o) for o in desk_scenario.obstacles)
         assert values == pytest.approx(true_vals, rel=1e-12)
 
@@ -40,7 +39,7 @@ def test_obstacle_linearization_is_tangent_minorant(desk_scenario):
             for obs in obstacles:
                 grad = 2.0 * obs.shape_inv @ (anchor - obs.center)
                 if np.allclose(grad, row.coeff):
-                    assert linear_obstacle_value(row, q) <= obstacle_margin(q, obs) + 1e-9
+                    assert row.minorant(q) <= obstacle_margin(q, obs) + 1e-9
 
 
 def test_obstacle_half_plane_hand_case():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irsplan import audit
-from irsplan.conic import (ConicProblem, _NTScaling, _cone_slices, cone_margin,
+from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
                            dump_problem, jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
 from irsplan.errors import AssemblyError
@@ -21,60 +21,71 @@ from helpers import grid_search_k2, random_certified_socp, random_k2_subproblem
 # cone algebra
 
 
-def _random_interior(rng, dims, slices):
+def _random_interior(rng, dims, index):
     u = rng.standard_normal(sum(dims))
-    for sl in slices:
-        block = u[sl]
-        if block.size == 1:
-            block[0] = abs(block[0]) + 0.1
-        else:
-            block[0] = np.linalg.norm(block[1:]) + 0.1 + abs(block[0])
+    for idx in index:
+        block = u[idx]
+        block[:, 0] = np.linalg.norm(block[:, 1:], axis=1) + 0.1 + np.abs(block[:, 0])
+        u[idx] = block
     return u
+
+
+def test_cone_index_groups_rows_by_dimension():
+    index = cone_index([3, 1, 4, 1, 3])
+    assert [idx.tolist() for idx in index] == [
+        [[3], [8]],
+        [[0, 1, 2], [9, 10, 11]],
+        [[4, 5, 6, 7]],
+    ]
 
 
 def test_nt_scaling_identity_and_inverse():
     rng = np.random.default_rng(0)
     for _ in range(200):
         dims = [int(d) for d in rng.integers(1, 6, size=rng.integers(1, 4))]
-        slices = _cone_slices(dims)
-        s = _random_interior(rng, dims, slices)
-        z = _random_interior(rng, dims, slices)
-        w = _NTScaling(s, z, slices)
+        index = cone_index(dims)
+        s = _random_interior(rng, dims, index)
+        z = _random_interior(rng, dims, index)
+        w = _NTScaling(s, z, index)
         lam_from_z = w.apply(z)
         lam_from_s = w.apply(s, inverse=True)
         assert np.allclose(lam_from_z, lam_from_s, rtol=1e-9, atol=1e-11)
-        assert cone_margin(lam_from_z, slices) > 0
+        assert cone_margin(lam_from_z, index) > 0
         v = rng.standard_normal(sum(dims))
         assert np.allclose(w.apply(w.apply(v, inverse=True)), v, rtol=1e-9, atol=1e-11)
         # dense W^2 blocks agree with applying W twice
-        w2 = w.w2_blocks()
-        stacked = np.concatenate([blk @ v[sl] for blk, sl in zip(w2, slices)])
+        stacked = np.empty_like(v)
+        for idx, blocks in zip(index, w.w2_blocks()):
+            stacked[idx] = np.einsum("kij,kj->ki", blocks, v[idx])
         assert np.allclose(stacked, w.apply(w.apply(v)), rtol=1e-9, atol=1e-11)
 
 
 def test_jordan_product_divide_roundtrip():
     rng = np.random.default_rng(1)
     dims = [3, 1, 4]
-    slices = _cone_slices(dims)
-    lam = _random_interior(rng, dims, slices)
+    index = cone_index(dims)
+    lam = _random_interior(rng, dims, index)
     d = rng.standard_normal(sum(dims))
-    u = jordan_divide(lam, d, slices)
-    assert np.allclose(jordan_product(lam, u, slices), d, rtol=1e-12, atol=1e-12)
+    u = jordan_divide(lam, d, index)
+    assert np.allclose(jordan_product(lam, u, index), d, rtol=1e-12, atol=1e-12)
 
 
 def test_max_step_reaches_boundary_exactly():
     rng = np.random.default_rng(2)
-    dims = [3, 1]
-    slices = _cone_slices(dims)
-    for _ in range(100):
-        u = _random_interior(rng, dims, slices)
-        du = rng.standard_normal(sum(dims))
-        alpha = max_step_to_boundary(u, du, slices)
-        if math.isinf(alpha):
-            assert cone_margin(u + 100.0 * du, slices) >= -1e-9
-        else:
-            assert cone_margin(u + alpha * du, slices) >= -1e-8
-            assert cone_margin(u + 1.01 * alpha * du + 0 * u, slices) < 1e-8
+    # [3, 1] plus interleaved mixes of the planner's cone sizes 1, 3 and 4
+    dim_sets = [[3, 1]] + [[int(d) for d in rng.choice([1, 3, 4], size=6)]
+                           for _ in range(5)]
+    for dims in dim_sets:
+        index = cone_index(dims)
+        for _ in range(100):
+            u = _random_interior(rng, dims, index)
+            du = rng.standard_normal(sum(dims))
+            alpha = max_step_to_boundary(u, du, index)
+            if math.isinf(alpha):
+                assert cone_margin(u + 100.0 * du, index) >= -1e-9
+            else:
+                assert cone_margin(u + alpha * du, index) >= -1e-8
+                assert cone_margin(u + 1.01 * alpha * du + 0 * u, index) < 1e-8
 
 
 # ---------------------------------------------------------------------------
