@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import FileFormatError, UnsupportedVersionError
-from .scenario import Scenario, los_class
+from .scenario import Scenario, los_classes
 
 _TRAJ_TAG = "irsplan-trajectory"
 _TRACE_TAG = "irsplan-trace"
@@ -31,7 +31,8 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
              f"# scenario={scenario.fingerprint()}",
              _TRAJ_COLUMNS]
     dt = scenario.slot_duration
-    for k, q in enumerate(traj):
+    links = los_classes(traj, scenario)
+    for k, (q, link) in enumerate(zip(traj, links)):
         if k == 0:
             step = 0.0
             energy = 0.0
@@ -39,7 +40,6 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
             step = float(np.linalg.norm(np.asarray(q) - np.asarray(traj[k - 1])))
             energy = (scenario.motor_v2 * step**2 / dt + scenario.motor_v1 * step
                       + scenario.motor_v0 * dt)
-        link = los_class(q, scenario)
         d_ap, d_irs = distances(q, scenario)
         rate_k = float(slot_rate(model, link, d_ap, d_irs, scenario))
         lines.append(

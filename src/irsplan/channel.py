@@ -30,15 +30,16 @@ def ula_response(n_elements: int, cos_angle: float) -> Array:
     return np.exp(1j * math.pi * idx * cos_angle) / math.sqrt(max(n_elements, 1))
 
 
+def _ap_response(scenario: Scenario) -> Array:
+    """AP response toward the IRS."""
+    u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / scenario.ap_irs_distance
+    return ula_response(scenario.n_antennas, u_ap)
+
+
 def _array_responses(scenario: Scenario) -> tuple:
     """(IRS response toward AP, AP response toward IRS) from the geometry."""
-    d_ia = scenario.ap_irs_distance
-    u_irs = float(scenario.ap_pos[0] - scenario.irs_pos[0]) / d_ia
-    u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / d_ia
-    return (
-        ula_response(scenario.n_irs_elements, u_irs),
-        ula_response(scenario.n_antennas, u_ap),
-    )
+    u_irs = float(scenario.ap_pos[0] - scenario.irs_pos[0]) / scenario.ap_irs_distance
+    return ula_response(scenario.n_irs_elements, u_irs), _ap_response(scenario)
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,9 @@ def draw_channel(q, scenario: Scenario, link: LinkClass, seed: int) -> ChannelDr
 def _draw_fading(m: int, n: int, count: int, seed: int) -> tuple:
     """Unit-variance complex Gaussian fading, IRS block drawn before AP block."""
     rng = np.random.default_rng(seed)
-    hr = rng.standard_normal((count, m, 2)) @ np.array([1.0, 1j]) / math.sqrt(2.0)
-    hd = rng.standard_normal((count, n, 2)) @ np.array([1.0, 1j]) / math.sqrt(2.0)
+    # each (re, im) pair of normals is read in place as one complex128
+    hr = rng.standard_normal((count, m, 2)).view(np.complex128)[..., 0] / math.sqrt(2.0)
+    hd = rng.standard_normal((count, n, 2)).view(np.complex128)[..., 0] / math.sqrt(2.0)
     return hr, hd
 
 
@@ -249,7 +251,7 @@ def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
     exp_ap, exp_irs = scenario.exponents(link)
     rho = scenario.ref_gain
     gamma = math.sqrt(rho) / scenario.ap_irs_distance
-    _, ap_resp = _array_responses(scenario)
+    ap_resp = _ap_response(scenario)
 
     l1_irs = np.sum(np.abs(fading_irs), axis=1)
     cross = np.abs(fading_direct @ ap_resp)

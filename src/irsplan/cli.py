@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar=("NX", "NY"))
     p_map.add_argument("--draws", type=int, default=200)
     p_map.add_argument("--seed", type=int, default=0)
-    p_map.add_argument("--workers", type=int, default=1)
+    p_map.add_argument("--workers", type=int, default=None,
+                       help="threads for the map build (default: all usable CPUs)")
 
     p_fit = sub.add_parser("fit", help="fit the SNR model to a radio map")
     add_common(p_fit)

@@ -9,6 +9,7 @@ deterministic regardless of scheduling.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -97,17 +98,27 @@ class RadioMap:
 
 
 def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
-              draws_per_cell: int = 200, seed: int = 0, workers: int = 1) -> RadioMap:
+              draws_per_cell: int = 200, seed: int = 0,
+              workers: int | None = None) -> RadioMap:
     """Generate the radio map on an nx-by-ny grid of cell centers.
 
     The (square) cell size must tile the workspace exactly. Each cell is
     classified geometrically, then averages ``draws_per_cell`` closed-form
     optimal SNR samples from its own seeded stream.
+
+    Rows are filled by a pool of ``workers`` threads, by default one per
+    usable CPU (the draws and reductions release the GIL). Per-cell seeds
+    make the map the same, bit for bit, for every worker count.
     """
     if nx < 2 or ny < 2:
         raise ValueError("need at least a 2x2 grid")
     if draws_per_cell < 1:
         raise ValueError("need at least one draw per cell")
+    if workers is None:            # the CPUs this process may run on
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError("need at least one worker")
     xmin, xmax, ymin, ymax = scenario.workspace
     cell_x = (xmax - xmin) / nx
     cell_y = (ymax - ymin) / ny
@@ -135,12 +146,8 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
             )
             avg[iy, ix] = samples.mean()
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(ny)))
-    else:
-        for iy in range(ny):
-            fill_row(iy)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill_row, range(ny)))
 
     return RadioMap(
         nx=nx, ny=ny, cell_size=cell_x, origin=(xmin, ymin),

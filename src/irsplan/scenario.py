@@ -339,6 +339,12 @@ def los_class_batch(points: Array, scenario: Scenario) -> tuple:
     return ~ap_blocked, ~irs_blocked
 
 
+def los_classes(points: Array, scenario: Scenario) -> list:
+    """los_class of every point, from one los_class_batch call."""
+    ap_los, irs_los = los_class_batch(points, scenario)
+    return [LinkClass(ap, irs) for ap, irs in zip(ap_los.tolist(), irs_los.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # Configuration file interface
 #

@@ -24,7 +24,7 @@ import numpy as np
 from . import audit
 from .errors import SubproblemError
 from .graphinit import InitSelection, select_initial
-from .scenario import Scenario, los_class, motion_energy
+from .scenario import Scenario, los_classes, motion_energy
 from .snrmodel import SnrModel, linearize_rate
 from .socp import LinearObstacle, assemble_p4, solve_p4
 
@@ -117,7 +117,7 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
 
     for iteration in range(1, config.n_it_max + 1):
         t0 = time.perf_counter()
-        links = [los_class(q, scenario) for q in traj]
+        links = los_classes(traj, scenario)
         lins = linearize_rate(model, links, traj, scenario)
         obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.channel import (Beamformer, ChannelDraw, draw_channel, optimal_beamformer,
-                             optimal_snr_closed_form, optimal_snr_samples, snr,
-                             ula_response)
+from irsplan.channel import (Beamformer, ChannelDraw, _draw_fading, draw_channel,
+                             optimal_beamformer, optimal_snr_closed_form,
+                             optimal_snr_samples, snr, ula_response)
 from irsplan.errors import DegenerateChannelError
 from irsplan.scenario import LinkClass, scenario_overrides
 
@@ -129,6 +129,20 @@ def test_batch_samples_match_single_draws(empty_scenario):
     assert samples[0] == pytest.approx(
         optimal_snr_closed_form(d, d.d_ap, d.d_irs, empty_scenario), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("m,n,count", itertools.product((0, 64), (1, 16), (1, 200)))
+def test_fading_stream_is_bitwise_the_reference_formula(m, n, count):
+    # the map's per-cell seed stream: any change to these bits changes map.csv
+    pair = np.array([1.0, 1j])
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        ref_irs = rng.standard_normal((count, m, 2)) @ pair / math.sqrt(2.0)
+        ref_direct = rng.standard_normal((count, n, 2)) @ pair / math.sqrt(2.0)
+        hr, hd = _draw_fading(m, n, count, seed)
+        assert hr.shape == (count, m) and hd.shape == (count, n)
+        assert np.array_equal(hr.view(np.float64), ref_irs.view(np.float64))
+        assert np.array_equal(hd.view(np.float64), ref_direct.view(np.float64))
 
 
 def test_degenerate_all_zero_channel_raises(empty_scenario):

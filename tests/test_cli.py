@@ -36,6 +36,14 @@ def test_map_verb_builds_loadable_file(tmp_path):
     assert built.nx == 40 and built.ny == 24
 
 
+def test_map_verb_default_workers_write_the_serial_bytes(tmp_path):
+    args = ["--config", DESK_CONFIG, "--grid", "20", "12", "--draws", "20"]
+    serial, default = tmp_path / "serial.csv", tmp_path / "default.csv"
+    assert main(["map", *args, "--out", str(serial), "--workers", "1"]) == 0
+    assert main(["map", *args, "--out", str(default)]) == 0
+    assert serial.read_bytes() == default.read_bytes()
+
+
 def test_fit_verb_round_trips_model(tmp_path):
     map_path = tmp_path / "map.csv"
     main(["map", "--config", DESK_CONFIG, "--out", str(map_path), *SMALL])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,24 @@ def test_same_seed_identical_maps(desk_scenario):
 
 
 def test_parallel_build_matches_serial(desk_scenario):
-    serial = build_map(desk_scenario, nx=10, ny=6, draws_per_cell=5, seed=8, workers=1)
-    threaded = build_map(desk_scenario, nx=10, ny=6, draws_per_cell=5, seed=8, workers=3)
-    assert serial.equals(threaded)
+    # 15 rows do not divide evenly among 2 (usual CPU count) or 3 workers;
+    # a short switch interval interleaves the row threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        maps = [build_map(desk_scenario, nx=25, ny=15, draws_per_cell=5, seed=8,
+                          **workers)
+                for workers in ({}, {"workers": 1}, {"workers": 3})]
+    finally:
+        sys.setswitchinterval(interval)
+    assert maps[0].equals(maps[1])
+    assert maps[0].equals(maps[2])
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_build_needs_at_least_one_worker(desk_scenario, workers):
+    with pytest.raises(ValueError):
+        build_map(desk_scenario, nx=10, ny=6, draws_per_cell=1, seed=0, workers=workers)
 
 
 def test_grid_must_tile_workspace_squarely(desk_scenario):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from irsplan import audit
-from irsplan.scenario import (Obstacle, motion_energy, obstacle_margin,
-                              scenario_overrides)
+from irsplan.graphinit import build_graph, shortest_path
+from irsplan.scenario import (Obstacle, los_class, los_classes, motion_energy,
+                              obstacle_margin, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
 
 from conftest import straight_line
@@ -118,3 +119,13 @@ def test_stationarity_at_convergence(desk_scenario, fitted_model):
         assert abs(result.trace[-1].improvement) <= ScoConfig().epsilon + 1e-12
     # subproblem KKT residuals at the incumbent are small
     assert max(result.final_residuals) <= 1e-6
+
+
+@pytest.mark.parametrize("mode", ["ME", "MR"])
+def test_batched_link_classes_match_per_waypoint_classes(desk_scenario, fitted_model,
+                                                         mode):
+    path = shortest_path(build_graph(desk_scenario, model=fitted_model, mode=mode))
+    links = los_classes(path, desk_scenario)
+    assert links == [los_class(q, desk_scenario) for q in path]
+    assert all(type(flag) is bool for link in links for flag in link)
+    assert len(set(links)) > 1      # the desk seed paths cross a shadow edge
