@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +32,16 @@ def ula_response(n_elements: int, cos_angle: float) -> Array:
 
 
 def _ap_response(scenario: Scenario) -> Array:
-    """AP response toward the IRS."""
+    """AP response toward the IRS; one shared read-only array per geometry."""
     u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / scenario.ap_irs_distance
-    return ula_response(scenario.n_antennas, u_ap)
+    return _shared_ula_response(scenario.n_antennas, u_ap)
+
+
+@lru_cache(maxsize=64)
+def _shared_ula_response(n_elements: int, cos_angle: float) -> Array:
+    response = ula_response(n_elements, cos_angle)
+    response.flags.writeable = False
+    return response
 
 
 def _array_responses(scenario: Scenario) -> tuple:
@@ -135,13 +143,12 @@ class Beamformer:
 def _finish_draw(scenario, link, d_ap, d_irs, fading_irs, fading_direct) -> ChannelDraw:
     irs_resp, ap_resp = _array_responses(scenario)
     exp_ap, exp_irs = scenario.exponents(link)
-    gamma = math.sqrt(scenario.ref_gain) / scenario.ap_irs_distance
     return ChannelDraw(
         fading_irs=fading_irs,
         fading_direct=fading_direct,
         irs_response=irs_resp,
         ap_response=ap_resp,
-        gamma=gamma,
+        gamma=scenario.irs_ap_gain,
         ref_gain=scenario.ref_gain,
         d_ap=d_ap,
         d_irs=d_irs,
@@ -160,12 +167,17 @@ def draw_channel(q, scenario: Scenario, link: LinkClass, seed: int) -> ChannelDr
 
 
 def _draw_fading(m: int, n: int, count: int, seed: int) -> tuple:
-    """Unit-variance complex Gaussian fading, IRS block drawn before AP block."""
-    rng = np.random.default_rng(seed)
-    # each (re, im) pair of normals is read in place as one complex128
-    hr = rng.standard_normal((count, m, 2)).view(np.complex128)[..., 0] / math.sqrt(2.0)
-    hd = rng.standard_normal((count, n, 2)).view(np.complex128)[..., 0] / math.sqrt(2.0)
-    return hr, hd
+    """Unit-variance complex Gaussian fading, IRS block drawn before AP block.
+
+    Both blocks come from one draw of the sequential stream, scaled in place
+    and read as (re, im) pairs of complex128 without a copy. Multiplying by
+    1/sqrt(2) gives the bits numpy's complex-by-real division by sqrt(2)
+    gives, since that division multiplies by the reciprocal.
+    """
+    normals = np.random.default_rng(seed).standard_normal(count * (m + n) * 2)
+    normals *= 1.0 / math.sqrt(2.0)
+    fading = normals.view(np.complex128)
+    return fading[:count * m].reshape(count, m), fading[count * m:].reshape(count, n)
 
 
 def optimal_beamformer(draw: ChannelDraw) -> Beamformer:
@@ -250,7 +262,7 @@ def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
     d_ap, d_irs = distances(q, scenario)
     exp_ap, exp_irs = scenario.exponents(link)
     rho = scenario.ref_gain
-    gamma = math.sqrt(rho) / scenario.ap_irs_distance
+    gamma = scenario.irs_ap_gain
     ap_resp = _ap_response(scenario)
 
     l1_irs = np.sum(np.abs(fading_irs), axis=1)

@@ -262,14 +262,14 @@ def _cmd_sweep(args) -> int:
         sc_m = scenario_overrides(scenario, n_irs_elements=m)
         built = radiomap.build_map(sc_m, nx=args.grid[0], ny=args.grid[1],
                                    draws_per_cell=args.draws, seed=args.seed)
-        model = snrmodel.fit(built, sc_m)
         map_path = out_root / f"map_M{m}.csv"
         radiomap.save_map(built, map_path)
         for r in r_values:
-            cells.append((m, r, sc_m, built, model, map_path))
+            cells.append((m, r, sc_m, built, map_path))
 
     def run_cell(cell):
-        m, r, sc_m, built, model, map_path = cell
+        # each cell fits its model from the saved map in _plan_once
+        m, r, sc_m, built, map_path = cell
         cell_dir = out_root / f"M{m}_rmin{r:g}"
         sc_run = scenario_overrides(sc_m, min_avg_rate=r * 1e9)
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -170,16 +171,25 @@ class Scenario:
         """Largest distance the robot can cover in one slot."""
         return self.v_max * self.slot_duration
 
-    @property
+    # The fields are frozen, so the channel constants below are computed once
+    # per scenario and then read from the instance (the radio map reads them
+    # in every cell).
+
+    @cached_property
     def snr_scale(self) -> float:
         """Transmit power over noise power; multiplies every SNR expression."""
         return self.tx_power / self.noise_power
 
-    @property
+    @cached_property
     def ap_irs_distance(self) -> float:
         """Fixed 3D distance between the AP and the IRS."""
         planar = float(np.linalg.norm(self.ap_pos - self.irs_pos))
         return math.hypot(planar, self.z_ap - self.z_irs)
+
+    @cached_property
+    def irs_ap_gain(self) -> float:
+        """Amplitude gamma = sqrt(ref_gain) / ap_irs_distance of the IRS-AP hop."""
+        return math.sqrt(self.ref_gain) / self.ap_irs_distance
 
     def exponents(self, link: LinkClass) -> tuple:
         """(AP-link, IRS-link) path-loss exponents for a visibility class."""

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.channel import (Beamformer, ChannelDraw, _draw_fading, draw_channel,
-                             optimal_beamformer, optimal_snr_closed_form,
+from irsplan.channel import (Beamformer, ChannelDraw, _ap_response, _draw_fading,
+                             draw_channel, optimal_beamformer, optimal_snr_closed_form,
                              optimal_snr_samples, snr, ula_response)
 from irsplan.errors import DegenerateChannelError
-from irsplan.scenario import LinkClass, scenario_overrides
+from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances, scenario_overrides
 
 LOS = LinkClass(True, True)
 
@@ -143,6 +143,56 @@ def test_fading_stream_is_bitwise_the_reference_formula(m, n, count):
         assert hr.shape == (count, m) and hd.shape == (count, n)
         assert np.array_equal(hr.view(np.float64), ref_irs.view(np.float64))
         assert np.array_equal(hd.view(np.float64), ref_direct.view(np.float64))
+
+
+def _reference_samples(q, scenario, link, n_draws, seed):
+    """optimal_snr_samples as first written: two draws, complex matmul, no caching."""
+    m, n = scenario.n_irs_elements, scenario.n_antennas
+    pair = np.array([1.0, 1j])
+    rng = np.random.default_rng(seed)
+    fading_irs = rng.standard_normal((n_draws, m, 2)) @ pair / math.sqrt(2.0)
+    fading_direct = rng.standard_normal((n_draws, n, 2)) @ pair / math.sqrt(2.0)
+    d_ap, d_irs = distances(q, scenario)
+    exp_ap, exp_irs = scenario.exponents(link)
+    rho = scenario.ref_gain
+    ap_irs = math.hypot(float(np.linalg.norm(scenario.ap_pos - scenario.irs_pos)),
+                        scenario.z_ap - scenario.z_irs)
+    gamma = math.sqrt(rho) / ap_irs
+    u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / ap_irs
+    ap_resp = np.exp(1j * math.pi * np.arange(n) * u_ap) / math.sqrt(n)
+
+    l1_irs = np.sum(np.abs(fading_irs), axis=1)
+    cross = np.abs(fading_direct @ ap_resp)
+    l2sq_direct = np.sum(np.abs(fading_direct) ** 2, axis=1)
+    a_coef = n * rho * gamma**2 * l1_irs**2
+    b_coef = 2.0 * math.sqrt(n) * rho * gamma * l1_irs * cross
+    c_coef = rho * l2sq_direct
+    return (
+        a_coef * d_irs ** (-exp_irs)
+        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
+        + c_coef * d_ap ** (-exp_ap)
+    ) * (scenario.tx_power / scenario.noise_power)
+
+
+@pytest.mark.parametrize("m,n,n_draws", itertools.product((0, 64), (1, 16), (1, 200)))
+def test_snr_samples_are_bitwise_the_reference_formula(empty_scenario, m, n, n_draws):
+    # every radio-map cell averages these samples: any bit changed here changes map.csv
+    sc = small_array_scenario(empty_scenario, m=m, n=n)
+    for link in ALL_LINK_CLASSES:
+        for seed in range(10):
+            samples = optimal_snr_samples([17.3, 9.6], sc, link, n_draws, seed)
+            ref = _reference_samples([17.3, 9.6], sc, link, n_draws, seed)
+            assert samples.shape == (n_draws,)
+            assert np.array_equal(samples.view(np.uint64), ref.view(np.uint64))
+
+
+def test_shared_ap_response_is_read_only(empty_scenario):
+    shared = _ap_response(empty_scenario)
+    assert _ap_response(empty_scenario) is shared
+    with pytest.raises(ValueError):
+        shared[0] = 0.0
+    draw = draw_channel([20.0, 12.0], empty_scenario, LOS, seed=1)
+    assert not draw.ap_response.flags.writeable
 
 
 def test_degenerate_all_zero_channel_raises(empty_scenario):

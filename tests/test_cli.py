@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from irsplan import artifacts
+from irsplan import artifacts, snrmodel
 from irsplan.cli import main
-from irsplan.errors import SubproblemError
+from irsplan.errors import FitFailureError, SubproblemError
 from irsplan.radiomap import load_map
 from irsplan.sco import IterationRecord
 from irsplan.snrmodel import load_model
@@ -166,3 +166,17 @@ def test_sweep_continues_past_infeasible_cells(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()[1:]
     statuses = {row.split(",")[2] for row in rows}
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_sweep_records_a_fit_failure_per_cell(tmp_path, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise FitFailureError("no convergence")
+
+    monkeypatch.setattr(snrmodel, "fit", failing_fit)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),
+                 "--M", "0", "--rmin", "2.0,2.5", "--grid", "10", "6", "--draws", "5"])
+    assert code == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["error: FitFailureError"] * 2
+    assert (out / "map_M0.csv").is_file()
