@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateChannelError
-from .scenario import LinkClass, Scenario, distances
+from .scenario import LinkClass, Scenario, distances, distances_batch
 
 Array = np.ndarray
 
@@ -31,23 +30,12 @@ def ula_response(n_elements: int, cos_angle: float) -> Array:
     return np.exp(1j * math.pi * idx * cos_angle) / math.sqrt(max(n_elements, 1))
 
 
-def _ap_response(scenario: Scenario) -> Array:
-    """AP response toward the IRS; one shared read-only array per geometry."""
-    u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / scenario.ap_irs_distance
-    return _shared_ula_response(scenario.n_antennas, u_ap)
-
-
-@lru_cache(maxsize=64)
-def _shared_ula_response(n_elements: int, cos_angle: float) -> Array:
-    response = ula_response(n_elements, cos_angle)
-    response.flags.writeable = False
-    return response
-
-
 def _array_responses(scenario: Scenario) -> tuple:
     """(IRS response toward AP, AP response toward IRS) from the geometry."""
     u_irs = float(scenario.ap_pos[0] - scenario.irs_pos[0]) / scenario.ap_irs_distance
-    return ula_response(scenario.n_irs_elements, u_irs), _ap_response(scenario)
+    u_ap = float(scenario.irs_pos[0] - scenario.ap_pos[0]) / scenario.ap_irs_distance
+    return (ula_response(scenario.n_irs_elements, u_irs),
+            ula_response(scenario.n_antennas, u_ap))
 
 
 @dataclass(frozen=True)
@@ -254,24 +242,60 @@ def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
                         seed: int) -> Array:
     """Beamforming-optimal SNR for n_draws channel draws from one seeded stream.
 
-    Vectorized over draws; sample i equals the closed-form optimal SNR of
-    the i-th draw from the same stream. Used by the radio-map builder.
+    Vectorized over draws; used by the radio-map builder. The optimal SNR of
+    a draw depends on its fading only through l1 = sum_i |h_i|, |a^H h_d|^2
+    and ||h_d||^2, so the stream draws those: per draw, M + 1 Exp(1) powers
+    (|a^H h_d|^2 first, then each |h_i|^2) and, for N > 1, the Gamma(N-1, 1)
+    remainder ||h_d||^2 - |a^H h_d|^2, which is independent of the rest
+    because a has unit norm. The samples follow the law of
+    optimal_snr_closed_form over draw_channel draws, not its draw-by-draw
+    values.
     """
     m, n = scenario.n_irs_elements, scenario.n_antennas
-    fading_irs, fading_direct = _draw_fading(m, n, n_draws, seed)
+    rng = np.random.default_rng(seed)
+    powers = rng.standard_exponential(n_draws * (m + 1)).reshape(n_draws, m + 1)
+    l2sq_direct = powers[:, 0].copy()
+    if n > 1:
+        l2sq_direct += rng.standard_gamma(n - 1, n_draws)
+    np.sqrt(powers, out=powers)
+    cross = powers[:, 0]
+    l1_irs = np.sum(powers[:, 1:], axis=1)
     d_ap, d_irs = distances(q, scenario)
     exp_ap, exp_irs = scenario.exponents(link)
     rho = scenario.ref_gain
     gamma = scenario.irs_ap_gain
-    ap_resp = _ap_response(scenario)
-
-    l1_irs = np.sum(np.abs(fading_irs), axis=1)
-    cross = np.abs(fading_direct @ ap_resp)
-    l2sq_direct = np.sum(np.abs(fading_direct) ** 2, axis=1)
 
     a_coef = n * rho * gamma**2 * l1_irs**2
     b_coef = 2.0 * math.sqrt(n) * rho * gamma * l1_irs * cross
     c_coef = rho * l2sq_direct
+    return (
+        a_coef * d_irs ** (-exp_irs)
+        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
+        + c_coef * d_ap ** (-exp_ap)
+    ) * scenario.snr_scale
+
+
+def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
+    """Exact ensemble mean of the optimal SNR at each of the (n, 2) points.
+
+    ``ap_los`` and ``irs_los`` give each point's visibility class, as
+    length-n boolean arrays or as scalars shared by all points.
+
+    The mean of every term of optimal_snr_closed_form is known: E[l1] =
+    M sqrt(pi)/2, E[l1^2] = M + M(M-1) pi/4, E|a^H h_d| = sqrt(pi)/2 and
+    E||h_d||^2 = N. So the mean is the fitted model's form with the class's
+    nominal exponents and A = N rho gamma^2 (M + M(M-1) pi/4),
+    B = sqrt(N) rho gamma M pi/2, C = rho N.
+    """
+    m, n = scenario.n_irs_elements, scenario.n_antennas
+    rho = scenario.ref_gain
+    gamma = scenario.irs_ap_gain
+    a_coef = n * rho * gamma**2 * (m + m * (m - 1) * math.pi / 4)
+    b_coef = math.sqrt(n) * rho * gamma * m * math.pi / 2
+    c_coef = rho * n
+    d_ap, d_irs = distances_batch(np.atleast_2d(points), scenario)
+    exp_ap = np.where(ap_los, scenario.los_exponent, scenario.nlos_exponent)
+    exp_irs = np.where(irs_los, scenario.los_exponent, scenario.nlos_exponent)
     return (
         a_coef * d_irs ** (-exp_irs)
         + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)

@@ -144,7 +144,7 @@ def _cmd_fit(args) -> int:
 def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None,
                grid=(100, 60), draws=200, seed=0, fit_mode="per_class",
                sco_config=ScoConfig()) -> tuple:
-    """Shared by plan and sweep. Returns (exit_code, summary dict)."""
+    """Map (or reuse), fit and plan. Returns (exit_code, summary dict)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = scenario.channel_fingerprint()
 
@@ -169,8 +169,21 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
                                        draws_per_cell=draws, seed=seed)
             radiomap.save_map(built, out_dir / "map.csv")
         model = snrmodel.fit(built, scenario, mode=fit_mode)
-        map_meta = {"nx": built.nx, "ny": built.ny,
-                    "draws_per_cell": int(built.n_draws.max()), "seed": built.seed}
+        map_meta = _map_meta(built)
+    map_artifact = "map.csv" if not (model_file or map_file) else None
+    return _plan_with_model(scenario, out_dir, model, map_meta, fit_mode, map_artifact,
+                            sco_config)
+
+
+def _map_meta(built: radiomap.RadioMap) -> dict:
+    return {"nx": built.nx, "ny": built.ny,
+            "draws_per_cell": int(built.n_draws.max()), "seed": built.seed}
+
+
+def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
+                     fit_mode: str, map_artifact, sco_config=ScoConfig()) -> tuple:
+    """Shared by plan and sweep: descend on a fitted model and write the artifacts."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, out_dir / "model.txt")
 
     try:
@@ -203,7 +216,7 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
             "model": "model.txt",
             "trajectory": "trajectory.csv" if result.feasible else None,
             "trace": "trace.csv" if result.feasible else None,
-            "map": "map.csv" if not (model_file or map_file) else None,
+            "map": map_artifact,
         },
     }
 
@@ -262,28 +275,34 @@ def _cmd_sweep(args) -> int:
         sc_m = scenario_overrides(scenario, n_irs_elements=m)
         built = radiomap.build_map(sc_m, nx=args.grid[0], ny=args.grid[1],
                                    draws_per_cell=args.draws, seed=args.seed)
-        map_path = out_root / f"map_M{m}.csv"
-        radiomap.save_map(built, map_path)
+        radiomap.save_map(built, out_root / f"map_M{m}.csv")
+        try:       # every rate level of this element count plans on this one fit
+            model = snrmodel.fit(built, sc_m)
+        except FitFailureError as exc:
+            model = exc
+        map_meta = _map_meta(built)
         for r in r_values:
-            cells.append((m, r, sc_m, built, map_path))
+            cells.append((m, r, sc_m, map_meta, model))
 
     def run_cell(cell):
-        # each cell fits its model from the saved map in _plan_once
-        m, r, sc_m, built, map_path = cell
+        m, r, sc_m, map_meta, model = cell
         cell_dir = out_root / f"M{m}_rmin{r:g}"
-        sc_run = scenario_overrides(sc_m, min_avg_rate=r * 1e9)
-        try:
-            code, summary = _plan_once(sc_run, cell_dir, map_file=map_path,
-                                       grid=(built.nx, built.ny),
-                                       draws=int(built.n_draws.max()),
-                                       seed=built.seed)
-            res = summary["result"]
-            return (m, r, res["status"], res["initial_solution"],
-                    res["final_energy_j"], res["avg_rate_gbps"], res["iterations"],
-                    cell_dir.name)
-        except IrsPlanError as exc:       # partial failure: record and continue
+
+        def failed(exc):           # partial failure: record and continue
             return (m, r, f"error: {type(exc).__name__}", None, None, None, None,
                     cell_dir.name)
+
+        if isinstance(model, FitFailureError):
+            return failed(model)
+        sc_run = scenario_overrides(sc_m, min_avg_rate=r * 1e9)
+        try:
+            _, summary = _plan_with_model(sc_run, cell_dir, model, map_meta,
+                                          "per_class", None)
+        except IrsPlanError as exc:
+            return failed(exc)
+        res = summary["result"]
+        return (m, r, res["status"], res["initial_solution"], res["final_energy_j"],
+                res["avg_rate_gbps"], res["iterations"], cell_dir.name)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

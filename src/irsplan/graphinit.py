@@ -41,10 +41,6 @@ class TimeExpandedGraph:
     rate_goal: float
     offsets: np.ndarray          # (n_off, 2) integer (oy, ox) moves, |o|*g <= D_max
 
-    @property
-    def n_layers(self) -> int:
-        return self.scenario.n_slots + 1
-
     def node_positions(self) -> np.ndarray:
         return np.stack(np.meshgrid(self.xs, self.ys), axis=-1)
 

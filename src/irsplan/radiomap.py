@@ -3,7 +3,10 @@
 Cells tile the workspace exactly; each cell averages the optimal SNR of
 ``n_draws`` channel realizations drawn at its center, in the linear domain.
 Per-cell seeds are ``seed XOR (iy * nx + ix)`` so parallel generation is
-deterministic regardless of scheduling.
+deterministic regardless of scheduling. What a cell's seed stream draws is
+part of the file's meaning: format v2 draws the three sufficient statistics
+of each draw (see ``channel.optimal_snr_samples``), v1 drew full fading
+vectors, and v1 files are rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .scenario import LinkClass, Scenario, los_class_batch
 log = logging.getLogger(__name__)
 
 _FORMAT_TAG = "irsplan-radiomap"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _COLUMNS = "ix,iy,x,y,ap_class,irs_class,avg_opt_snr_linear,n_draws"
 
 

@@ -32,10 +32,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts * 1e3)
-
-
 class LinkClass(NamedTuple):
     """Visibility of the two uplink hops from one robot position."""
 

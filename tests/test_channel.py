@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.channel import (Beamformer, ChannelDraw, _ap_response, _draw_fading,
-                             draw_channel, optimal_beamformer, optimal_snr_closed_form,
-                             optimal_snr_samples, snr, ula_response)
+from scipy.stats import ks_2samp
+
+from irsplan.channel import (Beamformer, ChannelDraw, _draw_fading, _effective_channel,
+                             draw_channel, expected_snr, optimal_beamformer,
+                             optimal_snr_closed_form, optimal_snr_samples, snr, ula_response)
 from irsplan.errors import DegenerateChannelError
 from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances, scenario_overrides
 
@@ -123,14 +125,6 @@ def test_closed_form_monotone_decreasing_in_distances(empty_scenario):
     assert optimal_snr_closed_form(d, 10.0, 12.0, empty_scenario) < base
 
 
-def test_batch_samples_match_single_draws(empty_scenario):
-    samples = optimal_snr_samples([20.0, 12.0], empty_scenario, LOS, n_draws=1, seed=77)
-    d = draw_channel([20.0, 12.0], empty_scenario, LOS, seed=77)
-    assert samples[0] == pytest.approx(
-        optimal_snr_closed_form(d, d.d_ap, d.d_irs, empty_scenario), rel=1e-12
-    )
-
-
 @pytest.mark.parametrize("m,n,count", itertools.product((0, 64), (1, 16), (1, 200)))
 def test_fading_stream_is_bitwise_the_reference_formula(m, n, count):
     # the map's per-cell seed stream: any change to these bits changes map.csv
@@ -146,7 +140,7 @@ def test_fading_stream_is_bitwise_the_reference_formula(m, n, count):
 
 
 def _reference_samples(q, scenario, link, n_draws, seed):
-    """optimal_snr_samples as first written: two draws, complex matmul, no caching."""
+    """The map stream of irsplan-radiomap v1: full fading vectors, complex matmul."""
     m, n = scenario.n_irs_elements, scenario.n_antennas
     pair = np.array([1.0, 1j])
     rng = np.random.default_rng(seed)
@@ -174,6 +168,33 @@ def _reference_samples(q, scenario, link, n_draws, seed):
     ) * (scenario.tx_power / scenario.noise_power)
 
 
+def _v2_reference_samples(q, scenario, link, n_draws, seed):
+    """The map stream of irsplan-radiomap v2, step by step."""
+    m, n = scenario.n_irs_elements, scenario.n_antennas
+    rng = np.random.default_rng(seed)
+    powers = rng.standard_exponential(n_draws * (m + 1)).reshape(n_draws, m + 1)
+    aligned = powers[:, 0]
+    remainder = rng.standard_gamma(n - 1, n_draws) if n > 1 else 0.0
+    l1_irs = np.sum(np.sqrt(powers[:, 1:]), axis=1)
+    cross = np.sqrt(aligned)
+    l2sq_direct = aligned + remainder
+    d_ap, d_irs = distances(q, scenario)
+    exp_ap, exp_irs = scenario.exponents(link)
+    rho = scenario.ref_gain
+    ap_irs = math.hypot(float(np.linalg.norm(scenario.ap_pos - scenario.irs_pos)),
+                        scenario.z_ap - scenario.z_irs)
+    gamma = math.sqrt(rho) / ap_irs
+
+    a_coef = n * rho * gamma**2 * l1_irs**2
+    b_coef = 2.0 * math.sqrt(n) * rho * gamma * l1_irs * cross
+    c_coef = rho * l2sq_direct
+    return (
+        a_coef * d_irs ** (-exp_irs)
+        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
+        + c_coef * d_ap ** (-exp_ap)
+    ) * (scenario.tx_power / scenario.noise_power)
+
+
 @pytest.mark.parametrize("m,n,n_draws", itertools.product((0, 64), (1, 16), (1, 200)))
 def test_snr_samples_are_bitwise_the_reference_formula(empty_scenario, m, n, n_draws):
     # every radio-map cell averages these samples: any bit changed here changes map.csv
@@ -181,18 +202,57 @@ def test_snr_samples_are_bitwise_the_reference_formula(empty_scenario, m, n, n_d
     for link in ALL_LINK_CLASSES:
         for seed in range(10):
             samples = optimal_snr_samples([17.3, 9.6], sc, link, n_draws, seed)
-            ref = _reference_samples([17.3, 9.6], sc, link, n_draws, seed)
+            ref = _v2_reference_samples([17.3, 9.6], sc, link, n_draws, seed)
             assert samples.shape == (n_draws,)
             assert np.array_equal(samples.view(np.uint64), ref.view(np.uint64))
 
 
-def test_shared_ap_response_is_read_only(empty_scenario):
-    shared = _ap_response(empty_scenario)
-    assert _ap_response(empty_scenario) is shared
-    with pytest.raises(ValueError):
-        shared[0] = 0.0
-    draw = draw_channel([20.0, 12.0], empty_scenario, LOS, seed=1)
-    assert not draw.ap_response.flags.writeable
+def test_batch_samples_follow_the_full_fading_law(empty_scenario):
+    # the map stream draws three statistics per draw; their law must be the
+    # closed-form optimal SNR's over full fading vectors
+    for m, n, link in itertools.product((0, 64), (1, 16),
+                                        (LinkClass(True, True), LinkClass(False, False))):
+        sc = small_array_scenario(empty_scenario, m=m, n=n)
+        samples = optimal_snr_samples([20.0, 12.0], sc, link, 20_000, seed=77)
+        full = _reference_samples([20.0, 12.0], sc, link, 20_000, seed=78)
+        assert ks_2samp(samples, full).pvalue > 1e-3, (m, n, link)
+
+
+@pytest.mark.parametrize("m,link", itertools.product((0, 16, 64), ALL_LINK_CLASSES))
+def test_sample_mean_matches_the_exact_expected_snr(empty_scenario, m, link):
+    sc = scenario_overrides(empty_scenario, n_irs_elements=m)
+    q = np.array([20.0, 12.0])
+    samples = optimal_snr_samples(q, sc, link, 100_000, seed=5)
+    exact = expected_snr(q, sc, link.ap_los, link.irs_los)
+    assert exact.shape == (1,)
+    se = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - exact[0]) <= 4 * se
+
+
+def test_expected_snr_is_vectorized_over_points_and_classes(desk_scenario):
+    points = np.array([[20.0, 12.0], [5.0, 25.0], [33.0, 4.0]])
+    ap_los = np.array([True, False, True])
+    irs_los = np.array([False, False, True])
+    batch = expected_snr(points, desk_scenario, ap_los, irs_los)
+    for point, ap, irs, value in zip(points, ap_los, irs_los, batch):
+        assert expected_snr(point, desk_scenario, ap, irs)[0] == value
+
+
+@pytest.mark.parametrize("m", (0, 1, 4, 16))
+def test_effective_channel_is_the_explicit_matrix_product(empty_scenario, m):
+    # h_irs^H Phi G + h_d^H with G = irs_ap_matrix and Phi = irs_matrix
+    sc = small_array_scenario(empty_scenario, m=m, n=4)
+    rng = np.random.default_rng(m)
+    for seed in range(3):
+        draw = draw_channel([20.0, 12.0], sc, LinkClass(True, False), seed=seed)
+        phases = rng.uniform(0.0, 2 * math.pi, m)
+        global_phase = float(rng.uniform(-math.pi, math.pi))
+        phi = Beamformer(phases=phases, combiner=np.zeros(4),
+                         global_phase=global_phase).irs_matrix()
+        explicit = np.conj(draw.h_irs) @ phi @ draw.irs_ap_matrix() + np.conj(draw.h_direct)
+        assert explicit.shape == (4,)
+        assert np.allclose(_effective_channel(draw, phases, global_phase), explicit,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_degenerate_all_zero_channel_raises(empty_scenario):

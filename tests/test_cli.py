@@ -158,6 +158,29 @@ def test_single_cell_sweep_matches_plan(planned, tmp_path):
     assert summary["result"] == plan_summary["result"]
 
 
+def test_sweep_fits_each_element_count_once(tmp_path, monkeypatch):
+    fitted = []
+    real_fit = snrmodel.fit
+
+    def counting_fit(radio_map, scenario, *args, **kwargs):
+        fitted.append(scenario.n_irs_elements)
+        return real_fit(radio_map, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(snrmodel, "fit", counting_fit)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),
+                 "--M", "0,64", "--rmin", "2.0,2.5,3.0", *SMALL])
+    assert code == 0
+    assert fitted == [0, 64]
+    # each cell writes what a plan that loads and fits the saved map writes
+    for m in (0, 64):
+        for r in ("2", "2.5", "3"):
+            cell, alone = out / f"M{m}_rmin{r}", tmp_path / f"plan_M{m}_rmin{r}"
+            main(["plan", "--config", DESK_CONFIG, "--out", str(alone), "--M", str(m),
+                  "--rmin", r, "--map", str(out / f"map_M{m}.csv")])
+            assert tree_digest(cell) == tree_digest(alone)
+
+
 def test_sweep_continues_past_infeasible_cells(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from irsplan.channel import draw_channel, optimal_snr_closed_form, optimal_snr_samples
+from irsplan import radiomap
+from irsplan.channel import optimal_snr_samples
 from irsplan.errors import FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import build_map, load_map, save_map
 from irsplan.scenario import LinkClass, los_class, scenario_overrides
@@ -16,9 +17,9 @@ def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
         for ix in range(5):
             center = np.array([xs[ix], ys[iy]])
             link = los_class(center, empty_scenario)
-            d = draw_channel(center, empty_scenario, link, seed=40 ^ (iy * 5 + ix))
-            expected = optimal_snr_closed_form(d, d.d_ap, d.d_irs, empty_scenario)
-            assert built.avg_snr[iy, ix] == pytest.approx(expected, rel=1e-12)
+            expected = optimal_snr_samples(center, empty_scenario, link, 1,
+                                           40 ^ (iy * 5 + ix))[0]
+            assert built.avg_snr[iy, ix] == expected
 
 
 def test_same_seed_identical_maps(desk_scenario):
@@ -100,10 +101,22 @@ def test_truncated_file_fails_with_line_info(small_map, tmp_path):
 def test_version_mismatch_is_explicit(small_map, tmp_path):
     path = tmp_path / "map.csv"
     save_map(small_map, path)
-    text = path.read_text().replace("irsplan-radiomap v1", "irsplan-radiomap v9", 1)
-    (tmp_path / "v9.csv").write_text(text)
+    current = f"irsplan-radiomap v{radiomap._FORMAT_VERSION}"
+    text = path.read_text()
+    assert text.startswith(f"# {current}\n")
+    (tmp_path / "v9.csv").write_text(text.replace(current, "irsplan-radiomap v9", 1))
     with pytest.raises(UnsupportedVersionError):
         load_map(tmp_path / "v9.csv")
+
+
+def test_v1_map_is_rejected_by_name(small_map, tmp_path):
+    # v1 cells averaged another seed stream: reading one as v2 would mix two maps
+    path = tmp_path / "map.csv"
+    save_map(small_map, path)
+    text = path.read_text().replace("irsplan-radiomap v2", "irsplan-radiomap v1", 1)
+    (tmp_path / "v1.csv").write_text(text)
+    with pytest.raises(UnsupportedVersionError, match="v1.*v2"):
+        load_map(tmp_path / "v1.csv")
 
 
 def test_malformed_field_names_line_and_field(small_map, tmp_path):

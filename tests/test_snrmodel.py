@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from irsplan.channel import expected_snr
 from irsplan.errors import FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import RadioMap
-from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances
+from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances, los_class_batch
 from irsplan.snrmodel import (ClassFit, SnrModel, fit, linearize_rate, load_model, rate,
                               rate_app_position_gradient, rate_app_position_hessian,
                               rate_app_value, rate_gradient, rate_hessian_distances,
@@ -297,6 +298,34 @@ def test_fit_with_monte_carlo_noise_recovers_within_ten_percent(empty_scenario):
     got = model.fit_for(LOS)
     for name in ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap"):
         assert getattr(got, name) == pytest.approx(getattr(truth, name), rel=0.10)
+
+
+@pytest.mark.parametrize("link", [LinkClass(True, True), LinkClass(False, False)])
+def test_fit_recovers_the_exact_expected_snr_parameters(desk_scenario, link):
+    # the physics ground truth: an exact-mean desk map at the published scale
+    sc = desk_scenario
+    xmin, xmax, ymin, ymax = sc.workspace
+    nx, ny = 100, 60
+    cell = (xmax - xmin) / nx
+    xs = xmin + (np.arange(nx) + 0.5) * cell
+    ys = ymin + (np.arange(ny) + 0.5) * cell
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    ap_los, irs_los = los_class_batch(grid, sc)
+    exact = RadioMap(
+        nx=nx, ny=ny, cell_size=cell, origin=(xmin, ymin),
+        avg_snr=expected_snr(grid, sc, ap_los, irs_los).reshape(ny, nx),
+        n_draws=np.ones((ny, nx), dtype=np.int64),
+        ap_los=ap_los.reshape(ny, nx), irs_los=irs_los.reshape(ny, nx),
+        scenario_hash=sc.channel_fingerprint(), seed=0,
+    )
+    m, n, rho, gamma = sc.n_irs_elements, sc.n_antennas, sc.ref_gain, sc.irs_ap_gain
+    exp_ap, exp_irs = sc.exponents(link)
+    truth = (n * rho * gamma**2 * (m + m * (m - 1) * math.pi / 4),
+             math.sqrt(n) * rho * gamma * m * math.pi / 2,
+             rho * n, exp_irs, exp_ap)
+    got = fit(exact, sc).fit_for(link)
+    assert got.inherited_from is None
+    assert got.as_tuple() == pytest.approx(truth, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
