@@ -15,7 +15,7 @@ from .scenario import (  # noqa: F401
     Scenario,
     distances,
     load_scenario,
-    los_class,
+    los_classes,
     motion_energy,
     obstacle_margin,
     scenario_overrides,
@@ -39,7 +39,7 @@ __all__ = [
     "Scenario",
     "distances",
     "load_scenario",
-    "los_class",
+    "los_classes",
     "motion_energy",
     "obstacle_margin",
     "scenario_overrides",

@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .errors import FileFormatError, UnsupportedVersionError
-from .scenario import Scenario, los_classes
+from .scenario import LinkClass, Scenario, distances, los_class_batch
+from .snrmodel import slot_rate
 
 _TRAJ_TAG = "irsplan-trajectory"
 _TRACE_TAG = "irsplan-trace"
@@ -24,27 +25,24 @@ _TRACE_COLUMNS = "iteration,energy,improvement,status,max_violation"
 
 def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
     """One row per slot with step, energy and fitted-rate accounting."""
-    from .snrmodel import slot_rate   # local import to avoid a cycle
-    from .scenario import distances
+    traj = np.asarray(traj, dtype=float)
+    dt = scenario.slot_duration
+    steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
+    energies = (scenario.motor_v2 * steps**2 / dt + scenario.motor_v1 * steps
+                + scenario.motor_v0 * dt)
+    ap_los, irs_los = los_class_batch(traj, scenario)
+    rates = slot_rate(model, LinkClass(ap_los, irs_los), *distances(traj, scenario),
+                      scenario)
 
     lines = [f"# {_TRAJ_TAG} v{_VERSION}",
              f"# scenario={scenario.fingerprint()}",
              _TRAJ_COLUMNS]
-    dt = scenario.slot_duration
-    links = los_classes(traj, scenario)
-    for k, (q, link) in enumerate(zip(traj, links)):
-        if k == 0:
-            step = 0.0
-            energy = 0.0
-        else:
-            step = float(np.linalg.norm(np.asarray(q) - np.asarray(traj[k - 1])))
-            energy = (scenario.motor_v2 * step**2 / dt + scenario.motor_v1 * step
-                      + scenario.motor_v0 * dt)
-        d_ap, d_irs = distances(q, scenario)
-        rate_k = float(slot_rate(model, link, d_ap, d_irs, scenario))
+    rows = zip(traj.tolist(), [0.0, *steps.tolist()], [0.0, *energies.tolist()],
+               rates.tolist(), ap_los.tolist(), irs_los.tolist())
+    for k, ((x, y), step, energy, rate_k, ap, irs) in enumerate(rows):
         lines.append(
-            f"{k},{float(q[0])!r},{float(q[1])!r},{step!r},{energy!r},{rate_k!r},"
-            f"{'LOS' if link.ap_los else 'NLOS'},{'LOS' if link.irs_los else 'NLOS'}"
+            f"{k},{x!r},{y!r},{step!r},{energy!r},{rate_k!r},"
+            f"{'LOS' if ap else 'NLOS'},{'LOS' if irs else 'NLOS'}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

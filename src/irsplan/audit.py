@@ -3,8 +3,9 @@
 This module is intentionally written as plain scalar arithmetic, separate
 from the vectorized code paths that produce trajectories, so that every
 artifact can be re-audited by logic that shares only the constraint
-definitions with the planner. Used by the initializer, the descent loop,
-the CLI ``audit`` verb, and the test suite.
+definitions with the planner. The one thing it takes from them is each
+waypoint's visibility class, from ``scenario.los_classes``. Used by the
+initializer, the descent loop, the CLI ``audit`` verb, and the test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .scenario import Scenario, los_class
+from .scenario import Scenario, los_classes
 
 ENDPOINT_TOL = 1e-9
 STEP_TOL = 1e-6
@@ -107,9 +108,9 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
     total_rate = 0.0
     dz_ap = scenario.z_robot - scenario.z_ap
     dz_irs = scenario.z_robot - scenario.z_irs
+    links = los_classes(traj, scenario)
     for k in range(n):
-        link = los_class(traj[k], scenario)
-        fitted = model.fit_for(link)
+        fitted = model.fit_for(links[k])
         d_ap = math.sqrt((traj[k][0] - scenario.ap_pos[0]) ** 2
                          + (traj[k][1] - scenario.ap_pos[1]) ** 2 + dz_ap**2)
         d_irs = math.sqrt((traj[k][0] - scenario.irs_pos[0]) ** 2

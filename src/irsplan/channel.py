@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError
-from .scenario import LinkClass, Scenario, distances, distances_batch
+from .scenario import LinkClass, Scenario, distances
 
 Array = np.ndarray
 
@@ -231,22 +231,37 @@ def optimal_snr_closed_form(draw: ChannelDraw, d_ap: float, d_irs: float,
     a_coef = n * rho * draw.gamma**2 * l1_irs**2
     b_coef = 2.0 * math.sqrt(n) * rho * draw.gamma * l1_irs * cross
     c_coef = rho * float(np.sum(np.abs(draw.fading_direct) ** 2))
+    return _snr_form(a_coef, b_coef, c_coef, draw.exp_irs, draw.exp_ap, d_ap, d_irs,
+                     scenario.snr_scale)
+
+
+def _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs, snr_scale):
+    """(A d_irs^-nu + B d_irs^(-nu/2) d_ap^(-mu/2) + C d_ap^-mu) * snr_scale.
+
+    The form of the beamforming-optimal SNR and of the fitted model, with
+    nu = exp_irs and mu = exp_ap. Every argument may be an array; they
+    broadcast against each other.
+    """
     return (
-        a_coef * d_irs ** (-draw.exp_irs)
-        + b_coef * d_irs ** (-draw.exp_irs / 2) * d_ap ** (-draw.exp_ap / 2)
-        + c_coef * d_ap ** (-draw.exp_ap)
-    ) * scenario.snr_scale
+        a_coef * d_irs ** (-exp_irs)
+        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
+        + c_coef * d_ap ** (-exp_ap)
+    ) * snr_scale
 
 
-def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
-                        seed: int) -> Array:
+def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: LinkClass,
+                        n_draws: int, seed: int) -> Array:
     """Beamforming-optimal SNR for n_draws channel draws from one seeded stream.
 
-    Vectorized over draws; used by the radio-map builder. The optimal SNR of
-    a draw depends on its fading only through l1 = sum_i |h_i|, |a^H h_d|^2
-    and ||h_d||^2, so the stream draws those: per draw, M + 1 Exp(1) powers
-    (|a^H h_d|^2 first, then each |h_i|^2) and, for N > 1, the Gamma(N-1, 1)
-    remainder ||h_d||^2 - |a^H h_d|^2, which is independent of the rest
+    ``d_ap`` and ``d_irs`` are the 3D distances of the drawn position (see
+    ``scenario.distances``). Vectorized over draws; used by the radio-map
+    builder, which computes the distances of every cell at once.
+
+    The optimal SNR of a draw depends on its fading only through
+    l1 = sum_i |h_i|, |a^H h_d|^2 and ||h_d||^2, so the stream draws
+    those: per draw, M + 1 Exp(1) powers (|a^H h_d|^2 first, then each
+    |h_i|^2) and, for N > 1, the Gamma(N-1, 1) remainder
+    ||h_d||^2 - |a^H h_d|^2, which is independent of the rest
     because a has unit norm. The samples follow the law of
     optimal_snr_closed_form over draw_channel draws, not its draw-by-draw
     values.
@@ -260,7 +275,6 @@ def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
     np.sqrt(powers, out=powers)
     cross = powers[:, 0]
     l1_irs = np.sum(powers[:, 1:], axis=1)
-    d_ap, d_irs = distances(q, scenario)
     exp_ap, exp_irs = scenario.exponents(link)
     rho = scenario.ref_gain
     gamma = scenario.irs_ap_gain
@@ -268,11 +282,8 @@ def optimal_snr_samples(q, scenario: Scenario, link: LinkClass, n_draws: int,
     a_coef = n * rho * gamma**2 * l1_irs**2
     b_coef = 2.0 * math.sqrt(n) * rho * gamma * l1_irs * cross
     c_coef = rho * l2sq_direct
-    return (
-        a_coef * d_irs ** (-exp_irs)
-        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
-        + c_coef * d_ap ** (-exp_ap)
-    ) * scenario.snr_scale
+    return _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs,
+                     scenario.snr_scale)
 
 
 def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
@@ -293,11 +304,8 @@ def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
     a_coef = n * rho * gamma**2 * (m + m * (m - 1) * math.pi / 4)
     b_coef = math.sqrt(n) * rho * gamma * m * math.pi / 2
     c_coef = rho * n
-    d_ap, d_irs = distances_batch(np.atleast_2d(points), scenario)
+    d_ap, d_irs = distances(np.atleast_2d(points), scenario)
     exp_ap = np.where(ap_los, scenario.los_exponent, scenario.nlos_exponent)
     exp_irs = np.where(irs_los, scenario.los_exponent, scenario.nlos_exponent)
-    return (
-        a_coef * d_irs ** (-exp_irs)
-        + b_coef * d_irs ** (-exp_irs / 2) * d_ap ** (-exp_ap / 2)
-        + c_coef * d_ap ** (-exp_ap)
-    ) * scenario.snr_scale
+    return _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs,
+                     scenario.snr_scale)

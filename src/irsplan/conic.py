@@ -471,7 +471,7 @@ def load_problem(path) -> ConicProblem:
     if version != f"v{_FORMAT_VERSION}":
         raise UnsupportedVersionError(f"unsupported version {version}", path=path, line=1)
     fields = {}
-    g_rows, a_rows = [], []
+    rows = {"G": [], "A": []}     # (line number, values) per matrix row
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -484,19 +484,28 @@ def load_problem(path) -> ConicProblem:
                 fields["dims"] = [int(v) for v in values]
             elif key in ("c", "h", "b"):
                 fields[key] = np.array([float(v) for v in values])
-            elif key == "G":
-                g_rows.append([float(v) for v in values])
-            elif key == "A":
-                a_rows.append([float(v) for v in values])
+            elif key in rows:
+                rows[key].append((lineno, [float(v) for v in values]))
             else:
                 raise FileFormatError("unknown record", path=path, line=lineno, field=key)
         except ValueError as exc:
             raise FileFormatError(f"bad number: {exc}", path=path, line=lineno,
                                   field=key) from None
+
+    def matrix(key, n_rows, n):
+        for lineno, row in rows[key]:
+            if len(row) != n:
+                raise FileFormatError(f"expected {n} values, got {len(row)}", path=path,
+                                      line=lineno, field=key)
+        if len(rows[key]) != n_rows:
+            raise FileFormatError(f"expected {n_rows} rows, got {len(rows[key])}",
+                                  path=path, line=len(lines), field=key)
+        return np.array([row for _, row in rows[key]]).reshape(n_rows, n)
+
     try:
         n = fields["n"]
-        G = np.array(g_rows).reshape(fields["m"], n)
-        A = np.array(a_rows).reshape(fields["p"], n) if fields["p"] else None
+        G = matrix("G", fields["m"], n)
+        A = matrix("A", fields["p"], n) if fields["p"] else None
         return ConicProblem(c=fields["c"], G=G, h=fields["h"], dims=fields["dims"],
                             A=A, b=fields["b"] if fields["p"] else None)
     except KeyError as exc:

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import audit
 from .errors import GraphInfeasibleError, InfeasibleEndpointError
-from .scenario import (LinkClass, Scenario, distances_batch, los_class_batch,
-                       obstacle_margin)
-from .snrmodel import SnrModel, snr_hat
+from .scenario import LinkClass, Scenario, distances, los_class_batch, obstacle_margin
+from .snrmodel import SnrModel, slot_rate
 
 
 @dataclass(frozen=True)
@@ -49,19 +48,6 @@ def _edge_energy(scenario: Scenario, length):
     dt = scenario.slot_duration
     return (scenario.motor_v2 * np.square(length) / dt
             + scenario.motor_v1 * np.asarray(length) + scenario.motor_v0 * dt)
-
-
-def _node_rates(points, scenario: Scenario, model: SnrModel) -> np.ndarray:
-    ap_los, irs_los = los_class_batch(points, scenario)
-    d_ap, d_irs = distances_batch(points, scenario)
-    rates = np.empty(len(points))
-    for ap in (True, False):
-        for irs in (True, False):
-            mask = (ap_los == ap) & (irs_los == irs)
-            if np.any(mask):
-                s = snr_hat(model, LinkClass(ap, irs), d_ap[mask], d_irs[mask], scenario)
-                rates[mask] = scenario.bandwidth_hz * np.log2(1.0 + s)
-    return rates
 
 
 def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
@@ -104,9 +90,12 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
     node_rate = None
     rate_start = rate_goal = 0.0
     if mode == "MR":
-        node_rate = _node_rates(points, scenario, model).reshape(len(ys), len(xs))
-        rate_start = float(_node_rates(scenario.q_start[None, :], scenario, model)[0])
-        rate_goal = float(_node_rates(scenario.q_goal[None, :], scenario, model)[0])
+        # the grid nodes, then the injected start and goal nodes
+        nodes = np.vstack([points, scenario.q_start, scenario.q_goal])
+        rates = slot_rate(model, LinkClass(*los_class_batch(nodes, scenario)),
+                          *distances(nodes, scenario), scenario)
+        node_rate = rates[:-2].reshape(len(ys), len(xs))
+        rate_start, rate_goal = rates[-2:].tolist()
 
     return TimeExpandedGraph(
         scenario=scenario, mode=mode, spacing=grid_spacing, xs=xs, ys=ys,

@@ -11,7 +11,7 @@ vectors, and v1 files are rejected.
 
 from __future__ import annotations
 
-import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,9 +20,7 @@ import numpy as np
 
 from .channel import optimal_snr_samples
 from .errors import FileFormatError, UnsupportedVersionError
-from .scenario import LinkClass, Scenario, los_class_batch
-
-log = logging.getLogger(__name__)
+from .scenario import LinkClass, Scenario, distances, los_class_batch
 
 _FORMAT_TAG = "irsplan-radiomap"
 _FORMAT_VERSION = 2
@@ -62,31 +60,6 @@ class RadioMap:
         xs = x0 + (np.arange(self.nx) + 0.5) * self.cell_size
         ys = y0 + (np.arange(self.ny) + 0.5) * self.cell_size
         return xs, ys
-
-    def link_class(self, ix: int, iy: int) -> LinkClass:
-        return LinkClass(bool(self.ap_los[iy, ix]), bool(self.irs_los[iy, ix]))
-
-    def lookup(self, q) -> float:
-        """Bilinearly interpolated SNR at an arbitrary position (diagnostic).
-
-        Positions outside the grid clamp to the nearest cell with a logged
-        warning; the fitted model, not the raw map, drives the optimizer.
-        """
-        x0, y0 = self.origin
-        fx = (q[0] - x0) / self.cell_size - 0.5
-        fy = (q[1] - y0) / self.cell_size - 0.5
-        if not (-0.5 <= fx <= self.nx - 0.5 and -0.5 <= fy <= self.ny - 0.5):
-            log.warning("radio-map lookup at %s is outside the grid; clamping", q)
-        fx = min(max(fx, 0.0), self.nx - 1.0)
-        fy = min(max(fy, 0.0), self.ny - 1.0)
-        ix, iy = int(fx), int(fy)
-        ix1, iy1 = min(ix + 1, self.nx - 1), min(iy + 1, self.ny - 1)
-        tx, ty = fx - ix, fy - iy
-        z = self.avg_snr
-        return float(
-            (1 - ty) * ((1 - tx) * z[iy, ix] + tx * z[iy, ix1])
-            + ty * ((1 - tx) * z[iy1, ix] + tx * z[iy1, ix1])
-        )
 
     def equals(self, other: "RadioMap") -> bool:
         return (
@@ -137,16 +110,16 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
     ap_los, irs_los = los_class_batch(grid, scenario)
     ap_los = ap_los.reshape(ny, nx)
     irs_los = irs_los.reshape(ny, nx)
+    d_ap, d_irs = (d.tolist() for d in distances(grid, scenario))
 
     avg = np.zeros((ny, nx))
 
     def fill_row(iy: int):
         for ix in range(nx):
             link = LinkClass(bool(ap_los[iy, ix]), bool(irs_los[iy, ix]))
-            cell_seed = seed ^ (iy * nx + ix)
-            samples = optimal_snr_samples(
-                np.array([xs[ix], ys[iy]]), scenario, link, draws_per_cell, cell_seed
-            )
+            cell = iy * nx + ix
+            samples = optimal_snr_samples(d_ap[cell], d_irs[cell], scenario, link,
+                                          draws_per_cell, seed ^ cell)
             avg[iy, ix] = samples.mean()
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -260,11 +233,17 @@ def load_map(path) -> RadioMap:
                 raise FileFormatError("class must be LOS or NLOS", path=path,
                                       line=lineno, field=label)
         try:
-            avg[iy, ix] = float(parts[6])
-            draws[iy, ix] = int(parts[7])
+            cell_snr, cell_draws = float(parts[6]), int(parts[7])
         except ValueError as exc:
             raise FileFormatError(f"bad numeric field: {exc}", path=path,
                                   line=lineno, field=parts[6]) from None
+        if not (math.isfinite(cell_snr) and cell_snr >= 0.0):
+            raise FileFormatError(f"SNR must be finite and nonnegative, got {parts[6]}",
+                                  path=path, line=lineno, field="avg_opt_snr_linear")
+        if cell_draws < 1:
+            raise FileFormatError(f"a cell needs at least one draw, got {parts[7]}",
+                                  path=path, line=lineno, field="n_draws")
+        avg[iy, ix], draws[iy, ix] = cell_snr, cell_draws
         ap_los[iy, ix] = parts[4] == "LOS"
         irs_los[iy, ix] = parts[5] == "LOS"
         seen[iy, ix] = True

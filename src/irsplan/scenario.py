@@ -33,7 +33,11 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 class LinkClass(NamedTuple):
-    """Visibility of the two uplink hops from one robot position."""
+    """Visibility of the two uplink hops from one robot position.
+
+    The rate functions of ``snrmodel`` also take a LinkClass of two boolean
+    arrays, which gives the class of each of several positions.
+    """
 
     ap_los: bool
     irs_los: bool
@@ -256,16 +260,12 @@ def obstacle_margin(q, obstacle: Obstacle) -> float:
     return float(d @ obstacle.shape_inv @ d)
 
 
-def distances(q, scenario: Scenario) -> tuple:
-    """(robot-AP, robot-IRS) 3D distances including antenna heights."""
-    q = np.asarray(q, dtype=float)
-    d_ap = math.hypot(float(np.linalg.norm(q - scenario.ap_pos)), scenario.z_robot - scenario.z_ap)
-    d_irs = math.hypot(float(np.linalg.norm(q - scenario.irs_pos)), scenario.z_robot - scenario.z_irs)
-    return d_ap, d_irs
+def distances(points, scenario: Scenario) -> tuple:
+    """(robot-AP, robot-IRS) 3D distances including antenna heights.
 
-
-def distances_batch(points: Array, scenario: Scenario) -> tuple:
-    """Vectorized `distances` for an (n, 2) array of positions."""
+    ``points`` is one (2,) position, which gives two floats, or an (n, 2)
+    array of positions, which gives two length-n arrays.
+    """
     points = np.asarray(points, dtype=float)
     dz_ap = scenario.z_robot - scenario.z_ap
     dz_irs = scenario.z_robot - scenario.z_irs
@@ -326,12 +326,6 @@ def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
     return blocked
 
 
-def los_class(q, scenario: Scenario) -> LinkClass:
-    """Geometric visibility of the AP and IRS links from position q."""
-    ap, irs = los_class_batch(np.asarray(q, dtype=float)[None, :], scenario)
-    return LinkClass(bool(ap[0]), bool(irs[0]))
-
-
 def los_class_batch(points: Array, scenario: Scenario) -> tuple:
     """Vectorized LOS test: returns (ap_los, irs_los) boolean arrays."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -346,7 +340,7 @@ def los_class_batch(points: Array, scenario: Scenario) -> tuple:
 
 
 def los_classes(points: Array, scenario: Scenario) -> list:
-    """los_class of every point, from one los_class_batch call."""
+    """The visibility class of every point, from one los_class_batch call."""
     ap_los, irs_los = los_class_batch(points, scenario)
     return [LinkClass(ap, irs) for ap, irs in zip(ap_los.tolist(), irs_los.tolist())]
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import _snr_form
 from .errors import FileFormatError, FitFailureError, UnsupportedVersionError
-from .radiomap import RadioMap
-from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances, distances_batch
+from .radiomap import RadioMap, _header_fields
+from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +35,9 @@ LN2 = math.log(2.0)
 
 _FORMAT_TAG = "irsplan-snrmodel"
 _FORMAT_VERSION = 1
+
+# the five model parameters, in ClassFit.as_tuple order
+_PARAMS = ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class ClassFit:
     inherited_from: str | None = None
 
     def __post_init__(self):
-        for name in ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap"):
+        for name in _PARAMS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -100,17 +104,35 @@ def _check_distances(d_ap, d_irs):
         raise ValueError("distances must be positive")
 
 
+def _per_point(links) -> LinkClass:
+    """A sequence of visibility classes as one LinkClass of boolean arrays."""
+    return LinkClass(*np.array(links, dtype=bool).reshape(-1, 2).T)
+
+
+def _class_params(model: SnrModel, link: LinkClass) -> np.ndarray:
+    """(A, B, C, nu, mu) of ``link``, stacked on the first axis.
+
+    A class of two bools gives a (5,) array; a LinkClass of boolean arrays
+    gives one parameter set per point, a (5, n) array.
+    """
+    table = np.array([[model.fit_for(LinkClass(ap, irs)).as_tuple()
+                       for irs in (False, True)] for ap in (False, True)])
+    params = table[np.asarray(link.ap_los, dtype=np.intp),
+                   np.asarray(link.irs_los, dtype=np.intp)]
+    return np.moveaxis(params, -1, 0)
+
+
 def snr_hat(model: SnrModel, link: LinkClass, d_ap, d_irs, scenario: Scenario):
-    """Fitted linear SNR at the given 3D distances."""
+    """Fitted linear SNR at the given 3D distances.
+
+    ``link`` is the class of every point, or a LinkClass of boolean arrays
+    that gives the class of each point; ``slot_rate`` and ``rate_gradient``
+    take it the same way.
+    """
     _check_distances(d_ap, d_irs)
-    a, b, c, nu, mu = model.fit_for(link).as_tuple()
-    d_ap = np.asarray(d_ap, dtype=float)
-    d_irs = np.asarray(d_irs, dtype=float)
-    value = (
-        a * d_irs ** (-nu)
-        + b * d_irs ** (-nu / 2) * d_ap ** (-mu / 2)
-        + c * d_ap ** (-mu)
-    ) * scenario.snr_scale
+    a, b, c, nu, mu = _class_params(model, link)
+    value = _snr_form(a, b, c, nu, mu, np.asarray(d_ap, dtype=float),
+                      np.asarray(d_irs, dtype=float), scenario.snr_scale)
     return value if value.shape else float(value)
 
 
@@ -125,19 +147,19 @@ def rate(model: SnrModel, links, traj, scenario: Scenario) -> float:
     traj = np.asarray(traj, dtype=float)
     if len(links) != len(traj):
         raise ValueError("need one visibility class per waypoint")
-    total = 0.0
-    for link, q in zip(links, traj):
-        d_ap, d_irs = distances(q, scenario)
-        total += slot_rate(model, link, d_ap, d_irs, scenario)
-    return total / len(traj)
+    d_ap, d_irs = distances(traj, scenario)
+    return float(np.mean(slot_rate(model, _per_point(links), d_ap, d_irs, scenario)))
+
+
+def _term_shapes(nu, mu, d_ap, d_irs) -> tuple:
+    """Shapes d_irs^-nu, d_irs^(-nu/2) d_ap^(-mu/2), d_ap^-mu of the A, B, C terms."""
+    return d_irs ** (-nu), d_irs ** (-nu / 2) * d_ap ** (-mu / 2), d_ap ** (-mu)
 
 
 def _snr_terms(params, d_ap, d_irs, snr_scale):
     """Value and first/second partials of the linear SNR w.r.t. (d_ap, d_irs)."""
     a, b, c, nu, mu = params
-    ti = d_irs ** (-nu)                       # A-term shape
-    tx = d_irs ** (-nu / 2) * d_ap ** (-mu / 2)   # B-term shape
-    ta = d_ap ** (-mu)                        # C-term shape
+    ti, tx, ta = _term_shapes(nu, mu, d_ap, d_irs)
     s = (a * ti + b * tx + c * ta) * snr_scale
     s_a = (-mu * c * ta / d_ap - (mu / 2) * b * tx / d_ap) * snr_scale
     s_i = (-nu * a * ti / d_irs - (nu / 2) * b * tx / d_irs) * snr_scale
@@ -149,15 +171,18 @@ def _snr_terms(params, d_ap, d_irs, snr_scale):
     return s, s_a, s_i, s_aa, s_ii, s_ai
 
 
-def rate_gradient(model: SnrModel, link: LinkClass, d_ap: float, d_irs: float,
+def rate_gradient(model: SnrModel, link: LinkClass, d_ap, d_irs,
                   scenario: Scenario) -> np.ndarray:
-    """(d rate/d d_ap, d rate/d d_irs) in bits/s per meter; both nonpositive."""
+    """(d rate/d d_ap, d rate/d d_irs) in bits/s per meter; both nonpositive.
+
+    Length-n distance arrays give an (n, 2) array, one gradient per point.
+    """
     _check_distances(d_ap, d_irs)
-    s, s_a, s_i, *_ = _snr_terms(model.fit_for(link).as_tuple(), d_ap, d_irs,
-                                 scenario.snr_scale)
+    s, s_a, s_i, *_ = _snr_terms(_class_params(model, link), np.asarray(d_ap, dtype=float),
+                                 np.asarray(d_irs, dtype=float), scenario.snr_scale)
     f = LN2 * (1.0 + s)
     bw = scenario.bandwidth_hz
-    return np.array([bw * s_a / f, bw * s_i / f])
+    return np.stack([bw * s_a / f, bw * s_i / f], axis=-1)
 
 
 def rate_hessian_distances(model: SnrModel, link: LinkClass, d_ap: float,
@@ -180,19 +205,15 @@ def linearize_rate(model: SnrModel, links, expansion_traj, scenario: Scenario):
     expansion_traj = np.asarray(expansion_traj, dtype=float)
     if len(links) != len(expansion_traj):
         raise ValueError("need one visibility class per waypoint")
-    out = []
-    for link, q in zip(links, expansion_traj):
-        d_ap, d_irs = distances(q, scenario)
-        out.append(
-            RateLinearization(
-                link=link,
-                d_ap0=d_ap,
-                d_irs0=d_irs,
-                value=float(slot_rate(model, link, d_ap, d_irs, scenario)),
-                grad=rate_gradient(model, link, d_ap, d_irs, scenario),
-            )
-        )
-    return out
+    per_point = _per_point(links)
+    d_ap, d_irs = distances(expansion_traj, scenario)
+    values = slot_rate(model, per_point, d_ap, d_irs, scenario)
+    grads = rate_gradient(model, per_point, d_ap, d_irs, scenario)
+    return [
+        RateLinearization(link=link, d_ap0=d_ap0, d_irs0=d_irs0, value=value, grad=grad)
+        for link, d_ap0, d_irs0, value, grad
+        in zip(links, d_ap.tolist(), d_irs.tolist(), values.tolist(), grads)
+    ]
 
 
 def rate_app_value(lin: RateLinearization, q, scenario: Scenario) -> float:
@@ -236,7 +257,7 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
     """
     xs, ys = radio_map.cell_centers()
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    d_ap, d_irs = distances_batch(grid, scenario)
+    d_ap, d_irs = distances(grid, scenario)
     values = radio_map.avg_snr.reshape(-1)
     ap_los = radio_map.ap_los.reshape(-1)
     irs_los = radio_map.irs_los.reshape(-1)
@@ -311,14 +332,7 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
     # start at exactly zero; a zero gain has a zero Jacobian column, so the
     # term and its exponent stay frozen instead of wandering along the
     # unidentifiable ridge A -> 0, exponent -> inf.
-    design = np.stack(
-        [
-            d_irs ** (-e_irs0),
-            d_irs ** (-e_irs0 / 2) * d_ap ** (-e_ap0 / 2),
-            d_ap ** (-e_ap0),
-        ],
-        axis=1,
-    ) * snr_scale
+    design = np.stack(_term_shapes(e_irs0, e_ap0, d_ap, d_irs), axis=1) * snr_scale
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     contribution = np.maximum(coef, 0.0) * np.median(design, axis=0)
     supported = contribution > 1e-3 * max(float(np.median(values)), 1e-300)
@@ -331,9 +345,7 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
         a, b, c, p, q = theta
         params = (a * a, b * b, c * c, p * p, q * q)
         av, bv, cv, nu, mu = params
-        ti = d_irs ** (-nu)
-        tx = d_irs ** (-nu / 2) * d_ap ** (-mu / 2)
-        ta = d_ap ** (-mu)
+        ti, tx, ta = _term_shapes(nu, mu, d_ap, d_irs)
         s = (av * ti + bv * tx + cv * ta) * snr_scale
         res = np.log1p(s) - target
         denom = 1.0 + s
@@ -398,11 +410,7 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
     # drop terms that contribute nowhere on this class's cells: they are
     # unidentifiable (the optimizer may have parked them on a gain->inf,
     # exponent->inf ridge whose value is zero at every data point)
-    terms = np.stack([
-        gains[0] * d_irs ** (-nu),
-        gains[1] * d_irs ** (-nu / 2) * d_ap ** (-mu / 2),
-        gains[2] * d_ap ** (-mu),
-    ])
+    terms = gains[:, None] * np.stack(_term_shapes(nu, mu, d_ap, d_irs))
     total = np.maximum(terms.sum(axis=0), 1e-300)
     for j in range(3):
         if gains[j] and float(np.max(terms[j] / total)) < 1e-4:
@@ -412,9 +420,7 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
     if gains[2] == 0.0 and gains[1] == 0.0:
         mu = e_ap0
 
-    model_vals = (gains[0] * d_irs ** (-nu)
-                  + gains[1] * d_irs ** (-nu / 2) * d_ap ** (-mu / 2)
-                  + gains[2] * d_ap ** (-mu)) * snr_scale
+    model_vals = _snr_form(gains[0], gains[1], gains[2], nu, mu, d_ap, d_irs, snr_scale)
     result = ClassFit(
         gain_irs=float(gains[0]), gain_cross=float(gains[1]),
         gain_direct=float(gains[2]), exp_irs=nu, exp_ap=mu,
@@ -453,8 +459,7 @@ def save_model(model: SnrModel, path) -> None:
     for link in ALL_LINK_CLASSES:
         cf = model.fits[link]
         lines.append(f"[class {_class_tag(link)}]")
-        for name in ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap",
-                     "residual_rms"):
+        for name in (*_PARAMS, "residual_rms"):
             lines.append(f"{name} = {getattr(cf, name)!r}")
         lines.append(f"n_cells = {cf.n_cells}")
         lines.append(f"inherited_from = {cf.inherited_from or '-'}")
@@ -477,23 +482,25 @@ def load_model(path) -> SnrModel:
         )
     if len(lines) < 2 or "scenario=" not in lines[1]:
         raise FileFormatError("missing metadata header", path=path, line=2)
-    meta = dict(token.split("=", 1) for token in lines[1].lstrip("# ").split())
+    meta = _header_fields(lines[1], 2, path)
     scenario_hash = meta.get("scenario", "-")
 
     fits: dict = {}
     current: LinkClass | None = None
     fields: dict = {}
+    field_lines: dict = {}
 
     def finish(lineno):
         if current is None:
             return
         try:
+            params = {name: float(fields[name]) for name in _PARAMS}
+            for name, value in params.items():
+                if not math.isfinite(value):
+                    raise FileFormatError(f"parameter must be finite, got {value}",
+                                          path=path, line=field_lines[name], field=name)
             fits[current] = ClassFit(
-                gain_irs=float(fields["gain_irs"]),
-                gain_cross=float(fields["gain_cross"]),
-                gain_direct=float(fields["gain_direct"]),
-                exp_irs=float(fields["exp_irs"]),
-                exp_ap=float(fields["exp_ap"]),
+                **params,
                 residual_rms=float(fields["residual_rms"]),
                 n_cells=int(fields["n_cells"]),
                 inherited_from=None if fields["inherited_from"] == "-"
@@ -514,6 +521,7 @@ def load_model(path) -> SnrModel:
         elif "=" in line and current is not None:
             key, value = (part.strip() for part in line.split("=", 1))
             fields[key] = value
+            field_lines[key] = lineno
         else:
             raise FileFormatError("unexpected line", path=path, line=lineno, field=line)
     finish(len(lines))

@@ -55,7 +55,8 @@ def test_no_irs_reduces_to_maximum_ratio_combining(empty_scenario):
 def test_fading_is_unit_variance(empty_scenario):
     # law of large numbers: mean ||h~_d||^2 / N over 10k draws -> 1.0 +- 0.05
     sc = scenario_overrides(empty_scenario, n_irs_elements=0, n_antennas=4)
-    samples = optimal_snr_samples([25.0, 15.0], sc, LOS, n_draws=10_000, seed=1)
+    samples = optimal_snr_samples(*distances([25.0, 15.0], sc), sc, LOS, n_draws=10_000,
+                                  seed=1)
     d = draw_channel([25.0, 15.0], sc, LOS, seed=1)
     per_unit = sc.ref_gain * d.d_ap ** (-2.0) * sc.snr_scale
     mean_h2_over_n = float(np.mean(samples)) / per_unit / sc.n_antennas
@@ -201,7 +202,7 @@ def test_snr_samples_are_bitwise_the_reference_formula(empty_scenario, m, n, n_d
     sc = small_array_scenario(empty_scenario, m=m, n=n)
     for link in ALL_LINK_CLASSES:
         for seed in range(10):
-            samples = optimal_snr_samples([17.3, 9.6], sc, link, n_draws, seed)
+            samples = optimal_snr_samples(*distances([17.3, 9.6], sc), sc, link, n_draws, seed)
             ref = _v2_reference_samples([17.3, 9.6], sc, link, n_draws, seed)
             assert samples.shape == (n_draws,)
             assert np.array_equal(samples.view(np.uint64), ref.view(np.uint64))
@@ -213,7 +214,8 @@ def test_batch_samples_follow_the_full_fading_law(empty_scenario):
     for m, n, link in itertools.product((0, 64), (1, 16),
                                         (LinkClass(True, True), LinkClass(False, False))):
         sc = small_array_scenario(empty_scenario, m=m, n=n)
-        samples = optimal_snr_samples([20.0, 12.0], sc, link, 20_000, seed=77)
+        samples = optimal_snr_samples(*distances([20.0, 12.0], sc), sc, link, 20_000,
+                                      seed=77)
         full = _reference_samples([20.0, 12.0], sc, link, 20_000, seed=78)
         assert ks_2samp(samples, full).pvalue > 1e-3, (m, n, link)
 
@@ -222,7 +224,7 @@ def test_batch_samples_follow_the_full_fading_law(empty_scenario):
 def test_sample_mean_matches_the_exact_expected_snr(empty_scenario, m, link):
     sc = scenario_overrides(empty_scenario, n_irs_elements=m)
     q = np.array([20.0, 12.0])
-    samples = optimal_snr_samples(q, sc, link, 100_000, seed=5)
+    samples = optimal_snr_samples(*distances(q, sc), sc, link, 100_000, seed=5)
     exact = expected_snr(q, sc, link.ap_los, link.irs_los)
     assert exact.shape == (1,)
     se = samples.std(ddof=1) / math.sqrt(samples.size)

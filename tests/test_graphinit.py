@@ -7,7 +7,7 @@ import pytest
 from irsplan import audit
 from irsplan.errors import GraphInfeasibleError, InfeasibleEndpointError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import (Obstacle, los_class, motion_energy,
+from irsplan.scenario import (Obstacle, los_classes, motion_energy,
                               scenario_overrides)
 from irsplan.snrmodel import rate
 
@@ -167,8 +167,8 @@ def test_mr_path_rate_at_least_me_path_rate(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=0.0)
     me = shortest_path(build_graph(sc, model=fitted_model, mode="ME"))
     mr = shortest_path(build_graph(sc, model=fitted_model, mode="MR"))
-    links_me = [los_class(q, sc) for q in me]
-    links_mr = [los_class(q, sc) for q in mr]
+    links_me = los_classes(me, sc)
+    links_mr = los_classes(mr, sc)
     assert rate(fitted_model, links_mr, mr, sc) >= rate(fitted_model, links_me, me, sc)
 
 

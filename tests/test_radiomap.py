@@ -5,9 +5,12 @@ import pytest
 
 from irsplan import radiomap
 from irsplan.channel import optimal_snr_samples
+from irsplan.cli import main
 from irsplan.errors import FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import build_map, load_map, save_map
-from irsplan.scenario import LinkClass, los_class, scenario_overrides
+from irsplan.scenario import LinkClass, distances, los_classes, scenario_overrides
+
+from conftest import DESK_CONFIG
 
 
 def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
@@ -16,9 +19,9 @@ def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
     for iy in range(3):
         for ix in range(5):
             center = np.array([xs[ix], ys[iy]])
-            link = los_class(center, empty_scenario)
-            expected = optimal_snr_samples(center, empty_scenario, link, 1,
-                                           40 ^ (iy * 5 + ix))[0]
+            link = los_classes(np.array([center]), empty_scenario)[0]
+            expected = optimal_snr_samples(*distances(center, empty_scenario),
+                                           empty_scenario, link, 1, 40 ^ (iy * 5 + ix))[0]
             assert built.avg_snr[iy, ix] == expected
 
 
@@ -64,19 +67,6 @@ def test_ap_adjacent_cell_beats_shadowed_far_cell(small_map):
     assert shadowed.size, "desk layout should contain doubly-shadowed cells"
     worst = min((small_map.avg_snr[iy, ix] for iy, ix in shadowed))
     assert small_map.avg_snr[ap_iy, ap_ix] > 10 * worst
-
-
-def test_lookup_interpolates_and_clamps(small_map, caplog):
-    xs, ys = small_map.cell_centers()
-    exact = small_map.lookup([xs[3], ys[4]])
-    assert exact == pytest.approx(small_map.avg_snr[4, 3], rel=1e-12)
-    between = small_map.lookup([(xs[3] + xs[4]) / 2, ys[4]])
-    lo, hi = sorted([small_map.avg_snr[4, 3], small_map.avg_snr[4, 4]])
-    assert lo <= between <= hi
-    with caplog.at_level("WARNING"):
-        outside = small_map.lookup([-5.0, -5.0])
-    assert outside == pytest.approx(small_map.avg_snr[0, 0], rel=1e-12)
-    assert any("clamping" in rec.message for rec in caplog.records)
 
 
 def test_round_trip_is_lossless(small_map, tmp_path):
@@ -144,8 +134,10 @@ def test_doubling_draws_stays_within_three_standard_errors(desk_scenario):
         for ix in range(20):
             center = np.array([xs[ix], ys[iy]])
             link = LinkClass(bool(map_a.ap_los[iy, ix]), bool(map_a.irs_los[iy, ix]))
-            sa = optimal_snr_samples(center, sc, link, n, 100 ^ (iy * 20 + ix))
-            sb = optimal_snr_samples(center, sc, link, 2 * n, 900 ^ (iy * 20 + ix))
+            sa = optimal_snr_samples(*distances(center, sc), sc, link, n,
+                                     100 ^ (iy * 20 + ix))
+            sb = optimal_snr_samples(*distances(center, sc), sc, link, 2 * n,
+                                     900 ^ (iy * 20 + ix))
             assert sa.mean() == pytest.approx(map_a.avg_snr[iy, ix], rel=1e-12)
             se = np.sqrt(sa.var(ddof=1) / n + sb.var(ddof=1) / (2 * n))
             ok += abs(map_a.avg_snr[iy, ix] - map_b.avg_snr[iy, ix]) <= 3 * se
@@ -155,14 +147,36 @@ def test_doubling_draws_stays_within_three_standard_errors(desk_scenario):
 
 def test_variance_shrinks_with_draw_count(desk_scenario):
     # sample-variance oracle: per-cell estimator variance scales like 1/draws
-    link = los_class([25.0, 15.0], desk_scenario)
+    link = los_classes(np.array([[25.0, 15.0]]), desk_scenario)[0]
+    d_ap, d_irs = distances([25.0, 15.0], desk_scenario)
     singles = np.array([
-        optimal_snr_samples([25.0, 15.0], desk_scenario, link, 1, 1000 + i)[0]
+        optimal_snr_samples(d_ap, d_irs, desk_scenario, link, 1, 1000 + i)[0]
         for i in range(200)
     ])
     hundreds = np.array([
-        optimal_snr_samples([25.0, 15.0], desk_scenario, link, 200, 5000 + i).mean()
+        optimal_snr_samples(d_ap, d_irs, desk_scenario, link, 200, 5000 + i).mean()
         for i in range(40)
     ])
     ratio = singles.var(ddof=1) / hundreds.var(ddof=1)
     assert 50 < ratio < 800    # ~200 expected, wide band for sampling noise
+
+
+@pytest.mark.parametrize("field,value", [("avg_opt_snr_linear", "nan"),
+                                         ("avg_opt_snr_linear", "inf"),
+                                         ("avg_opt_snr_linear", "-1.0"),
+                                         ("n_draws", "0")])
+def test_bad_cell_value_is_a_format_error(small_map, tmp_path, capsys, field, value):
+    path = tmp_path / "map.csv"
+    save_map(small_map, path)
+    lines = path.read_text().splitlines()
+    parts = lines[10].split(",")
+    parts[6 if field == "avg_opt_snr_linear" else 7] = value
+    lines[10] = ",".join(parts)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_map(tmp_path / "bad.csv")
+    assert (err.value.line, err.value.field) == (11, field)
+    code = main(["fit", "--config", DESK_CONFIG, "--map", str(tmp_path / "bad.csv"),
+                 "--out", str(tmp_path / "model.txt")])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from irsplan.errors import ConfigError, InvalidObstacleError, InvalidTrajectoryError
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
-                              los_class, los_class_batch, motion_energy,
+                              los_class_batch, los_classes, motion_energy,
                               obstacle_margin, scenario_overrides)
 
 from conftest import straight_line
@@ -130,7 +130,7 @@ def _los_sampling_oracle(q, target, z0, z1, obstacles, step=0.01):
 
 
 def test_no_obstacles_means_both_los(empty_scenario):
-    assert los_class([20.0, 20.0], empty_scenario) == LinkClass(True, True)
+    assert los_classes(np.array([[20.0, 20.0]]), empty_scenario)[0] == LinkClass(True, True)
 
 
 def test_tall_obstacle_on_segment_blocks_ap(empty_scenario):
@@ -140,11 +140,11 @@ def test_tall_obstacle_on_segment_blocks_ap(empty_scenario):
     blocker = Obstacle.from_extents(mid, 6.0, 4.0, height=50.0)  # taller than both ends
     sc_blocked = scenario_overrides(sc, obstacles=(blocker,),
                                     q_start=[2.0, 2.0], q_goal=[48.0, 2.0])
-    assert los_class(q, sc_blocked).ap_los is False
+    assert los_classes(np.array([q]), sc_blocked)[0].ap_los is False
 
 
 def test_desk_corridor_midpoint_is_double_los(desk_scenario):
-    link = los_class([25.0, 15.0], desk_scenario)
+    link = los_classes(np.array([[25.0, 15.0]]), desk_scenario)[0]
     assert link == LinkClass(True, True)
     assert _los_sampling_oracle([25.0, 15.0], desk_scenario.ap_pos,
                                 desk_scenario.z_robot, desk_scenario.z_ap,

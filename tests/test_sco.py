@@ -5,7 +5,7 @@ import pytest
 
 from irsplan import audit
 from irsplan.graphinit import build_graph, shortest_path
-from irsplan.scenario import (Obstacle, los_class, los_classes, motion_energy,
+from irsplan.scenario import (Obstacle, los_classes, motion_energy,
                               obstacle_margin, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
 
@@ -126,6 +126,6 @@ def test_batched_link_classes_match_per_waypoint_classes(desk_scenario, fitted_m
                                                          mode):
     path = shortest_path(build_graph(desk_scenario, model=fitted_model, mode=mode))
     links = los_classes(path, desk_scenario)
-    assert links == [los_class(q, desk_scenario) for q in path]
+    assert links == [los_classes(np.array([q]), desk_scenario)[0] for q in path]
     assert all(type(flag) is bool for link in links for flag in link)
     assert len(set(links)) > 1      # the desk seed paths cross a shadow edge

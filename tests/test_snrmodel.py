@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irsplan import audit
 from irsplan.channel import expected_snr
 from irsplan.errors import FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import RadioMap
-from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances, los_class_batch
+from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, distances, los_class_batch,
+                              los_classes)
 from irsplan.snrmodel import (ClassFit, SnrModel, fit, linearize_rate, load_model, rate,
                               rate_app_position_gradient, rate_app_position_hessian,
                               rate_app_value, rate_gradient, rate_hessian_distances,
@@ -269,7 +273,7 @@ def test_fitted_model_tracks_map_cell_within_residual_band(
     xs, ys = small_map.cell_centers()
     ix = int(np.argmin(np.abs(xs - 25.0)))
     iy = int(np.argmin(np.abs(ys - 15.0)))
-    link = small_map.link_class(ix, iy)
+    link = LinkClass(bool(small_map.ap_los[iy, ix]), bool(small_map.irs_los[iy, ix]))
     cf = fitted_model.fit_for(link)
     d_ap = math.hypot(np.hypot(xs[ix] - 25.0, ys[iy] - 30.0), 4.5)
     d_irs = math.hypot(np.hypot(xs[ix] - 25.0, ys[iy] - 0.0), 2.0)
@@ -358,3 +362,47 @@ def test_model_missing_class_block_rejected(fitted_model, tmp_path):
     (tmp_path / "partial.txt").write_text("\n".join(head) + "\n")
     with pytest.raises(FileFormatError, match="missing class"):
         load_model(tmp_path / "partial.txt")
+
+
+def test_model_header_token_without_equals_is_a_format_error(fitted_model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(fitted_model, path)
+    lines = path.read_text().splitlines()
+    lines[1] += " stray"
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_model(tmp_path / "bad.txt")
+    assert (err.value.line, err.value.field) == (2, "stray")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_model_non_finite_parameter_is_a_format_error(fitted_model, tmp_path, value):
+    path = tmp_path / "model.txt"
+    save_model(fitted_model, path)
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith("gain_irs = "))
+    lines[lineno - 1] = f"gain_irs = {value}"
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_model(tmp_path / "bad.txt")
+    assert (err.value.line, err.value.field) == (lineno, "gain_irs")
+
+
+# ---------------------------------------------------------------------------
+# the vectorized rate against the scalar audit, beyond the desk seed paths
+
+_fit_params = st.tuples(*[st.floats(0.0, 10.0)] * 3, *[st.floats(0.0, 6.0)] * 2)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 30.0)),
+                       min_size=31, max_size=31),
+       params=st.lists(_fit_params, min_size=4, max_size=4))
+def test_vectorized_rate_matches_the_scalar_audit(desk_scenario, points, params):
+    traj = np.array(points)
+    assert len(traj) == desk_scenario.n_slots + 1
+    model = SnrModel(fits={link: ClassFit(*p) for link, p in zip(ALL_LINK_CLASSES, params)})
+    planner = rate(model, los_classes(traj, desk_scenario), traj, desk_scenario)
+    audited = audit.check_p3(traj, desk_scenario, model).avg_rate
+    assert planner == pytest.approx(audited, rel=1e-12, abs=0.0)

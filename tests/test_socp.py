@@ -7,8 +7,8 @@ from irsplan import audit
 from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
                            dump_problem, jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
-from irsplan.errors import AssemblyError
-from irsplan.scenario import los_class, motion_energy, scenario_overrides
+from irsplan.errors import AssemblyError, FileFormatError
+from irsplan.scenario import los_classes, motion_energy, scenario_overrides
 from irsplan.snrmodel import linearize_rate
 from irsplan.sco import linearize_obstacles
 from irsplan.socp import assemble_p4, solve_p4
@@ -157,7 +157,7 @@ def test_problem_dump_round_trip(tmp_path):
 def _desk_subproblem(scenario, model, trust=1.0):
     sc = scenario_overrides(scenario, min_avg_rate=1.0e9)
     traj = straight_line(sc)
-    links = [los_class(q, sc) for q in traj]
+    links = los_classes(traj, sc)
     lins = linearize_rate(model, links, traj, sc)
     rows = linearize_obstacles(traj, sc.obstacles)
     return assemble_p4(sc, lins, traj, rows, trust), sc, traj
@@ -200,7 +200,7 @@ def test_subproblem_objective_never_exceeds_previous_energy(desk_scenario, fitte
                             0.8 * np.sin(np.linspace(0, math.pi, len(prev)))], axis=1)
     prev[0], prev[-1] = sc.q_start, sc.q_goal
     assert audit.check_p3(prev, sc, fitted_model).ok   # prev feasible for itself
-    links = [los_class(q, sc) for q in prev]
+    links = los_classes(prev, sc)
     lins = linearize_rate(fitted_model, links, prev, sc)
     rows = linearize_obstacles(prev, sc.obstacles)
     sub = assemble_p4(sc, lins, prev, rows, 1.0)
@@ -246,3 +246,19 @@ def test_k2_instances_match_grid_search(empty_scenario):
         assert not audit.check_p4(sol.trajectory, sub)
         checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("key", ["G", "A"])
+def test_problem_dump_with_a_short_row_names_the_line(tmp_path, key):
+    problem, _ = random_certified_socp(3)
+    problem = ConicProblem(c=problem.c, G=problem.G, h=problem.h, dims=problem.dims,
+                           A=np.ones((1, problem.n_vars)), b=np.ones(1))
+    path = tmp_path / "problem.txt"
+    dump_problem(problem, path)
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} "))
+    lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0]
+    (tmp_path / "short.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_problem(tmp_path / "short.txt")
+    assert (err.value.line, err.value.field) == (lineno, key)
