@@ -269,9 +269,10 @@ def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: Lin
     m, n = scenario.n_irs_elements, scenario.n_antennas
     rng = np.random.default_rng(seed)
     powers = rng.standard_exponential(n_draws * (m + 1)).reshape(n_draws, m + 1)
-    l2sq_direct = powers[:, 0].copy()
     if n > 1:
-        l2sq_direct += rng.standard_gamma(n - 1, n_draws)
+        l2sq_direct = np.add(powers[:, 0], rng.standard_gamma(n - 1, n_draws))
+    else:
+        l2sq_direct = powers[:, 0].copy()
     np.sqrt(powers, out=powers)
     cross = powers[:, 0]
     l1_irs = np.sum(powers[:, 1:], axis=1)
@@ -279,11 +280,21 @@ def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: Lin
     rho = scenario.ref_gain
     gamma = scenario.irs_ap_gain
 
-    a_coef = n * rho * gamma**2 * l1_irs**2
-    b_coef = 2.0 * math.sqrt(n) * rho * gamma * l1_irs * cross
-    c_coef = rho * l2sq_direct
-    return _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs,
-                     scenario.snr_scale)
+    # _snr_form with its coefficients, evaluated in place in the same
+    # operation order, so the samples keep every bit
+    out = np.square(l1_irs)
+    out *= n * rho * gamma**2
+    out *= d_irs ** (-exp_irs)
+    l1_irs *= 2.0 * math.sqrt(n) * rho * gamma
+    l1_irs *= cross
+    l1_irs *= d_irs ** (-exp_irs / 2)
+    l1_irs *= d_ap ** (-exp_ap / 2)
+    out += l1_irs
+    l2sq_direct *= rho
+    l2sq_direct *= d_ap ** (-exp_ap)
+    out += l2sq_direct
+    out *= scenario.snr_scale
+    return out
 
 
 def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:

@@ -16,12 +16,17 @@ quasi-definite KKT system per iteration and iterative refinement on every
 solve. It is fully deterministic. Primal infeasibility is reported on
 residual stagnation rather than via a homogeneous embedding certificate.
 
-Cones are handled in groups of equal dimension: ``cone_index`` maps each
-distinct dimension d to a (k, d) array of row indices, so every cone
-operation (Jordan product and divide, margins, step to the boundary, NT
-scaling) is a few array expressions per group. A dimension-1 cone is the
-degenerate second-order cone with an empty v part, so one code path covers
-both.
+What does not change within a solve is built once: G as a sparse matrix
+(and its transpose) for every product, and the CSC pattern of the KKT
+matrix with the slots of the cones' W^2 blocks. Each iteration writes the
+W^2 values into those slots and refactors; no matrix is reassembled.
+
+The cones form one padded block: ``cone_index`` gives a (k, dmax) array of
+row indices, one row per cone, whose pad entries point at a dummy row that
+reads as zero. Every cone operation (Jordan product and divide, margins,
+step to the boundary, NT scaling) is one array expression over that block.
+A dimension-1 cone is the degenerate second-order cone with a zero v part,
+so one code path covers both.
 """
 
 from __future__ import annotations
@@ -106,8 +111,9 @@ class ConicSolution:
 
 # ---------------------------------------------------------------------------
 # Jordan-algebra / cone helpers. All operate on stacked vectors; ``index`` is
-# the output of ``cone_index`` and each helper works group by group on the
-# (k, d) blocks ``u[idx]``, whose column 0 is t and columns 1: are v.
+# the output of ``cone_index``. Each helper gathers the (k, dmax) block
+# ``_blocks(u, index)``, whose column 0 is t and columns 1: are v, works on
+# it as one array and scatters the result back with ``_unblock``.
 
 # Centering used when the Mehrotra estimate is unusable (degenerate affine
 # step); normally the centering parameter adapts per iteration.
@@ -116,11 +122,28 @@ _BARRIER_REDUCTION = 0.1
 _STAGNATION_WINDOW = 20
 
 
-def cone_index(dims) -> list:
-    """Row indices of the cones, one (k, d) array per distinct dimension d."""
+def cone_index(dims) -> Array:
+    """Row indices of the cones as one (k, dmax) array, one row per cone.
+
+    A cone shorter than dmax is padded with the dummy row m = sum(dims),
+    which reads as zero and is never written back.
+    """
     dims = np.asarray(dims, dtype=int)
+    cols = np.arange(dims.max(initial=1))
     starts = np.cumsum(dims) - dims
-    return [starts[dims == d, None] + np.arange(d) for d in np.unique(dims)]
+    return np.where(cols < dims[:, None], starts[:, None] + cols, dims.sum())
+
+
+def _blocks(u: Array, index: Array) -> Array:
+    """The (k, dmax) cone blocks of a stacked vector, zero in the pad."""
+    return np.append(u, 0.0)[index]
+
+
+def _unblock(blocks: Array, index: Array, m: int) -> Array:
+    """The stacked length-m vector of (k, dmax) blocks, pad entries dropped."""
+    out = np.empty(m + 1)
+    out[index] = blocks
+    return out[:m]
 
 
 def _rowdot(a: Array, b: Array) -> Array:
@@ -139,38 +162,27 @@ def _jsign(d: int) -> Array:
     return sign
 
 
-def cone_identity(index) -> Array:
-    e = np.zeros(sum(idx.size for idx in index))
-    for idx in index:
-        e[idx[:, 0]] = 1.0
-    return e
-
-
 def cone_margin(u: Array, index) -> float:
     """Smallest interior margin t - ||v|| (the value itself for dim 1)."""
-    return min((float(np.min(u[idx[:, 0]] - np.linalg.norm(u[idx[:, 1:]], axis=1)))
-                for idx in index), default=math.inf)
+    ub = _blocks(u, index)
+    return float(np.min(ub[:, 0] - np.linalg.norm(ub[:, 1:], axis=1), initial=math.inf))
 
 
 def jordan_product(u: Array, v: Array, index) -> Array:
-    out = np.empty_like(u)
-    for idx in index:
-        ub, vb = u[idx], v[idx]
-        out[idx[:, 0]] = _rowdot(ub, vb)
-        out[idx[:, 1:]] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-    return out
+    ub, vb = _blocks(u, index), _blocks(v, index)
+    out = ub[:, :1] * vb + vb[:, :1] * ub
+    out[:, 0] = _rowdot(ub, vb)
+    return _unblock(out, index, u.size)
 
 
 def jordan_divide(lam: Array, d: Array, index) -> Array:
     """Solve lam o u = d for u, cone by cone."""
-    out = np.empty_like(d)
-    for idx in index:
-        lb, db = lam[idx], d[idx]
-        l0, l1 = lb[:, 0], lb[:, 1:]
-        u0 = (l0 * db[:, 0] - _rowdot(l1, db[:, 1:])) / _jnorm2(lb)
-        out[idx[:, 0]] = u0
-        out[idx[:, 1:]] = (db[:, 1:] - u0[:, None] * l1) / l0[:, None]
-    return out
+    lb, db = _blocks(lam, index), _blocks(d, index)
+    l0 = lb[:, 0]
+    u0 = (l0 * db[:, 0] - _rowdot(lb[:, 1:], db[:, 1:])) / _jnorm2(lb)
+    out = (db - u0[:, None] * lb) / l0[:, None]
+    out[:, 0] = u0
+    return _unblock(out, index, d.size)
 
 
 def max_step_to_boundary(u: Array, du: Array, index) -> float:
@@ -180,22 +192,19 @@ def max_step_to_boundary(u: Array, du: Array, index) -> float:
     smallest positive root of jnorm2(u + alpha du) = a alpha^2 + b alpha + c,
     where c > 0 for interior u (a linear equation where a vanishes).
     """
-    alpha = math.inf
-    for idx in index:
-        ub, db = u[idx], du[idx]
-        u0, d0 = ub[:, 0], db[:, 0]
-        a = _jnorm2(db)
-        b = 2.0 * (u0 * d0 - _rowdot(ub[:, 1:], db[:, 1:]))
-        c = _jnorm2(ub)
-        flat = np.abs(a) < 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            face = np.where(d0 < 0, -u0 / d0, math.inf)
-            linear = np.where(flat & (b < 0), -c / b, math.inf)
-            sq = np.sqrt(b * b - 4.0 * a * c)          # nan: no real root
-            roots = np.where(flat, math.inf, [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-        alpha = min(alpha, float(face.min()), float(linear.min()),
-                    float(roots[roots > 1e-300].min(initial=math.inf)))
-    return alpha
+    ub, db = _blocks(u, index), _blocks(du, index)
+    u0, d0 = ub[:, 0], db[:, 0]
+    a = _jnorm2(db)
+    b = 2.0 * (u0 * d0 - _rowdot(ub[:, 1:], db[:, 1:]))
+    c = _jnorm2(ub)
+    flat = np.abs(a) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        face = np.where(d0 < 0, -u0 / d0, math.inf)
+        linear = np.where(flat & (b < 0), -c / b, math.inf)
+        sq = np.sqrt(b * b - 4.0 * a * c)          # nan: no real root
+        roots = np.where(flat, math.inf, [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+    return min(float(face.min(initial=math.inf)), float(linear.min(initial=math.inf)),
+               float(roots[roots > 1e-300].min(initial=math.inf)))
 
 
 class _NTScaling:
@@ -205,92 +214,116 @@ class _NTScaling:
     wbar = (sbar + J zbar) / (2 gamma); W is the quadratic representation of
     its Jordan square root u = (wbar + e) / sqrt(2 (wbar_0 + 1)), giving
     W = eta (2 u u' - J) and the defining identity W^2 z = s. For dimension 1
-    this reduces to W = sqrt(s / z). Per cone group, ``eta`` is (k,) and
-    ``wbar`` and ``u`` are (k, d).
+    this reduces to W = sqrt(s / z). ``eta`` is (k,) and ``wbar`` and ``u``
+    are (k, dmax), zero in the pad.
     """
 
     def __init__(self, s: Array, z: Array, index):
         self.index = index
-        self.eta, self.wbar, self.u = [], [], []
-        for idx in index:
-            sb, zb = s[idx], z[idx]
-            snorm2, znorm2 = _jnorm2(sb), _jnorm2(zb)
-            if not (np.all(snorm2 > 0) and np.all(znorm2 > 0)):
-                raise ValueError("iterate left the cone interior")
-            sbar = sb / np.sqrt(snorm2)[:, None]
-            zbar = zb / np.sqrt(znorm2)[:, None]
-            gamma = np.sqrt((1.0 + _rowdot(sbar, zbar)) / 2.0)
-            wbar = (sbar + _jsign(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
-            u = wbar.copy()
-            u[:, 0] += 1.0
-            u /= np.sqrt(2.0 * (wbar[:, 0] + 1.0))[:, None]
-            self.eta.append((snorm2 / znorm2) ** 0.25)
-            self.wbar.append(wbar)
-            self.u.append(u)
+        self.sign = _jsign(index.shape[1])
+        sb, zb = _blocks(s, index), _blocks(z, index)
+        snorm2, znorm2 = _jnorm2(sb), _jnorm2(zb)
+        if not (np.all(snorm2 > 0) and np.all(znorm2 > 0)):
+            raise ValueError("iterate left the cone interior")
+        sbar = sb / np.sqrt(snorm2)[:, None]
+        zbar = zb / np.sqrt(znorm2)[:, None]
+        gamma = np.sqrt((1.0 + _rowdot(sbar, zbar)) / 2.0)
+        self.wbar = (sbar + self.sign * zbar) / (2.0 * gamma)[:, None]
+        self.u = self.wbar.copy()
+        self.u[:, 0] += 1.0
+        self.u /= np.sqrt(2.0 * (self.wbar[:, 0] + 1.0))[:, None]
+        self.eta = (snorm2 / znorm2) ** 0.25
 
     def apply(self, v: Array, inverse: bool = False) -> Array:
         """W v (or W^-1 v) for a stacked vector v.
 
         W v = eta (2 u (u'v) - J v) and W^-1 v = (1/eta)(2 Ju (Ju'v) - J v).
         """
-        out = np.empty_like(v)
-        for idx, eta, u in zip(self.index, self.eta, self.u):
-            sign = _jsign(idx.shape[1])
-            if inverse:
-                u, eta = sign * u, 1.0 / eta
-            vb = v[idx]
-            out[idx] = eta[:, None] * (2.0 * u * _rowdot(u, vb)[:, None] - sign * vb)
-        return out
+        u, eta = self.u, self.eta
+        if inverse:
+            u, eta = self.sign * u, 1.0 / eta
+        vb = _blocks(v, self.index)
+        out = eta[:, None] * (2.0 * u * _rowdot(u, vb)[:, None] - self.sign * vb)
+        return _unblock(out, self.index, v.size)
 
-    def w2_blocks(self) -> list:
-        """Per group, the (k, d, d) dense blocks of W^2 (the quadratic
-        representation P(w) = eta^2 (2 wbar wbar' - J))."""
-        return [(eta**2)[:, None, None]
-                * (2.0 * wbar[:, :, None] * wbar[:, None, :] - np.diag(_jsign(wbar.shape[1])))
-                for eta, wbar in zip(self.eta, self.wbar)]
+    def w2_blocks(self) -> Array:
+        """The (k, dmax, dmax) dense blocks of W^2 (the quadratic
+        representation P(w) = eta^2 (2 wbar wbar' - J)). A pad row or column
+        is eta^2 on the diagonal and zero elsewhere."""
+        return ((self.eta**2)[:, None, None]
+                * (2.0 * self.wbar[:, :, None] * self.wbar[:, None, :] - np.diag(self.sign)))
+
+
+def _kkt_pattern(G, A: Array, index: Array, reg: float) -> tuple:
+    """The CSC matrix of the quasi-definite KKT system and its W^2 slots.
+
+    The matrix is [[reg I, A', G'], [A, -reg I, 0], [G, 0, -(W^2 + reg I)]]
+    for sparse G, with every entry of the cones' W^2 blocks in the pattern.
+    Returns (kkt, slots, take, shift): ``kkt.data[slots] = shift -
+    w2.ravel()[take]`` writes the last block from the (k, dmax, dmax) blocks
+    ``w2``, whose pad rows and columns ``take`` leaves out.
+    """
+    m, n = G.shape
+    p = A.shape[0]
+    k, d = index.shape
+    G = G.tocoo()
+    A = scipy.sparse.coo_matrix(A)
+    w2_rows = np.broadcast_to(index[:, :, None], (k, d, d)).ravel()
+    w2_cols = np.broadcast_to(index[:, None, :], (k, d, d)).ravel()
+    take = np.flatnonzero((w2_rows < m) & (w2_cols < m))
+    w2_rows, w2_cols = w2_rows[take], w2_cols[take]
+    diag_n, diag_p = np.arange(n), np.arange(p)
+    rows = np.concatenate([diag_n, n + A.row, A.col, n + diag_p, n + p + G.row, G.col,
+                           n + p + w2_rows])
+    cols = np.concatenate([diag_n, A.col, n + A.row, n + diag_p, G.col, n + p + G.row,
+                           n + p + w2_cols])
+    values = np.concatenate([np.full(n, reg), A.data, A.data, np.full(p, -reg),
+                             G.data, G.data, np.zeros(take.size)])
+    order = np.lexsort((rows, cols))                  # column-major, rows sorted
+    size = n + p + m
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
+    kkt = scipy.sparse.csc_matrix(
+        (values[order], rows[order].astype(np.int32), indptr.astype(np.int32)),
+        shape=(size, size))
+    slots = np.argsort(order)[values.size - take.size:]
+    shift = np.where(w2_rows == w2_cols, -reg, 0.0)
+    return kkt, slots, take, shift
 
 
 def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
     """Solve the cone program. Deterministic for identical inputs."""
-    c, G, h, A, b = problem.c, problem.G, problem.h, problem.A, problem.b
+    c, h, A, b = problem.c, problem.h, problem.A, problem.b
     n, m, p = c.size, h.size, b.size
     index = cone_index(problem.dims)
     n_cones = len(problem.dims)
-    e = cone_identity(index)
+    e = np.zeros(m)
+    e[index[:, 0]] = 1.0                      # the cone identity
     reg = 1e-10
 
     norm_c = 1.0 + np.linalg.norm(c)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_b = 1.0 + np.linalg.norm(b)
 
-    G_sp = scipy.sparse.csc_matrix(G)
-    A_sp = scipy.sparse.csc_matrix(A)
-    # row and column of every entry of the per-group W^2 blocks
-    w2_rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel() for idx in index])
-    w2_cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx in index])
+    G = scipy.sparse.csr_matrix(problem.G)
+    GT = G.T.tocsr()
+    kkt, slots, take, shift = _kkt_pattern(G, A, index, reg)
+    k, d = index.shape
+    identity = np.broadcast_to(np.eye(d), (k, d, d))
 
-    def factor(scaling):
+    def factor(w2):
         """Sparse LU of the full quasi-definite KKT matrix
 
             [ dI   A'   G'     ]
             [ A   -dI   0      ]
             [ G    0   -W2-dI  ]
 
+        with the W^2 blocks ``w2`` written into the fixed pattern.
         Factoring the full system (rather than the Schur complement)
         keeps the conditioning linear in that of the scaled data, which
         is what lets the iterates reach 1e-9 residuals.
         """
-        if scaling is None:
-            w2 = scipy.sparse.identity(m, format="csc")
-        else:
-            data = np.concatenate([blk.ravel() for blk in scaling.w2_blocks()])
-            w2 = scipy.sparse.csc_matrix((data, (w2_rows, w2_cols)), shape=(m, m))
-        kkt = scipy.sparse.bmat([
-            [reg * scipy.sparse.identity(n), A_sp.T, G_sp.T],
-            [A_sp, -reg * scipy.sparse.identity(p), None],
-            [G_sp, None, -(w2 + reg * scipy.sparse.identity(m))],
-        ], format="csc")
-        return scipy.sparse.linalg.splu(kkt), w2
+        kkt.data[slots] = shift - w2.ravel()[take]
+        return scipy.sparse.linalg.splu(kkt)
 
     def kkt_solve(lu, w2, bx, by, bz):
         """Solve the KKT system with refinement against the unregularized
@@ -299,9 +332,10 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
 
         def unreg_residual(sol):
             dx, dy, dz = sol[:n], sol[n:n + p], sol[n + p:]
-            return np.concatenate([A.T @ dy + G.T @ dz - bx,
+            w2_dz = _unblock(np.einsum("kij,kj->ki", w2, _blocks(dz, index)), index, m)
+            return np.concatenate([A.T @ dy + GT @ dz - bx,
                                    A @ dx - by,
-                                   G @ dx - w2 @ dz - bz])
+                                   G @ dx - w2_dz - bz])
 
         sol = lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
@@ -311,19 +345,19 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         return sol[:n], sol[n:n + p], sol[n + p:]
 
     # --- initial point: two solves with identity scaling, then shift into the cone
-    lu0, w20 = factor(None)
-    x, y, dz = kkt_solve(lu0, w20, np.zeros(n), b.copy(), h.copy())
+    lu0 = factor(identity)
+    x, y, dz = kkt_solve(lu0, identity, np.zeros(n), b.copy(), h.copy())
     s = -dz                      # equals h - G x up to regularization
     margin = cone_margin(s, index)
     if margin < 1e-8:
         s = s + (1.0 + abs(margin)) * e
-    _, y, z = kkt_solve(lu0, w20, -c, np.zeros(p), np.zeros(m))
+    _, y, z = kkt_solve(lu0, identity, -c, np.zeros(p), np.zeros(m))
     margin = cone_margin(z, index)
     if margin < 1e-8:
         z = z + (1.0 + abs(margin)) * e
 
     def residuals(x, y, s, z):
-        rx = A.T @ y + G.T @ z + c
+        rx = A.T @ y + GT @ z + c
         ry = A @ x - b
         rz = G @ x + s - h
         gap = float(s @ z)
@@ -363,7 +397,8 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         try:
             scaling = _NTScaling(s, z, index)
             lam = scaling.apply(z)                 # lam = W z
-            lu, w2 = factor(scaling)
+            w2 = scaling.w2_blocks()
+            lu = factor(w2)
 
             # predictor (affine) direction
             lam_sq = jordan_product(lam, lam, index)

@@ -11,6 +11,7 @@ vectors, and v1 files are rejected.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -108,19 +109,18 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
     ys = ymin + (np.arange(ny) + 0.5) * cell_x
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)   # row-major over (iy, ix)
     ap_los, irs_los = los_class_batch(grid, scenario)
-    ap_los = ap_los.reshape(ny, nx)
-    irs_los = irs_los.reshape(ny, nx)
+    links = [LinkClass(*pair) for pair in zip(ap_los.tolist(), irs_los.tolist())]
     d_ap, d_irs = (d.tolist() for d in distances(grid, scenario))
 
     avg = np.zeros((ny, nx))
 
     def fill_row(iy: int):
+        row = avg[iy]
         for ix in range(nx):
-            link = LinkClass(bool(ap_los[iy, ix]), bool(irs_los[iy, ix]))
             cell = iy * nx + ix
-            samples = optimal_snr_samples(d_ap[cell], d_irs[cell], scenario, link,
+            samples = optimal_snr_samples(d_ap[cell], d_irs[cell], scenario, links[cell],
                                           draws_per_cell, seed ^ cell)
-            avg[iy, ix] = samples.mean()
+            row[ix] = samples.sum() / draws_per_cell       # bitwise samples.mean()
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill_row, range(ny)))
@@ -128,7 +128,7 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
     return RadioMap(
         nx=nx, ny=ny, cell_size=cell_x, origin=(xmin, ymin),
         avg_snr=avg, n_draws=np.full((ny, nx), draws_per_cell, dtype=np.int64),
-        ap_los=ap_los, irs_los=irs_los,
+        ap_los=ap_los.reshape(ny, nx), irs_los=irs_los.reshape(ny, nx),
         scenario_hash=scenario.channel_fingerprint(), seed=seed,
     )
 
@@ -146,15 +146,15 @@ def save_map(radio_map: RadioMap, path) -> None:
         f"# scenario={radio_map.scenario_hash} seed={radio_map.seed}",
         _COLUMNS,
     ]
-    xs, ys = radio_map.cell_centers()
-    for iy in range(radio_map.ny):
-        for ix in range(radio_map.nx):
-            lines.append(
-                f"{ix},{iy},{xs[ix]!r},{ys[iy]!r},"
-                f"{'LOS' if radio_map.ap_los[iy, ix] else 'NLOS'},"
-                f"{'LOS' if radio_map.irs_los[iy, ix] else 'NLOS'},"
-                f"{float(radio_map.avg_snr[iy, ix])!r},{int(radio_map.n_draws[iy, ix])}"
-            )
+    # the row-major cells column by column, each value as a plain Python number
+    xs, ys = ([repr(v) for v in axis.tolist()] for axis in radio_map.cell_centers())
+    ap, irs = ([("NLOS", "LOS")[v] for v in los.ravel().tolist()]
+               for los in (radio_map.ap_los, radio_map.irs_los))
+    snr = [repr(v) for v in radio_map.avg_snr.ravel().tolist()]
+    draws = radio_map.n_draws.ravel().tolist()
+    cells = itertools.product(range(radio_map.ny), range(radio_map.nx))
+    lines += [f"{ix},{iy},{xs[ix]},{ys[iy]},{ap[k]},{irs[k]},{snr[k]},{draws[k]}"
+              for k, (iy, ix) in enumerate(cells)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

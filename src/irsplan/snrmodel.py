@@ -55,8 +55,9 @@ class ClassFit:
 
     def __post_init__(self):
         for name in _PARAMS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def as_tuple(self) -> tuple:
         return (self.gain_irs, self.gain_cross, self.gain_direct,
@@ -421,12 +422,16 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
         mu = e_ap0
 
     model_vals = _snr_form(gains[0], gains[1], gains[2], nu, mu, d_ap, d_irs, snr_scale)
-    result = ClassFit(
-        gain_irs=float(gains[0]), gain_cross=float(gains[1]),
-        gain_direct=float(gains[2]), exp_irs=nu, exp_ap=mu,
-        residual_rms=float(np.sqrt(np.mean((np.log1p(model_vals) - target) ** 2))),
-        n_cells=n,
-    )
+    try:
+        result = ClassFit(
+            gain_irs=float(gains[0]), gain_cross=float(gains[1]),
+            gain_direct=float(gains[2]), exp_irs=nu, exp_ap=mu,
+            residual_rms=float(np.sqrt(np.mean((np.log1p(model_vals) - target) ** 2))),
+            n_cells=n,
+        )
+    except ValueError as exc:
+        raise FitFailureError(f"fit for class {link.label()} has no valid parameters: "
+                              f"{exc}") from None
     if not converged:
         raise FitFailureError(
             f"least squares did not converge for class {link.label()} "

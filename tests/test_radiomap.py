@@ -79,6 +79,21 @@ def test_round_trip_is_lossless(small_map, tmp_path):
     assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "map2.csv").read_bytes()
 
 
+def test_every_saved_field_is_a_plain_number_or_a_class(small_map, tmp_path):
+    path = tmp_path / "map.csv"
+    save_map(small_map, path)
+    xs, ys = small_map.cell_centers()
+    rows = path.read_text().splitlines()[4:]
+    assert len(rows) == small_map.nx * small_map.ny
+    for row in rows:
+        ix, iy, x, y, ap, irs, snr, draws = row.split(",")
+        ix, iy = int(ix), int(iy)
+        assert (float(x), float(y)) == (xs[ix], ys[iy])
+        assert float(snr) == small_map.avg_snr[iy, ix]
+        assert int(draws) == small_map.n_draws[iy, ix]
+        assert ap in ("LOS", "NLOS") and irs in ("LOS", "NLOS")
+
+
 def test_truncated_file_fails_with_line_info(small_map, tmp_path):
     path = tmp_path / "map.csv"
     save_map(small_map, path)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from irsplan import audit
 from irsplan.channel import expected_snr
-from irsplan.errors import FileFormatError, UnsupportedVersionError
+from irsplan.errors import FileFormatError, FitFailureError, UnsupportedVersionError
 from irsplan.radiomap import RadioMap
 from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, distances, los_class_batch,
                               los_classes)
 from irsplan.snrmodel import (ClassFit, SnrModel, fit, linearize_rate, load_model, rate,
                               rate_app_position_gradient, rate_app_position_hessian,
                               rate_app_value, rate_gradient, rate_hessian_distances,
-                              save_model, slot_rate, snr_hat)
+                              _fit_class, save_model, slot_rate, snr_hat)
 
 from conftest import straight_line
 
@@ -387,6 +387,24 @@ def test_model_non_finite_parameter_is_a_format_error(fitted_model, tmp_path, va
     with pytest.raises(FileFormatError) as err:
         load_model(tmp_path / "bad.txt")
     assert (err.value.line, err.value.field) == (lineno, "gain_irs")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap"])
+def test_class_fit_rejects_a_non_finite_parameter(name, value):
+    params = dict(gain_irs=1.0, gain_cross=1.0, gain_direct=1.0, exp_irs=2.0, exp_ap=2.0)
+    params[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ClassFit(**params)
+
+
+def test_fit_whose_gains_overflow_is_a_fit_failure(desk_scenario):
+    # cells near the float limit 1e8 m away: a gain overflows to inf
+    rng = np.random.default_rng(0)
+    d_ap, d_irs = rng.uniform(1e8, 2e8, (2, 50))
+    values = rng.uniform(5e299, 1e300, 50)
+    with np.errstate(all="ignore"), pytest.raises(FitFailureError, match="must be finite"):
+        _fit_class(d_ap, d_irs, values, LOS, desk_scenario)
 
 
 # ---------------------------------------------------------------------------

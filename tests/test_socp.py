@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from irsplan import audit
 from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
@@ -23,19 +24,19 @@ from helpers import grid_search_k2, random_certified_socp, random_k2_subproblem
 
 def _random_interior(rng, dims, index):
     u = rng.standard_normal(sum(dims))
-    for idx in index:
-        block = u[idx]
-        block[:, 0] = np.linalg.norm(block[:, 1:], axis=1) + 0.1 + np.abs(block[:, 0])
-        u[idx] = block
+    block = np.append(u, 0.0)[index]          # the pad reads as zero
+    u[index[:, 0]] = np.linalg.norm(block[:, 1:], axis=1) + 0.1 + np.abs(block[:, 0])
     return u
 
 
-def test_cone_index_groups_rows_by_dimension():
+def test_cone_index_pads_each_cone_to_the_largest_dimension():
     index = cone_index([3, 1, 4, 1, 3])
-    assert [idx.tolist() for idx in index] == [
-        [[3], [8]],
-        [[0, 1, 2], [9, 10, 11]],
-        [[4, 5, 6, 7]],
+    assert index.tolist() == [
+        [0, 1, 2, 12],
+        [3, 12, 12, 12],
+        [4, 5, 6, 7],
+        [8, 12, 12, 12],
+        [9, 10, 11, 12],
     ]
 
 
@@ -53,11 +54,13 @@ def test_nt_scaling_identity_and_inverse():
         assert cone_margin(lam_from_z, index) > 0
         v = rng.standard_normal(sum(dims))
         assert np.allclose(w.apply(w.apply(v, inverse=True)), v, rtol=1e-9, atol=1e-11)
-        # dense W^2 blocks agree with applying W twice
-        stacked = np.empty_like(v)
-        for idx, blocks in zip(index, w.w2_blocks()):
-            stacked[idx] = np.einsum("kij,kj->ki", blocks, v[idx])
-        assert np.allclose(stacked, w.apply(w.apply(v)), rtol=1e-9, atol=1e-11)
+        # dense W^2 blocks agree with applying W twice, and map the pad to zero
+        m = sum(dims)
+        stacked = np.einsum("kij,kj->ki", w.w2_blocks(), np.append(v, 0.0)[index])
+        assert np.all(stacked[index == m] == 0.0)
+        out = np.empty(m + 1)
+        out[index] = stacked
+        assert np.allclose(out[:m], w.apply(w.apply(v)), rtol=1e-9, atol=1e-11)
 
 
 def test_jordan_product_divide_roundtrip():
@@ -208,6 +211,26 @@ def test_subproblem_objective_never_exceeds_previous_energy(desk_scenario, fitte
     assert sol.status == "optimal"
     assert sol.objective < motion_energy(prev, sc)
     assert not audit.check_p4(sol.trajectory, sub)
+
+
+def test_every_factorization_of_a_solve_shares_one_kkt_pattern(desk_scenario, fitted_model,
+                                                              monkeypatch):
+    patterns = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(kkt, *args, **kwargs):
+        patterns.append((kkt.indptr.copy(), kkt.indices.copy()))
+        return splu(kkt, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    sub, _, _ = _desk_subproblem(desk_scenario, fitted_model)
+    sol = solve(sub.problem)
+    assert sol.status == "optimal"
+    # the starting point's factorization, then one per iteration but the last
+    assert len(patterns) == sol.iterations >= 2
+    for indptr, indices in patterns[1:]:
+        assert np.array_equal(indptr, patterns[0][0])
+        assert np.array_equal(indices, patterns[0][1])
 
 
 def test_subproblem_determinism(desk_scenario, fitted_model):
