@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts, audit as audit_mod, radiomap, snrmodel
 from .errors import (ConfigError, FileFormatError, FitFailureError, IrsPlanError,
                      SubproblemError)
-from .scenario import Scenario, load_scenario, scenario_overrides
+from .scenario import ALL_LINK_CLASSES, Scenario, load_scenario, scenario_overrides
 from .sco import PlanResult, ScoConfig, run
 
 EXIT_OK = 0
@@ -111,14 +111,10 @@ def _cmd_map(args) -> int:
                                draws_per_cell=args.draws, seed=args.seed,
                                workers=args.workers)
     radiomap.save_map(built, args.out)
-    counts = {}
-    for ap in (True, False):
-        for irs in (True, False):
-            label = f"ap={'LOS' if ap else 'NLOS'} irs={'LOS' if irs else 'NLOS'}"
-            counts[label] = int(np.sum((built.ap_los == ap) & (built.irs_los == irs)))
     print(f"radio map {built.nx}x{built.ny} ({args.draws} draws/cell) -> {args.out}")
-    for label, count in counts.items():
-        print(f"  {label}: {count} cells")
+    for link in ALL_LINK_CLASSES:
+        count = int(np.sum((built.ap_los == link.ap_los) & (built.irs_los == link.irs_los)))
+        print(f"  {link.label()}: {count} cells")
     return EXIT_OK
 
 
@@ -142,8 +138,7 @@ def _cmd_fit(args) -> int:
 
 
 def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None,
-               grid=(100, 60), draws=200, seed=0, fit_mode="per_class",
-               sco_config=ScoConfig()) -> tuple:
+               grid=(100, 60), draws=200, seed=0, fit_mode="per_class") -> tuple:
     """Map (or reuse), fit and plan. Returns (exit_code, summary dict)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = scenario.channel_fingerprint()
@@ -171,8 +166,7 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
         model = snrmodel.fit(built, scenario, mode=fit_mode)
         map_meta = _map_meta(built)
     map_artifact = "map.csv" if not (model_file or map_file) else None
-    return _plan_with_model(scenario, out_dir, model, map_meta, fit_mode, map_artifact,
-                            sco_config)
+    return _plan_with_model(scenario, out_dir, model, map_meta, fit_mode, map_artifact)
 
 
 def _map_meta(built: radiomap.RadioMap) -> dict:
@@ -181,10 +175,11 @@ def _map_meta(built: radiomap.RadioMap) -> dict:
 
 
 def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
-                     fit_mode: str, map_artifact, sco_config=ScoConfig()) -> tuple:
+                     fit_mode: str, map_artifact) -> tuple:
     """Shared by plan and sweep: descend on a fitted model and write the artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, out_dir / "model.txt")
+    sco_config = ScoConfig()
 
     try:
         result: PlanResult = run(scenario, model, sco_config)
@@ -261,12 +256,19 @@ def _cmd_plan(args) -> int:
     return code
 
 
+def _sweep_axis(text: str, kind, flag: str) -> list:
+    """Parse one comma-separated sweep axis; an empty or bad entry is a ConfigError."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}",
+                          key=flag) from None
+
+
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    m_values = [int(v) for v in args.M.split(",")]
-    r_values = [float(v) for v in args.rmin.split(",")]
-    if not m_values or not r_values:
-        raise ConfigError("sweep axes must be non-empty", key="--M/--rmin")
+    m_values = _sweep_axis(args.M, int, "--M")
+    r_values = _sweep_axis(args.rmin, float, "--rmin")
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 

@@ -104,10 +104,6 @@ class ConicSolution:
     dual_residual: float
     gap_residual: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.primal_residual, self.dual_residual, self.gap_residual)
-
 
 # ---------------------------------------------------------------------------
 # Jordan-algebra / cone helpers. All operate on stacked vectors; ``index`` is

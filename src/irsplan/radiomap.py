@@ -50,8 +50,8 @@ class RadioMap:
             arr = getattr(self, name)
             if arr.shape != (self.ny, self.nx):
                 raise ValueError(f"{name} must have shape (ny, nx)")
-        if np.any(self.avg_snr < 0):
-            raise ValueError("averaged SNR must be nonnegative")
+        if not np.all(np.isfinite(self.avg_snr)) or np.any(self.avg_snr < 0):
+            raise ValueError("averaged SNR must be finite and nonnegative")
         if np.any(self.n_draws < 1):
             raise ValueError("every cell needs at least one draw")
 

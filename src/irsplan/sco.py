@@ -7,11 +7,18 @@ inside a trust region. The previous trajectory is always feasible for its
 own subproblem, so accepted energies are non-increasing; every accepted
 iterate must additionally pass the independent original-constraint audit.
 
-The stopping rule is relative energy improvement below epsilon (the
-magnitude of the change, so a large descent step never terminates the
-loop) or the iteration cap. When a subproblem fails or its solution fails
-the audit, the trust region shrinks and the iteration retries; persistent
-failure aborts with the trace collected so far.
+The loop stops for one of three reasons:
+    epsilon   an accepted step changed the energy by at most epsilon,
+              relative (the magnitude of the change, so a large descent
+              step never terminates the loop);
+    cap       n_it_max accepted steps;
+    plateau   a subproblem solves and passes the audit but does not lower
+              the energy within solver round-off: the incumbent is already
+              stationary for its trust region, and the loop ends without
+              adding a record.
+When a subproblem fails or its solution fails the audit, the iteration
+retries with the trust radius times TRUST_SHRINK, down to TRUST_FLOOR;
+failure at the floor aborts with the trace collected so far.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ from .scenario import Scenario, los_classes, motion_energy
 from .snrmodel import SnrModel, linearize_rate
 from .socp import LinearObstacle, assemble_p4, solve_p4
 
+# trust-radius retries (see above), 5 of them from the default 1 m radius
+TRUST_SHRINK = 0.5
+TRUST_FLOOR = 0.05
+
 
 @dataclass(frozen=True)
 class ScoConfig:
@@ -35,10 +46,6 @@ class ScoConfig:
     n_it_max: int = 100
     trust_radius: float = 1.0      # meters
     grid_spacing: float = 1.0      # initializer grid
-    solver_tol: float = 1e-8
-    solver_max_iter: int = 200
-    trust_shrink: float = 0.5      # failed subproblems retry with trust*shrink,
-    trust_floor: float = 0.05      # bottoming out at the floor (5 retries at defaults)
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.n_it_max < 1 or self.trust_radius <= 0:
@@ -126,8 +133,7 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
         plateau = False
         while True:
             sub = assemble_p4(scenario, lins, traj, obstacle_rows, trust)
-            sol = solve_p4(sub, tol=config.solver_tol,
-                           max_iter=config.solver_max_iter)
+            sol = solve_p4(sub)
             if sol.status == "optimal":
                 p4_violations = audit.check_p4(sol.trajectory, sub)
                 p3_report = audit.check_p3(sol.trajectory, scenario, model)
@@ -139,7 +145,7 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
                         # the incumbent is already stationary for this region
                         plateau = True
                     break
-            shrunk = max(trust * config.trust_shrink, config.trust_floor)
+            shrunk = max(trust * TRUST_SHRINK, TRUST_FLOOR)
             if shrunk == trust:
                 break
             trust = shrunk

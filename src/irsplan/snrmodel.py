@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 
+# a per_class fit needs this many cells in a class; sparser classes inherit
+MIN_CLASS_CELLS = 20
+
 _FORMAT_TAG = "irsplan-snrmodel"
 _FORMAT_VERSION = 1
 
@@ -247,12 +250,11 @@ def rate_app_position_hessian(lin: RateLinearization, q, scenario: Scenario) -> 
 # Fitting
 
 
-def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
-        min_cells: int = 20) -> SnrModel:
+def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class") -> SnrModel:
     """Fit the model to a radio map.
 
     ``per_class`` fits each (AP, IRS) visibility class on its own cells;
-    classes with fewer than ``min_cells`` cells inherit the nearest
+    classes with fewer than ``MIN_CLASS_CELLS`` cells inherit the nearest
     populated class's fit (flip the IRS label first, then the AP label).
     ``global`` fits a single parameter set on every cell.
     """
@@ -276,7 +278,7 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
     for link in ALL_LINK_CLASSES:
         mask = (ap_los == link.ap_los) & (irs_los == link.irs_los)
         counts[link] = int(mask.sum())
-        if counts[link] >= min_cells:
+        if counts[link] >= MIN_CLASS_CELLS:
             fitted[link] = _fit_class(d_ap[mask], d_irs[mask], values[mask],
                                       link, scenario)
 
@@ -285,7 +287,7 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
         best = max(ALL_LINK_CLASSES, key=lambda c: counts[c])
         mask = (ap_los == best.ap_los) & (irs_los == best.irs_los)
         log.warning("no visibility class has %d cells; fitting %s on %d cells",
-                    min_cells, best.label(), counts[best])
+                    MIN_CLASS_CELLS, best.label(), counts[best])
         fitted[best] = _fit_class(d_ap[mask], d_irs[mask], values[mask], best,
                                   scenario)
 
@@ -296,7 +298,7 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class",
             continue
         donor = _nearest_populated(link, fitted)
         log.warning("class %s has %d cells (< %d); inheriting fit from %s",
-                    link.label(), counts[link], min_cells, donor.label())
+                    link.label(), counts[link], MIN_CLASS_CELLS, donor.label())
         fits[link] = replace(fitted[donor], n_cells=counts[link],
                              inherited_from=donor.label())
     return SnrModel(fits=fits, scenario_hash=radio_map.scenario_hash,
@@ -445,10 +447,6 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
 # Persistence
 
 
-def _class_tag(link: LinkClass) -> str:
-    return f"ap={'LOS' if link.ap_los else 'NLOS'} irs={'LOS' if link.irs_los else 'NLOS'}"
-
-
 def _parse_class_tag(tag: str, path, lineno) -> LinkClass:
     parts = tag.split()
     if len(parts) != 2 or not parts[0].startswith("ap=") or not parts[1].startswith("irs="):
@@ -463,7 +461,7 @@ def save_model(model: SnrModel, path) -> None:
     ]
     for link in ALL_LINK_CLASSES:
         cf = model.fits[link]
-        lines.append(f"[class {_class_tag(link)}]")
+        lines.append(f"[class {link.label()}]")
         for name in (*_PARAMS, "residual_rms"):
             lines.append(f"{name} = {getattr(cf, name)!r}")
         lines.append(f"n_cells = {cf.n_cells}")

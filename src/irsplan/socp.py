@@ -31,7 +31,6 @@ import numpy as np
 from .conic import ConicProblem, ConicSolution, solve
 from .errors import AssemblyError
 from .scenario import Scenario, motion_energy
-from .snrmodel import RateLinearization
 
 GBPS = 1e-9
 
@@ -60,8 +59,6 @@ class P4Subproblem:
     linearization: list            # RateLinearization per slot 0..K
     obstacle_rows: tuple           # LinearObstacle for free slots
     trust_radius: float
-    energy_offset: float           # K * motor_v0 * dt, joules
-    rate_constant_gbps: float      # constant slot contributions minus requirement
 
     @property
     def n_free(self) -> int:
@@ -91,10 +88,6 @@ class SubproblemSolution:
     gap_residual: float
     iterations: int = 0
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.primal_residual, self.dual_residual, self.gap_residual)
-
 
 def assemble_p4(scenario: Scenario, linearization, prev_traj,
                 obstacle_rows, trust_radius: float) -> P4Subproblem:
@@ -113,13 +106,14 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
         raise AssemblyError("need one rate linearization per slot")
     if trust_radius < 0:
         raise AssemblyError("trust radius must be nonnegative")
-    for row in obstacle_rows:
-        if not (1 <= row.slot <= k_slots - 1):
-            raise AssemblyError("obstacle rows apply to free slots only")
+    obs_slot = np.array([row.slot for row in obstacle_rows], dtype=int)
+    obs_coeff = np.array([row.coeff for row in obstacle_rows], dtype=float).reshape(-1, 2)
+    obs_offset = np.array([row.offset for row in obstacle_rows], dtype=float)
+    if np.any((obs_slot < 1) | (obs_slot > k_slots - 1)):
+        raise AssemblyError("obstacle rows apply to free slots only")
 
     n_free = k_slots - 1
     dt = scenario.slot_duration
-    q_start, q_goal = scenario.q_start, scenario.q_goal
 
     # variable layout: [q (2 each) | u (K) | w (K) | s_ap (n_free) | s_irs (n_free)]
     off_u = 2 * n_free
@@ -128,121 +122,76 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     off_si = off_sa + n_free
     n_vars = off_si + n_free
 
-    def q_index(k):
-        """Column indices of waypoint k, or None if it is a fixed endpoint."""
-        if k == 0 or k == k_slots:
-            return None
-        return 2 * (k - 1)
-
-    def q_const(k):
-        return q_start if k == 0 else q_goal
-
     c = np.zeros(n_vars)
     c[off_u:off_u + k_slots] = scenario.motor_v1
     c[off_w:off_w + k_slots] = scenario.motor_v2
 
-    rows_g, rows_h, dims = [], [], []
+    dims = [3, 4, 1] * k_slots + [3, 4, 4] * n_free + [1] * (len(obs_slot) + 1)
+    G = np.zeros((sum(dims), n_vars))
+    h = np.zeros(sum(dims))
+    axes = np.arange(2)
+    free = np.arange(n_free)                   # k - 1 for each free slot k
+    q_cols = 2 * free[:, None] + axes          # columns of waypoint k
 
-    def add_row(coeffs, h_val):
-        row = np.zeros(n_vars)
-        for col, val in coeffs:
-            row[col] += val
-        rows_g.append(row)
-        rows_h.append(h_val)
+    # per slot k (8 rows): (u_k, dq_k), (w_k + dt, 2 dq_k, w_k - dt), D_max - u_k
+    slots = np.arange(k_slots)                 # k - 1
+    r = 8 * slots
+    G[r, off_u + slots] = -1.0
+    G[r + 3, off_w + slots] = -1.0
+    G[r + 6, off_w + slots] = -1.0
+    G[r + 7, off_u + slots] = 1.0
+    h[r + 3], h[r + 6], h[r + 7] = dt, -dt, scenario.max_step
+    # scale * (q_k - q_{k-1}) with the fixed endpoints moved into h
+    ends = np.zeros((k_slots + 1, 2))
+    ends[0], ends[-1] = scenario.q_start, scenario.q_goal
+    for scale, first in ((1.0, 1), (2.0, 4)):
+        rows = r[:, None] + first + axes
+        G[rows[:-1], q_cols] = -scale          # q_k of slots k < K
+        G[rows[1:], q_cols] = scale            # q_{k-1} of slots k > 1
+        h[rows] = scale * ends[1:] - scale * ends[:-1]
 
-    def step_rows(k, scale):
-        """Rows for scale*(q_k - q_{k-1}) as (coeffs, h) pairs, x then y."""
-        out = []
-        ia, ib = q_index(k), q_index(k - 1)
-        for axis in range(2):
-            coeffs = []
-            h_val = 0.0
-            if ia is None:
-                h_val += scale * q_const(k)[axis]
-            else:
-                coeffs.append((ia + axis, -scale))
-            if ib is None:
-                h_val -= scale * q_const(k - 1)[axis]
-            else:
-                coeffs.append((ib + axis, scale))
-            out.append((coeffs, h_val))
-        return out
+    # per free slot k (11 rows): the trust region around the previous
+    # iterate, then the 3D distance epigraphs feeding the rate constraint
+    r = 8 * k_slots + 11 * free
+    h[r] = trust_radius
+    G[r[:, None] + 1 + axes, q_cols] = -1.0
+    h[r[:, None] + 1 + axes] = -prev_traj[1:-1]
+    for first, offset, anchor, z_anchor in ((3, off_sa, scenario.ap_pos, scenario.z_ap),
+                                            (7, off_si, scenario.irs_pos, scenario.z_irs)):
+        G[r + first, offset + free] = -1.0
+        G[r[:, None] + first + 1 + axes, q_cols] = -1.0
+        h[r[:, None] + first + 1 + axes] = -anchor
+        h[r + first + 3] = scenario.z_robot - z_anchor
 
-    for k in range(1, k_slots + 1):
-        iu = off_u + (k - 1)
-        iw = off_w + (k - 1)
-        # (u_k, dq_k) in a 3-cone
-        add_row([(iu, -1.0)], 0.0)
-        for coeffs, h_val in step_rows(k, 1.0):
-            add_row(coeffs, h_val)
-        dims.append(3)
-        # (w_k + dt, 2 dq_k, w_k - dt) in a 4-cone  <=>  w_k >= ||dq||^2/dt
-        add_row([(iw, -1.0)], dt)
-        for coeffs, h_val in step_rows(k, 2.0):
-            add_row(coeffs, h_val)
-        add_row([(iw, -1.0)], -dt)
-        dims.append(4)
-        # step bound through the norm epigraph
-        add_row([(iu, 1.0)], scenario.max_step)
-        dims.append(1)
-
-    dz_ap = scenario.z_robot - scenario.z_ap
-    dz_irs = scenario.z_robot - scenario.z_irs
-    for k in range(1, k_slots):
-        iq = q_index(k)
-        # trust region around the previous iterate
-        add_row([], trust_radius)
-        for axis in range(2):
-            add_row([(iq + axis, -1.0)], -prev_traj[k][axis])
-        dims.append(3)
-        # 3D distance epigraphs feeding the rate constraint
-        for offset, anchor, dz in (
-            (off_sa, scenario.ap_pos, dz_ap),
-            (off_si, scenario.irs_pos, dz_irs),
-        ):
-            add_row([(offset + (k - 1), -1.0)], 0.0)
-            for axis in range(2):
-                add_row([(iq + axis, -1.0)], -anchor[axis])
-            add_row([], dz)
-            dims.append(4)
-
-    for row in obstacle_rows:
-        iq = q_index(row.slot)
-        # coeff . q + offset >= safety_level
-        add_row([(iq, -row.coeff[0]), (iq + 1, -row.coeff[1])],
-                row.offset - scenario.safety_level)
-        dims.append(1)
+    # obstacles: coeff . q + offset >= safety_level
+    r = 8 * k_slots + 11 * n_free + np.arange(len(obs_slot))
+    G[r[:, None], 2 * (obs_slot[:, None] - 1) + axes] = -obs_coeff
+    h[r] = obs_offset - scenario.safety_level
 
     # rate constraint: sum of per-slot minorants >= (K+1) * r_min, in Gbps.
     # Fixed endpoints contribute their exact anchored rates; free slots
     # contribute beta_k + grad . (s_ap, s_irs) with nonpositive gradients.
-    rate_const = 0.0
-    coeffs = []
-    for k in range(k_slots + 1):
-        lin: RateLinearization = linearization[k]
-        if q_index(k) is None:
-            rate_const += lin.value * GBPS
-        else:
-            beta = lin.value - lin.grad[0] * lin.d_ap0 - lin.grad[1] * lin.d_irs0
-            rate_const += beta * GBPS
-            coeffs.append((off_sa + (k - 1), lin.grad[0] * GBPS))
-            coeffs.append((off_si + (k - 1), lin.grad[1] * GBPS))
-    rate_const -= (k_slots + 1) * scenario.min_avg_rate * GBPS
-    add_row([(col, -val) for col, val in coeffs], rate_const)
-    dims.append(1)
+    # The constant is a running sum in slot order (np.sum would pair terms
+    # and round differently).
+    value = np.array([lin.value for lin in linearization])
+    grad = np.array([lin.grad for lin in linearization[1:-1]]).reshape(-1, 2)
+    d0 = np.array([(lin.d_ap0, lin.d_irs0) for lin in linearization[1:-1]]).reshape(-1, 2)
+    beta = value.copy()
+    beta[1:-1] = value[1:-1] - grad[:, 0] * d0[:, 0] - grad[:, 1] * d0[:, 1]
+    h[-1] = (np.add.accumulate(beta * GBPS)[-1]
+             - (k_slots + 1) * scenario.min_avg_rate * GBPS)
+    G[-1, off_sa + free] = -(grad[:, 0] * GBPS)
+    G[-1, off_si + free] = -(grad[:, 1] * GBPS)
 
-    problem = ConicProblem(c=c, G=np.array(rows_g), h=np.array(rows_h), dims=dims)
+    problem = ConicProblem(c=c, G=G, h=h, dims=dims)
     return P4Subproblem(
         problem=problem, scenario=scenario, prev_traj=prev_traj,
         linearization=list(linearization), obstacle_rows=tuple(obstacle_rows),
         trust_radius=trust_radius,
-        energy_offset=k_slots * scenario.motor_v0 * dt,
-        rate_constant_gbps=rate_const,
     )
 
 
-def solve_p4(sub: P4Subproblem, tol: float = 1e-8,
-             max_iter: int = 200) -> SubproblemSolution:
+def solve_p4(sub: P4Subproblem) -> SubproblemSolution:
     """Solve the subproblem; returns the trajectory and its true motion energy.
 
     A vanishing trust radius pins every free waypoint to the previous
@@ -256,7 +205,7 @@ def solve_p4(sub: P4Subproblem, tol: float = 1e-8,
             status="optimal", primal_residual=0.0, dual_residual=0.0,
             gap_residual=0.0, iterations=0,
         )
-    sol: ConicSolution = solve(sub.problem, tol=tol, max_iter=max_iter)
+    sol: ConicSolution = solve(sub.problem)
     traj = sub.extract_trajectory(sol.x)
     return SubproblemSolution(
         trajectory=traj,

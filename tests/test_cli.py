@@ -181,6 +181,18 @@ def test_sweep_fits_each_element_count_once(tmp_path, monkeypatch):
             assert tree_digest(cell) == tree_digest(alone)
 
 
+@pytest.mark.parametrize("flag,value", [("--M", "0,x"), ("--M", ""), ("--rmin", ""),
+                                        ("--rmin", "2.0,,2.5")])
+def test_bad_sweep_axis_exits_3_naming_the_flag(tmp_path, capsys, flag, value):
+    axes = {"--M": "64", "--rmin": "2.0", flag: value}
+    code = main(["sweep", "--config", DESK_CONFIG, "--out", str(tmp_path / "sweep"),
+                 "--M", axes["--M"], "--rmin", axes["--rmin"], *SMALL])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_continues_past_infeasible_cells(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -55,6 +56,14 @@ def test_build_needs_at_least_one_worker(desk_scenario, workers):
 def test_grid_must_tile_workspace_squarely(desk_scenario):
     with pytest.raises(ValueError):
         build_map(desk_scenario, nx=70, ny=60, draws_per_cell=1, seed=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_map_rejects_a_non_finite_cell(small_map, value):
+    avg_snr = small_map.avg_snr.copy()
+    avg_snr[3, 5] = value
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(small_map, avg_snr=avg_snr)
 
 
 def test_ap_adjacent_cell_beats_shadowed_far_cell(small_map):

@@ -9,7 +9,7 @@ from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
                            dump_problem, jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
 from irsplan.errors import AssemblyError, FileFormatError
-from irsplan.scenario import los_classes, motion_energy, scenario_overrides
+from irsplan.scenario import distances, los_classes, motion_energy, scenario_overrides
 from irsplan.snrmodel import linearize_rate
 from irsplan.sco import linearize_obstacles
 from irsplan.socp import assemble_p4, solve_p4
@@ -247,6 +247,56 @@ def test_assembly_validates_shapes(desk_scenario, fitted_model):
         assemble_p4(sc, sub.linearization, traj[:-1], [], 1.0)
     with pytest.raises(AssemblyError):
         assemble_p4(sc, sub.linearization, traj, [], -1.0)
+
+
+@pytest.mark.parametrize("n_slots", [1, 2, 30])
+def test_assembled_rows_are_the_constraint_families(desk_scenario, fitted_model, n_slots):
+    sc = scenario_overrides(desk_scenario, n_slots=n_slots)
+    prev = straight_line(sc)
+    lins = linearize_rate(fitted_model, los_classes(prev, sc), prev, sc)
+    rows = linearize_obstacles(prev, sc.obstacles)
+    sub = assemble_p4(sc, lins, prev, rows, 0.8)
+    n_free, dt, gbps = n_slots - 1, sc.slot_duration, 1e-9
+
+    # a perturbed trajectory with its own epigraph values
+    q = prev.copy()
+    q[1:-1] += np.random.default_rng(n_slots).uniform(-0.7, 0.7, size=(n_free, 2))
+    dq = np.diff(q, axis=0)
+    u = np.linalg.norm(dq, axis=1)
+    w = u**2 / dt
+    s_ap, s_irs = distances(q[1:-1], sc)
+    x = np.concatenate([q[1:-1].reshape(-1), u, w, s_ap, s_irs])
+    assert sub.problem.c @ x + n_slots * sc.motor_v0 * dt == pytest.approx(
+        motion_energy(q, sc), rel=1e-12)
+
+    expected, dims = [], []
+    for k in range(n_slots):
+        expected += [[u[k], *dq[k]], [w[k] + dt, *(2 * dq[k]), w[k] - dt],
+                     [sc.max_step - u[k]]]
+        dims += [3, 4, 1]
+    for k in range(1, n_slots):
+        expected += [[0.8, *(q[k] - prev[k])],
+                     [s_ap[k - 1], *(q[k] - sc.ap_pos), sc.z_robot - sc.z_ap],
+                     [s_irs[k - 1], *(q[k] - sc.irs_pos), sc.z_robot - sc.z_irs]]
+        dims += [3, 4, 4]
+    for row in rows:
+        expected.append([row.minorant(q[row.slot]) - sc.safety_level])
+        dims.append(1)
+    rate = [lin.value for lin in lins]
+    for k in range(1, n_slots):
+        g_ap, g_irs = lins[k].grad
+        rate[k] += g_ap * (s_ap[k - 1] - lins[k].d_ap0) + g_irs * (s_irs[k - 1] - lins[k].d_irs0)
+    expected.append([(sum(rate) - (n_slots + 1) * sc.min_avg_rate) * gbps])
+    dims.append(1)
+
+    assert list(sub.problem.dims) == dims
+    slack = sub.problem.h - sub.problem.G @ x
+    start = 0
+    for cone in expected:
+        got = slack[start:start + len(cone)]
+        assert np.allclose(got, cone, rtol=1e-12, atol=1e-9), (start, got, cone)
+        start += len(cone)
+    assert start == len(slack)
 
 
 def test_k2_instances_match_grid_search(empty_scenario):
