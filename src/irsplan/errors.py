@@ -60,11 +60,7 @@ class GraphInfeasibleError(IrsPlanError):
 
 
 class FitFailureError(IrsPlanError):
-    """Nonlinear least squares did not converge. Carries the best iterate."""
-
-    def __init__(self, message, best=None):
-        self.best = best
-        super().__init__(message)
+    """A class fit has non-finite parameters, or stopped at its iteration cap still moving."""
 
 
 class AssemblyError(IrsPlanError):

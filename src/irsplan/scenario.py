@@ -136,6 +136,9 @@ class Scenario:
         for name in ("ap_pos", "irs_pos", "q_start", "q_goal"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        for name in self.__dataclass_fields__:
+            if name != "obstacles" and not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError("must be finite", key=name)
         xmin, xmax, ymin, ymax = self.workspace
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("workspace rectangle is empty", key="workspace")
@@ -418,10 +421,10 @@ def load_scenario(path) -> Scenario:
             vals = _parse_floats(block["shape"], 3, "obstacle.shape")
             shape = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
             center = _parse_floats(block.get("center", ""), 2, "obstacle.center")
-            height = float(block.get("height", "nan"))
             try:
+                height = float(block.get("height", "nan"))
                 obstacles.append(Obstacle(np.array(center), shape, height))
-            except InvalidObstacleError as exc:
+            except (ValueError, InvalidObstacleError) as exc:
                 raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
         else:
             needed = {"center", "length", "width", "height"}
@@ -444,7 +447,9 @@ def load_scenario(path) -> Scenario:
             except (ValueError, InvalidObstacleError) as exc:
                 raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
 
-    def get_float(key):
+    def get_float(key, default=None):
+        if key not in raw:
+            return default
         try:
             return float(raw[key])
         except ValueError:
@@ -452,7 +457,7 @@ def load_scenario(path) -> Scenario:
 
     def get_int(key):
         value = get_float(key)
-        if value != int(value):
+        if not (math.isfinite(value) and value == int(value)):
             raise ConfigError("expected an integer", key=key)
         return int(value)
 
@@ -480,8 +485,8 @@ def load_scenario(path) -> Scenario:
         q_start=np.array(_parse_floats(raw["q_start"], 2, "q_start")),
         q_goal=np.array(_parse_floats(raw["q_goal"], 2, "q_goal")),
         min_avg_rate=get_float("min_avg_rate_gbps") * 1e9,
-        los_exponent=float(raw.get("los_exponent", LOS_EXPONENT)),
-        nlos_exponent=float(raw.get("nlos_exponent", NLOS_EXPONENT)),
+        los_exponent=get_float("los_exponent", LOS_EXPONENT),
+        nlos_exponent=get_float("nlos_exponent", NLOS_EXPONENT),
     )
 
 

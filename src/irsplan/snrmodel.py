@@ -6,10 +6,15 @@ The model form is
                             + C d_ap^-mu) * p_tx / noise
 
 with five nonnegative parameters per visibility class, fitted to a radio
-map by damped nonlinear least squares on log(1+SNR) residuals. Rates are
-Shannon rates over the configured bandwidth; the per-slot rate is a convex
-function of the two distances, which yields a global first-order minorant
-(the rate linearization consumed by the trajectory optimizer).
+map by Levenberg-Marquardt on log(1+SNR) residuals. The fit runs on the
+five parameters themselves and keeps them nonnegative with an active set;
+it starts from linear least squares for the three gains at the class's
+nominal exponents.
+
+Rates are Shannon rates over the configured bandwidth; the per-slot rate
+is a convex function of the two distances, which yields a global
+first-order minorant (the rate linearization consumed by the trajectory
+optimizer).
 
 All derivative expressions here are exercised against central finite
 differences in the test suite; gradients carry the bandwidth factor so
@@ -35,6 +40,11 @@ LN2 = math.log(2.0)
 
 # a per_class fit needs this many cells in a class; sparser classes inherit
 MIN_CLASS_CELLS = 20
+
+# a class fit stops once its projected gradient falls to _FIT_GRAD_TOL of its
+# starting value, or after _FIT_MAX_ITER accepted steps
+_FIT_MAX_ITER = 500
+_FIT_GRAD_TOL = 1e-10
 
 _FORMAT_TAG = "irsplan-snrmodel"
 _FORMAT_VERSION = 1
@@ -316,131 +326,85 @@ def _nearest_populated(link: LinkClass, fitted: dict) -> LinkClass:
     raise RuntimeError("no populated class to inherit from")  # unreachable
 
 
-def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario,
-               max_iter: int = 500, grad_tol: float = 1e-10) -> ClassFit:
-    """Damped least squares on log1p residuals; parameters squared for nonnegativity."""
+def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario) -> ClassFit:
+    """Levenberg-Marquardt on log1p residuals over (A, B, C, nu, mu) >= 0.
+
+    Nonnegativity comes from an active set (Bertsekas, "Projected Newton
+    methods for optimization problems with simple constraints", 1982): a
+    parameter at zero whose gradient points below zero is held there, every
+    other parameter takes the damped step, clipped at zero. A held gain is
+    free again as soon as its gradient turns, so no term is trapped at zero.
+    """
     n = len(values)
     if n == 0:
         raise ValueError("cannot fit a class with no cells")
-    if float(np.max(values)) == 0.0:
-        # all-zero map: zero gains by definition, exponents at nominal
-        e_ap, e_irs = scenario.exponents(link)
-        return ClassFit(0.0, 0.0, 0.0, e_irs, e_ap, residual_rms=0.0, n_cells=n)
-
     snr_scale = scenario.snr_scale
     e_ap0, e_irs0 = scenario.exponents(link)
-
-    # warm start: linear least squares for the gains with exponents frozen.
-    # Terms whose least-squares contribution is negligible (or negative)
-    # start at exactly zero; a zero gain has a zero Jacobian column, so the
-    # term and its exponent stay frozen instead of wandering along the
-    # unidentifiable ridge A -> 0, exponent -> inf.
-    design = np.stack(_term_shapes(e_irs0, e_ap0, d_ap, d_irs), axis=1) * snr_scale
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    contribution = np.maximum(coef, 0.0) * np.median(design, axis=0)
-    supported = contribution > 1e-3 * max(float(np.median(values)), 1e-300)
-    gains0 = np.where(supported, np.maximum(coef, 0.0), 0.0)
-
-    theta = np.sqrt(np.array([gains0[0], gains0[1], gains0[2], e_irs0, e_ap0]))
+    log_ap, log_irs = np.log(d_ap), np.log(d_irs)
     target = np.log1p(values)
 
     def residuals_jac(theta):
-        a, b, c, p, q = theta
-        params = (a * a, b * b, c * c, p * p, q * q)
-        av, bv, cv, nu, mu = params
+        a, b, c, nu, mu = theta
         ti, tx, ta = _term_shapes(nu, mu, d_ap, d_irs)
-        s = (av * ti + bv * tx + cv * ta) * snr_scale
-        res = np.log1p(s) - target
-        denom = 1.0 + s
-        jac = np.empty((len(res), 5))
-        jac[:, 0] = 2 * a * ti * snr_scale / denom
-        jac[:, 1] = 2 * b * tx * snr_scale / denom
-        jac[:, 2] = 2 * c * ta * snr_scale / denom
-        ds_dnu = (-av * np.log(d_irs) * ti - 0.5 * bv * np.log(d_irs) * tx) * snr_scale
-        ds_dmu = (-cv * np.log(d_ap) * ta - 0.5 * bv * np.log(d_ap) * tx) * snr_scale
-        jac[:, 3] = 2 * p * ds_dnu / denom
-        jac[:, 4] = 2 * q * ds_dmu / denom
-        return res, jac
+        s = (a * ti + b * tx + c * ta) * snr_scale
+        jac = np.stack([ti, tx, ta, -(a * ti + 0.5 * b * tx) * log_irs,
+                        -(c * ta + 0.5 * b * tx) * log_ap], axis=1)
+        return np.log1p(s) - target, jac * (snr_scale / (1.0 + s))[:, None]
 
+    # start: linear least squares for the gains at the nominal exponents
+    design = np.stack(_term_shapes(e_irs0, e_ap0, d_ap, d_irs), axis=1) * snr_scale
+    gains0, *_ = np.linalg.lstsq(design, values, rcond=None)
+    theta = np.concatenate([np.maximum(gains0, 0.0), [e_irs0, e_ap0]])
     res, jac = residuals_jac(theta)
     cost = 0.5 * float(res @ res)
+    grad = jac.T @ res
+    free = (theta > 0.0) | (grad <= 0.0)
+    grad_ref = float(np.max(np.abs(grad[free]), initial=0.0))
     damping = 1e-3
-    converged = False
-    grad_ref = max(1.0, float(np.max(np.abs(jac.T @ res))))
-    flat_steps = 0
-    for _ in range(max_iter):
-        grad = jac.T @ res
-        if np.max(np.abs(grad)) <= grad_tol * grad_ref:
-            converged = True
+    for _ in range(_FIT_MAX_ITER):
+        if np.max(np.abs(grad[free]), initial=0.0) <= _FIT_GRAD_TOL * grad_ref:
             break
-        jtj = jac.T @ jac
-        scale = np.maximum(np.diag(jtj), 1e-12)
-        stepped = False
-        for _ in range(40):
+        jtj = jac[:, free].T @ jac[:, free]
+        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        while damping <= 1e15:
             try:
-                delta = np.linalg.solve(jtj + damping * np.diag(scale), -grad)
+                delta = np.linalg.solve(jtj + damping * scale, -grad[free])
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            trial = theta + delta
+            trial = theta.copy()
+            trial[free] = np.maximum(theta[free] + delta, 0.0)
             trial_res, trial_jac = residuals_jac(trial)
             trial_cost = 0.5 * float(trial_res @ trial_res)
             if np.isfinite(trial_cost) and trial_cost < cost:
-                improvement = cost - trial_cost
                 theta, res, jac, cost = trial, trial_res, trial_jac, trial_cost
                 damping = max(damping / 3.0, 1e-14)
-                stepped = True
-                flat_steps = flat_steps + 1 if improvement <= 1e-10 * max(cost, 1e-300) else 0
                 break
             damping *= 10.0
-            if damping > 1e15:
-                break
-        if not stepped or flat_steps >= 5:
-            # either no damping level yields a productive step or the cost
-            # only moves in its last digits: numerical minimum reached
-            converged = True
-            break
-    else:
-        # iteration cap: accept ridge-crawling minima (gradient already tiny
-        # relative to the start), fail on genuinely unconverged fits
+        else:
+            break   # no damping level lowers the cost: numerical minimum
         grad = jac.T @ res
-        converged = bool(np.max(np.abs(grad)) <= 1e-2 * grad_ref)
+        free = (theta > 0.0) | (grad <= 0.0)
+    else:
+        # at the cap, accept a minimum on a flat ridge (projected gradient
+        # already tiny against the start) and fail a fit that is still moving
+        if np.max(np.abs(grad[free]), initial=0.0) > 1e-2 * grad_ref:
+            raise FitFailureError(
+                f"least squares did not converge for class {link.label()} "
+                f"(residual rms {math.sqrt(2.0 * cost / n):.3e})")
 
-    a, b, c, p, q = theta
-    gains = np.array([a * a, b * b, c * c])
-    nu, mu = float(p * p), float(q * q)
-
-    # drop terms that contribute nowhere on this class's cells: they are
-    # unidentifiable (the optimizer may have parked them on a gain->inf,
-    # exponent->inf ridge whose value is zero at every data point)
-    terms = gains[:, None] * np.stack(_term_shapes(nu, mu, d_ap, d_irs))
-    total = np.maximum(terms.sum(axis=0), 1e-300)
-    for j in range(3):
-        if gains[j] and float(np.max(terms[j] / total)) < 1e-4:
-            gains[j] = 0.0
-    if gains[0] == 0.0 and gains[1] == 0.0:
+    a, b, c, nu, mu = (float(v) for v in theta)
+    # an exponent whose two terms both have zero gain is unidentified
+    if a == 0.0 and b == 0.0:
         nu = e_irs0
-    if gains[2] == 0.0 and gains[1] == 0.0:
+    if c == 0.0 and b == 0.0:
         mu = e_ap0
-
-    model_vals = _snr_form(gains[0], gains[1], gains[2], nu, mu, d_ap, d_irs, snr_scale)
     try:
-        result = ClassFit(
-            gain_irs=float(gains[0]), gain_cross=float(gains[1]),
-            gain_direct=float(gains[2]), exp_irs=nu, exp_ap=mu,
-            residual_rms=float(np.sqrt(np.mean((np.log1p(model_vals) - target) ** 2))),
-            n_cells=n,
-        )
+        return ClassFit(gain_irs=a, gain_cross=b, gain_direct=c, exp_irs=nu, exp_ap=mu,
+                        residual_rms=math.sqrt(2.0 * cost / n), n_cells=n)
     except ValueError as exc:
         raise FitFailureError(f"fit for class {link.label()} has no valid parameters: "
                               f"{exc}") from None
-    if not converged:
-        raise FitFailureError(
-            f"least squares did not converge for class {link.label()} "
-            f"(residual rms {result.residual_rms:.3e})",
-            best=result,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -38,5 +38,14 @@ def fitted_model(small_map, desk_scenario):
     return fit(small_map, desk_scenario)
 
 
+def desk_config_with(tmp_path, key, value):
+    """The desk config file with ``key = value`` in place of its own line."""
+    lines = [line for line in open(DESK_CONFIG).read().splitlines()
+             if not line.startswith(f"{key} =")]
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join([f"{key} = {value}", *lines]) + "\n")
+    return path
+
+
 def straight_line(scenario: Scenario) -> np.ndarray:
     return np.linspace(scenario.q_start, scenario.q_goal, scenario.n_slots + 1)

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import irsplan
 from irsplan import artifacts, snrmodel
 from irsplan.cli import main
 from irsplan.errors import FitFailureError, SubproblemError
@@ -11,7 +15,7 @@ from irsplan.radiomap import load_map
 from irsplan.sco import IterationRecord
 from irsplan.snrmodel import load_model
 
-from conftest import DESK_CONFIG
+from conftest import DESK_CONFIG, desk_config_with
 
 SMALL = ["--grid", "40", "24", "--draws", "50", "--seed", "3"]
 
@@ -126,6 +130,31 @@ def test_unknown_config_key_exits_3(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 5\n")
     assert main(["map", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
+
+
+@pytest.mark.parametrize("edit,flags", [
+    (None, ["--rmin", "nan"]), (None, ["--rmin", "inf"]),
+    (("n_slots", "inf"), []), (("los_exponent", "x"), [])],
+    ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x"])
+def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, flags):
+    config = desk_config_with(tmp_path, *edit) if edit else DESK_CONFIG
+    out = tmp_path / "run"
+    assert main(["plan", "--config", str(config), "--out", str(out), *SMALL, *flags]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_never_imports_scipy_optimize(tmp_path):
+    # scipy.optimize costs about 16 MB of resident memory per process
+    script = ("import sys\n"
+              "from irsplan.cli import main\n"
+              f"code = main(['plan', '--config', {DESK_CONFIG!r}, '--out', {str(tmp_path)!r},"
+              " '--grid', '20', '12', '--draws', '10', '--seed', '3'])\n"
+              "print(code, 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(irsplan.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_plan_reruns_byte_identically(tmp_path):

@@ -8,7 +8,7 @@ from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
                               los_class_batch, los_classes, motion_energy,
                               obstacle_margin, scenario_overrides)
 
-from conftest import straight_line
+from conftest import DESK_CONFIG, desk_config_with, straight_line
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,38 @@ def test_unknown_config_key_is_named(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("florp = 1\n")
     with pytest.raises(ConfigError, match="florp"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["v_max", "min_avg_rate", "slot_duration", "z_robot", "z_ap",
+                                  "motor_v2", "bandwidth_hz", "ref_gain", "tx_power",
+                                  "los_exponent", "nlos_exponent"])
+def test_non_finite_scenario_field_is_a_config_error(desk_scenario, name, value):
+    with pytest.raises(ConfigError, match="must be finite") as err:
+        scenario_overrides(desk_scenario, **{name: value})
+    assert err.value.key == name
+
+
+def test_nan_safety_level_is_a_config_error(desk_scenario):
+    with pytest.raises(ConfigError, match="must be finite"):
+        scenario_overrides(desk_scenario, safety_level=math.nan)
+
+
+@pytest.mark.parametrize("key,value", [("n_slots", "inf"), ("n_slots", "nan"),
+                                       ("n_antennas", "inf"), ("los_exponent", "x"),
+                                       ("nlos_exponent", "nan"), ("v_max", "nan")])
+def test_bad_config_scalar_is_a_config_error_naming_the_key(tmp_path, key, value):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(desk_config_with(tmp_path, key, value))
+    assert key in str(err.value)
+
+
+def test_bad_shape_obstacle_height_is_a_config_error(tmp_path):
+    path = tmp_path / "shape.cfg"
+    path.write_text(open(DESK_CONFIG).read().split("\n[obstacle]")[0]
+                    + "\n[obstacle]\ncenter = 17 18.5\nshape = 9 0 4\nheight = x\n")
+    with pytest.raises(ConfigError, match="obstacle"):
         load_scenario(path)
 
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from irsplan import audit
 from irsplan.channel import expected_snr
 from irsplan.errors import FileFormatError, FitFailureError, UnsupportedVersionError
-from irsplan.radiomap import RadioMap
+from irsplan.radiomap import RadioMap, build_map
 from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, distances, los_class_batch,
-                              los_classes)
-from irsplan.snrmodel import (ClassFit, SnrModel, fit, linearize_rate, load_model, rate,
-                              rate_app_position_gradient, rate_app_position_hessian,
-                              rate_app_value, rate_gradient, rate_hessian_distances,
-                              _fit_class, save_model, slot_rate, snr_hat)
+                              los_classes, scenario_overrides)
+from irsplan.snrmodel import (MIN_CLASS_CELLS, ClassFit, SnrModel, fit, linearize_rate,
+                              load_model, rate, rate_app_position_gradient,
+                              rate_app_position_hessian, rate_app_value, rate_gradient,
+                              rate_hessian_distances, _fit_class, save_model, slot_rate,
+                              snr_hat)
 
 from conftest import straight_line
 
@@ -304,10 +305,12 @@ def test_fit_with_monte_carlo_noise_recovers_within_ten_percent(empty_scenario):
         assert getattr(got, name) == pytest.approx(getattr(truth, name), rel=0.10)
 
 
-@pytest.mark.parametrize("link", [LinkClass(True, True), LinkClass(False, False)])
-def test_fit_recovers_the_exact_expected_snr_parameters(desk_scenario, link):
+@pytest.mark.parametrize("m", [0, 16, 64])
+@pytest.mark.parametrize("link", ALL_LINK_CLASSES,
+                         ids=lambda link: link.label().replace(" ", "-"))
+def test_fit_recovers_the_exact_expected_snr_parameters(desk_scenario, link, m):
     # the physics ground truth: an exact-mean desk map at the published scale
-    sc = desk_scenario
+    sc = scenario_overrides(desk_scenario, n_irs_elements=m)
     xmin, xmax, ymin, ymax = sc.workspace
     nx, ny = 100, 60
     cell = (xmax - xmin) / nx
@@ -330,6 +333,17 @@ def test_fit_recovers_the_exact_expected_snr_parameters(desk_scenario, link):
     got = fit(exact, sc).fit_for(link)
     assert got.inherited_from is None
     assert got.as_tuple() == pytest.approx(truth, rel=1e-9)
+
+
+def test_seed_332_desk_map_fits_every_class(desk_scenario):
+    # its ap=NLOS irs=LOS class sits on a (gain_cross, exp_ap) ridge that once
+    # ran the fit into its iteration cap
+    built = build_map(desk_scenario, nx=100, ny=60, draws_per_cell=200, seed=332)
+    model = fit(built, desk_scenario)
+    for link in ALL_LINK_CLASSES:
+        got = model.fit_for(link)
+        assert got.inherited_from is None and got.n_cells >= MIN_CLASS_CELLS
+        assert math.isfinite(got.residual_rms)
 
 
 # ---------------------------------------------------------------------------
