@@ -6,7 +6,7 @@ rate-greedy one when the average-rate requirement rules the first out.
 
 from irsplan.graphinit import build_graph, select_initial, shortest_path
 from irsplan.radiomap import build_map
-from irsplan.scenario import load_scenario, los_classes, motion_energy, scenario_overrides
+from irsplan.scenario import load_scenario, motion_energy, scenario_overrides
 from irsplan.snrmodel import fit, rate
 
 base = load_scenario("configs/desk_scenario.cfg")
@@ -20,7 +20,7 @@ for m in (0, 64):
           f"{sc.min_avg_rate / 1e9:.1f} Gbps")
     for mode in ("ME", "MR"):
         traj = shortest_path(build_graph(sc, model=model, mode=mode))
-        avg = rate(model, los_classes(traj, sc), traj, sc) / 1e9
+        avg = rate(model, traj, sc) / 1e9
         print(f"  {mode} path: energy {motion_energy(traj, sc):8.1f} J, "
               f"average rate {avg:.3f} Gbps")
     selection = select_initial(sc, model)

@@ -15,7 +15,6 @@ from .scenario import (  # noqa: F401
     Scenario,
     distances,
     load_scenario,
-    los_classes,
     motion_energy,
     obstacle_margin,
     scenario_overrides,
@@ -39,7 +38,6 @@ __all__ = [
     "Scenario",
     "distances",
     "load_scenario",
-    "los_classes",
     "motion_energy",
     "obstacle_margin",
     "scenario_overrides",

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import FileFormatError, UnsupportedVersionError
-from .scenario import LinkClass, Scenario, distances, los_class_batch
+from .scenario import Scenario, distances, los_class_batch
 from .snrmodel import slot_rate
 
 _TRAJ_TAG = "irsplan-trajectory"
@@ -30,15 +30,14 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
     energies = (scenario.motor_v2 * steps**2 / dt + scenario.motor_v1 * steps
                 + scenario.motor_v0 * dt)
-    ap_los, irs_los = los_class_batch(traj, scenario)
-    rates = slot_rate(model, LinkClass(ap_los, irs_los), *distances(traj, scenario),
-                      scenario)
+    links = los_class_batch(traj, scenario)
+    rates = slot_rate(model, links, *distances(traj, scenario), scenario)
 
     lines = [f"# {_TRAJ_TAG} v{_VERSION}",
              f"# scenario={scenario.fingerprint()}",
              _TRAJ_COLUMNS]
     rows = zip(traj.tolist(), [0.0, *steps.tolist()], [0.0, *energies.tolist()],
-               rates.tolist(), ap_los.tolist(), irs_los.tolist())
+               rates.tolist(), links.ap_los.tolist(), links.irs_los.tolist())
     for k, ((x, y), step, energy, rate_k, ap, irs) in enumerate(rows):
         lines.append(
             f"{k},{x!r},{y!r},{step!r},{energy!r},{rate_k!r},"

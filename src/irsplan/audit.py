@@ -4,7 +4,7 @@ This module is intentionally written as plain scalar arithmetic, separate
 from the vectorized code paths that produce trajectories, so that every
 artifact can be re-audited by logic that shares only the constraint
 definitions with the planner. The one thing it takes from them is each
-waypoint's visibility class, from ``scenario.los_classes``. Used by the
+waypoint's visibility class, from ``scenario.los_class_batch``. Used by the
 initializer, the descent loop, the CLI ``audit`` verb, and the test suite.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .scenario import Scenario, los_classes
+from .scenario import LinkClass, Scenario, los_class_batch
 
 ENDPOINT_TOL = 1e-9
 STEP_TOL = 1e-6
@@ -108,9 +108,9 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
     total_rate = 0.0
     dz_ap = scenario.z_robot - scenario.z_ap
     dz_irs = scenario.z_robot - scenario.z_irs
-    links = los_classes(traj, scenario)
+    ap_los, irs_los = los_class_batch(traj, scenario)
     for k in range(n):
-        fitted = model.fit_for(links[k])
+        fitted = model.fit_for(LinkClass(ap_los[k], irs_los[k]))
         d_ap = math.sqrt((traj[k][0] - scenario.ap_pos[0]) ** 2
                          + (traj[k][1] - scenario.ap_pos[1]) ** 2 + dz_ap**2)
         d_irs = math.sqrt((traj[k][0] - scenario.irs_pos[0]) ** 2
@@ -156,12 +156,12 @@ def check_p4(traj, sub, tol: float = 1e-6) -> list:
                           traj[k][1] - sub.prev_traj[k][1])
         if move > sub.trust_radius + tol:
             violations.append(f"slot {k}: trust move {move:.8f} > {sub.trust_radius}")
-    for row in sub.obstacle_rows:
-        value = (row.coeff[0] * traj[row.slot][0] + row.coeff[1] * traj[row.slot][1]
-                 + row.offset)
+    rows = sub.obstacle_rows
+    for slot, coeff, offset in zip(rows.slot.tolist(), rows.coeff, rows.offset):
+        value = coeff[0] * traj[slot][0] + coeff[1] * traj[slot][1] + offset
         if value < scenario.safety_level - tol:
             violations.append(
-                f"slot {row.slot}: linearized obstacle {value:.8f} < "
+                f"slot {slot}: linearized obstacle {value:.8f} < "
                 f"{scenario.safety_level}"
             )
 
@@ -169,14 +169,14 @@ def check_p4(traj, sub, tol: float = 1e-6) -> list:
     dz_ap = scenario.z_robot - scenario.z_ap
     dz_irs = scenario.z_robot - scenario.z_irs
     total = 0.0
+    lin = sub.linearization
     for k in range(n):
-        lin = sub.linearization[k]
         d_ap = math.sqrt((traj[k][0] - scenario.ap_pos[0]) ** 2
                          + (traj[k][1] - scenario.ap_pos[1]) ** 2 + dz_ap**2)
         d_irs = math.sqrt((traj[k][0] - scenario.irs_pos[0]) ** 2
                           + (traj[k][1] - scenario.irs_pos[1]) ** 2 + dz_irs**2)
-        total += (lin.value + lin.grad[0] * (d_ap - lin.d_ap0)
-                  + lin.grad[1] * (d_irs - lin.d_irs0))
+        total += (lin.value[k] + lin.grad[k, 0] * (d_ap - lin.d_ap0[k])
+                  + lin.grad[k, 1] * (d_irs - lin.d_irs0[k]))
     required = (scenario.n_slots + 1) * scenario.min_avg_rate
     if total < required - tol * max(1.0, abs(required)):
         violations.append(

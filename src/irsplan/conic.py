@@ -116,6 +116,9 @@ class ConicSolution:
 _BARRIER_REDUCTION = 0.1
 # Iterations without a 10% drop of the worst residual before giving up.
 _STAGNATION_WINDOW = 20
+# Optimal once the worst scaled residual is at most TOL; at most MAX_ITER steps.
+TOL = 1e-8
+MAX_ITER = 200
 
 
 def cone_index(dims) -> Array:
@@ -286,7 +289,7 @@ def _kkt_pattern(G, A: Array, index: Array, reg: float) -> tuple:
     return kkt, slots, take, shift
 
 
-def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
+def solve(problem: ConicProblem) -> ConicSolution:
     """Solve the cone program. Deterministic for identical inputs."""
     c, h, A, b = problem.c, problem.h, problem.A, problem.b
     n, m, p = c.size, h.size, b.size
@@ -369,7 +372,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
     iters = 0
     converged = False
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         iters = iteration
         rx, ry, rz, gap, pobj, pres, dres, gapres = residuals(x, y, s, z)
         mu = gap / n_cones
@@ -377,7 +380,7 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         if best is None or worst < best[0]:
             best = (worst, x.copy(), y.copy(), s.copy(), z.copy())
 
-        if worst <= tol:
+        if worst <= TOL:
             converged = True
             break
 
@@ -454,9 +457,9 @@ def solve(problem: ConicProblem, tol: float = 1e-8, max_iter: int = 200) -> Coni
         _, bx_, by_, bs_, bz_ = best
         x, y, s, z = bx_, by_, bs_, bz_
     rx, ry, rz, gap, pobj, pres, dres, gapres = residuals(x, y, s, z)
-    if converged or max(pres, dres, gapres) <= tol:
+    if converged or max(pres, dres, gapres) <= TOL:
         status = "optimal"
-    elif pres > 1e3 * tol:
+    elif pres > 1e3 * TOL:
         # primal residual irreducible: no cone point satisfies Gx + s = h
         status = "infeasible"
     else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import audit
 from .errors import GraphInfeasibleError, InfeasibleEndpointError
-from .scenario import LinkClass, Scenario, distances, los_class_batch, obstacle_margin
+from .scenario import Scenario, distances, los_class_batch, obstacle_margin
 from .snrmodel import SnrModel, slot_rate
 
 
@@ -92,7 +92,7 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
     if mode == "MR":
         # the grid nodes, then the injected start and goal nodes
         nodes = np.vstack([points, scenario.q_start, scenario.q_goal])
-        rates = slot_rate(model, LinkClass(*los_class_batch(nodes, scenario)),
+        rates = slot_rate(model, los_class_batch(nodes, scenario),
                           *distances(nodes, scenario), scenario)
         node_rate = rates[:-2].reshape(len(ys), len(xs))
         rate_start, rate_goal = rates[-2:].tolist()
@@ -113,7 +113,6 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     scenario = graph.scenario
     k_slots = scenario.n_slots
     q_start, q_goal = scenario.q_start, scenario.q_goal
-    me_mode = graph.mode == "ME"
 
     if k_slots == 1:
         if np.linalg.norm(q_goal - q_start) <= scenario.max_step + 1e-9:
@@ -123,29 +122,25 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     ny, nx = graph.free.shape
     grid = graph.node_positions()
 
-    if me_mode:
-        cap = 0.0
+    # an edge costs edge_cost(its length) + the node cost of its destination
+    if graph.mode == "ME":
+        def edge_cost(length):
+            return _edge_energy(scenario, length)
+        node_cost, goal_cost = np.zeros((ny, nx)), 0.0
     else:
         rates = graph.node_rate[graph.free]
         cap = float(max(rates.max() if rates.size else 0.0,
                         graph.rate_start, graph.rate_goal))
+        edge_cost = np.zeros_like
+        node_cost, goal_cost = cap - graph.node_rate, cap - graph.rate_goal
 
     # layer 0 -> 1: explicit distances from the injected start node
     dist_start = np.linalg.norm(grid - q_start, axis=-1)
     reach0 = (dist_start <= scenario.max_step + 1e-9) & graph.free
-    if me_mode:
-        first = np.where(reach0, _edge_energy(scenario, dist_start), np.inf)
-    else:
-        first = np.where(reach0, cap - graph.node_rate, np.inf)
-
-    dist = first
+    dist = np.where(reach0, edge_cost(dist_start) + node_cost, np.inf)
     preds = []        # per transition 2..K-1: (ny, nx) index of chosen offset
     offsets = graph.offsets
-    if me_mode:
-        lengths = np.linalg.norm(offsets.astype(float), axis=1) * graph.spacing
-        offset_cost = _edge_energy(scenario, lengths)
-    else:
-        offset_cost = None
+    offset_cost = edge_cost(np.linalg.norm(offsets.astype(float), axis=1) * graph.spacing)
 
     for _layer in range(2, k_slots):
         best = np.full((ny, nx), np.inf)
@@ -155,14 +150,13 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
             dst_x = slice(max(0, ox), nx + min(0, ox))
             src_y = slice(max(0, -oy), ny + min(0, -oy))
             src_x = slice(max(0, -ox), nx + min(0, -ox))
-            cand = dist[src_y, src_x] + (offset_cost[idx] if me_mode else 0.0)
+            cand = dist[src_y, src_x] + offset_cost[idx]
             better = cand < best[dst_y, dst_x]
             best[dst_y, dst_x] = np.where(better, cand, best[dst_y, dst_x])
             sub = pred[dst_y, dst_x]
             sub[better] = idx
             pred[dst_y, dst_x] = sub
-        if not me_mode:
-            best = best + (cap - graph.node_rate)
+        best = best + node_cost
         best[~graph.free] = np.inf
         preds.append(pred)
         dist = best
@@ -170,10 +164,7 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     # final transition into the injected goal node
     dist_goal = np.linalg.norm(grid - q_goal, axis=-1)
     reach_goal = dist_goal <= scenario.max_step + 1e-9
-    if me_mode:
-        final = dist + np.where(reach_goal, _edge_energy(scenario, dist_goal), np.inf)
-    else:
-        final = dist + np.where(reach_goal, cap - graph.rate_goal, np.inf)
+    final = dist + np.where(reach_goal, edge_cost(dist_goal) + goal_cost, np.inf)
     final[~graph.free] = np.inf
 
     best_idx = int(np.argmin(final))

@@ -35,8 +35,9 @@ def dbm_to_watts(dbm: float) -> float:
 class LinkClass(NamedTuple):
     """Visibility of the two uplink hops from one robot position.
 
-    The rate functions of ``snrmodel`` also take a LinkClass of two boolean
-    arrays, which gives the class of each of several positions.
+    A LinkClass of two boolean arrays gives the class of each of several
+    positions; ``los_class_batch`` returns one, and the rate functions of
+    ``snrmodel`` take either form.
     """
 
     ap_los: bool
@@ -81,8 +82,8 @@ class Obstacle:
         eigvals = np.linalg.eigvalsh(shape)
         if eigvals.min() <= 0.0:
             raise InvalidObstacleError("shape matrix must be positive definite")
-        if not (self.height > 0.0):
-            raise InvalidObstacleError("obstacle height must be positive")
+        if not (math.isfinite(self.height) and self.height > 0.0):
+            raise InvalidObstacleError("obstacle height must be finite and positive")
         object.__setattr__(self, "shape_inv", np.linalg.inv(shape))
 
     @classmethod
@@ -153,6 +154,9 @@ class Scenario:
         for key in ("motor_v2", "motor_v1", "motor_v0"):
             if getattr(self, key) < 0:
                 raise ConfigError("motor energy constants must be nonnegative", key=key)
+        for key in ("bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent"):
+            if getattr(self, key) <= 0:
+                raise ConfigError("must be positive", key=key)
         if self.tx_power < 0 or self.noise_power <= 0:
             raise ConfigError("powers must be positive (tx may be zero)", key="tx_power")
         if self.n_antennas < 1:
@@ -329,8 +333,8 @@ def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
     return blocked
 
 
-def los_class_batch(points: Array, scenario: Scenario) -> tuple:
-    """Vectorized LOS test: returns (ap_los, irs_los) boolean arrays."""
+def los_class_batch(points: Array, scenario: Scenario) -> LinkClass:
+    """The visibility class of every point, as a LinkClass of boolean arrays."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ap_blocked = np.zeros(len(points), dtype=bool)
     irs_blocked = np.zeros(len(points), dtype=bool)
@@ -339,13 +343,7 @@ def los_class_batch(points: Array, scenario: Scenario) -> tuple:
                                        scenario.z_ap, obs)
         irs_blocked |= _segment_blocked(points, scenario.z_robot, scenario.irs_pos,
                                         scenario.z_irs, obs)
-    return ~ap_blocked, ~irs_blocked
-
-
-def los_classes(points: Array, scenario: Scenario) -> list:
-    """The visibility class of every point, from one los_class_batch call."""
-    ap_los, irs_los = los_class_batch(points, scenario)
-    return [LinkClass(ap, irs) for ap, irs in zip(ap_los.tolist(), irs_los.tolist())]
+    return LinkClass(~ap_blocked, ~irs_blocked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The trajectory descent loop: linearize, solve the convex subproblem, repeat.
 
-Each iteration freezes the per-slot visibility classes at the previous
-trajectory, builds tangent minorants of the rate and of the obstacle
-quadratics there, and solves the resulting second-order cone subproblem
-inside a trust region. The previous trajectory is always feasible for its
+Each iteration builds tangent minorants of the rate (``linearize_rate``,
+which freezes each slot's visibility class) and of the obstacle quadratics
+at the previous trajectory, each as one set of arrays over the slots, and
+solves the resulting second-order cone subproblem inside a trust region. The previous trajectory is always feasible for its
 own subproblem, so accepted energies are non-increasing; every accepted
 iterate must additionally pass the independent original-constraint audit.
 
@@ -31,9 +31,9 @@ import numpy as np
 from . import audit
 from .errors import SubproblemError
 from .graphinit import InitSelection, select_initial
-from .scenario import Scenario, los_classes, motion_energy
+from .scenario import Scenario, motion_energy
 from .snrmodel import SnrModel, linearize_rate
-from .socp import LinearObstacle, assemble_p4, solve_p4
+from .socp import ObstacleLinearization, assemble_p4, solve_p4
 
 # trust-radius retries (see above), 5 of them from the default 1 m radius
 TRUST_SHRINK = 0.5
@@ -81,26 +81,27 @@ class PlanResult:
         return self.status == "optimal"
 
 
-def linearize_obstacles(prev_traj, obstacles) -> list:
+def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
     """Tangent minorants of each obstacle quadratic at the previous waypoints.
 
     For f(q) = (q-c)' P^-1 (q-c), the first-order expansion at q0 is
     f(q0) + grad f(q0) . (q - q0) with grad f = 2 P^-1 (q0-c); convexity of
     f makes it a global under-estimator, so requiring the minorant to clear
     the safety level keeps the admitted half-plane inside the true feasible
-    set.
+    set. Rows run over the free slots, and over the obstacles within a slot.
     """
-    prev_traj = np.asarray(prev_traj, dtype=float)
-    rows = []
-    for k in range(1, len(prev_traj) - 1):
-        q0 = prev_traj[k]
-        for obs in obstacles:
-            diff = q0 - obs.center
-            value = float(diff @ obs.shape_inv @ diff)
-            grad = 2.0 * obs.shape_inv @ diff
-            rows.append(LinearObstacle(slot=k, coeff=grad,
-                                       offset=value - float(grad @ q0)))
-    return rows
+    q0 = np.asarray(prev_traj, dtype=float)[1:-1, None, None, :]   # (free, 1, 1, 2)
+    centers = np.array([obs.center for obs in obstacles]).reshape(-1, 1, 2)
+    shape_inv = np.array([obs.shape_inv for obs in obstacles]).reshape(-1, 2, 2)
+    # batched matmuls with the operand shapes of the per-row form
+    # diff @ P^-1 @ diff and (2 P^-1) @ diff, so every row keeps its bits
+    diff = q0 - centers                                             # (free, obs, 1, 2)
+    value = diff @ shape_inv @ diff.swapaxes(-1, -2)                # (free, obs, 1, 1)
+    grad = ((2.0 * shape_inv) @ diff.swapaxes(-1, -2)).swapaxes(-1, -2)
+    offset = value - grad @ q0.swapaxes(-1, -2)
+    n_free, n_obs = value.shape[:2]
+    return ObstacleLinearization(slot=np.repeat(np.arange(1, n_free + 1), n_obs),
+                                 coeff=grad.reshape(-1, 2), offset=offset.reshape(-1))
 
 
 def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) -> PlanResult:
@@ -124,8 +125,7 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
 
     for iteration in range(1, config.n_it_max + 1):
         t0 = time.perf_counter()
-        links = los_classes(traj, scenario)
-        lins = linearize_rate(model, links, traj, scenario)
+        lins = linearize_rate(model, traj, scenario)
         obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
 
         trust = config.trust_radius

@@ -32,7 +32,7 @@ import numpy as np
 from .channel import _snr_form
 from .errors import FileFormatError, FitFailureError, UnsupportedVersionError
 from .radiomap import RadioMap, _header_fields
-from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances
+from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances, los_class_batch
 
 log = logging.getLogger(__name__)
 
@@ -91,36 +91,31 @@ class SnrModel:
 
 @dataclass(frozen=True)
 class RateLinearization:
-    """First-order expansion of one slot's rate around fixed distances.
+    """First-order expansion of each slot k's rate around fixed distances.
 
-    rate_app(d) = value + grad[0] * (d_ap - d_ap0) + grad[1] * (d_irs - d_irs0)
+    rate_app_k(d) = value[k] + grad[k] . (d_ap - d_ap0[k], d_irs - d_irs0[k])
 
-    Both gradient entries are nonpositive, which makes rate_app concave as a
-    function of the planar position (the distances are convex in position).
+    All gradient entries are nonpositive, which makes each rate_app_k concave
+    as a function of the planar position (the distances are convex in it).
     """
 
-    link: LinkClass
-    d_ap0: float
-    d_irs0: float
-    value: float              # bits/s at the expansion point
-    grad: np.ndarray          # (d/d d_ap, d/d d_irs), bits/s per meter
+    d_ap0: np.ndarray         # (n,) expansion distances, meters
+    d_irs0: np.ndarray        # (n,)
+    value: np.ndarray         # (n,) bits/s at the expansion points
+    grad: np.ndarray          # (n, 2) (d/d d_ap, d/d d_irs), bits/s per meter
 
     def __post_init__(self):
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-        if self.grad.shape != (2,):
-            raise ValueError("gradient must be a 2-vector")
-        if self.grad[0] > 1e-12 or self.grad[1] > 1e-12:
+        for name in ("d_ap0", "d_irs0", "value", "grad"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.grad.shape != (len(self.value), 2):
+            raise ValueError("need one gradient 2-vector per slot")
+        if np.any(self.grad > 1e-12):
             raise ValueError("rate gradient components must be nonpositive")
 
 
 def _check_distances(d_ap, d_irs):
     if np.any(np.asarray(d_ap) <= 0) or np.any(np.asarray(d_irs) <= 0):
         raise ValueError("distances must be positive")
-
-
-def _per_point(links) -> LinkClass:
-    """A sequence of visibility classes as one LinkClass of boolean arrays."""
-    return LinkClass(*np.array(links, dtype=bool).reshape(-1, 2).T)
 
 
 def _class_params(model: SnrModel, link: LinkClass) -> np.ndarray:
@@ -156,13 +151,11 @@ def slot_rate(model: SnrModel, link: LinkClass, d_ap, d_irs, scenario: Scenario)
     return scenario.bandwidth_hz * np.log2(1.0 + s)
 
 
-def rate(model: SnrModel, links, traj, scenario: Scenario) -> float:
+def rate(model: SnrModel, traj, scenario: Scenario) -> float:
     """Average fitted rate along a trajectory (mean over the K+1 slots), bits/s."""
     traj = np.asarray(traj, dtype=float)
-    if len(links) != len(traj):
-        raise ValueError("need one visibility class per waypoint")
-    d_ap, d_irs = distances(traj, scenario)
-    return float(np.mean(slot_rate(model, _per_point(links), d_ap, d_irs, scenario)))
+    links = los_class_batch(traj, scenario)
+    return float(np.mean(slot_rate(model, links, *distances(traj, scenario), scenario)))
 
 
 def _term_shapes(nu, mu, d_ap, d_irs) -> tuple:
@@ -214,46 +207,43 @@ def rate_hessian_distances(model: SnrModel, link: LinkClass, d_ap: float,
     return np.array([[h_aa, h_ai], [h_ai, h_ii]])
 
 
-def linearize_rate(model: SnrModel, links, expansion_traj, scenario: Scenario):
-    """Per-slot tangent minorants of the rate around an expansion trajectory."""
+def linearize_rate(model: SnrModel, expansion_traj, scenario: Scenario) -> RateLinearization:
+    """Tangent minorants of every slot's rate, with each class frozen at its waypoint."""
     expansion_traj = np.asarray(expansion_traj, dtype=float)
-    if len(links) != len(expansion_traj):
-        raise ValueError("need one visibility class per waypoint")
-    per_point = _per_point(links)
+    links = los_class_batch(expansion_traj, scenario)
     d_ap, d_irs = distances(expansion_traj, scenario)
-    values = slot_rate(model, per_point, d_ap, d_irs, scenario)
-    grads = rate_gradient(model, per_point, d_ap, d_irs, scenario)
-    return [
-        RateLinearization(link=link, d_ap0=d_ap0, d_irs0=d_irs0, value=value, grad=grad)
-        for link, d_ap0, d_irs0, value, grad
-        in zip(links, d_ap.tolist(), d_irs.tolist(), values.tolist(), grads)
-    ]
+    return RateLinearization(d_ap0=d_ap, d_irs0=d_irs,
+                             value=slot_rate(model, links, d_ap, d_irs, scenario),
+                             grad=rate_gradient(model, links, d_ap, d_irs, scenario))
 
 
-def rate_app_value(lin: RateLinearization, q, scenario: Scenario) -> float:
-    """Linearized slot rate at position q (a global under-estimator)."""
-    d_ap, d_irs = distances(q, scenario)
-    return lin.value + lin.grad[0] * (d_ap - lin.d_ap0) + lin.grad[1] * (d_irs - lin.d_irs0)
+def rate_app_value(lin: RateLinearization, points, scenario: Scenario) -> np.ndarray:
+    """Linearized rate of each slot k at points[k] (global under-estimators)."""
+    d_ap, d_irs = distances(points, scenario)
+    return (lin.value + lin.grad[:, 0] * (d_ap - lin.d_ap0)
+            + lin.grad[:, 1] * (d_irs - lin.d_irs0))
 
 
-def rate_app_position_gradient(lin: RateLinearization, q, scenario: Scenario) -> np.ndarray:
-    """Gradient of the linearized slot rate w.r.t. the planar position."""
-    q = np.asarray(q, dtype=float)
-    d_ap, d_irs = distances(q, scenario)
-    return (lin.grad[0] * (q - scenario.ap_pos) / d_ap
-            + lin.grad[1] * (q - scenario.irs_pos) / d_irs)
+def rate_app_position_gradient(lin: RateLinearization, points,
+                               scenario: Scenario) -> np.ndarray:
+    """(n, 2) gradients of the linearized slot rates w.r.t. the planar positions."""
+    points = np.asarray(points, dtype=float)
+    d_ap, d_irs = distances(points, scenario)
+    return (lin.grad[:, :1] * (points - scenario.ap_pos) / d_ap[:, None]
+            + lin.grad[:, 1:] * (points - scenario.irs_pos) / d_irs[:, None])
 
 
-def rate_app_position_hessian(lin: RateLinearization, q, scenario: Scenario) -> np.ndarray:
-    """Position Hessian of the linearized slot rate; negative semidefinite."""
-    q = np.asarray(q, dtype=float)
-    d_ap, d_irs = distances(q, scenario)
+def rate_app_position_hessian(lin: RateLinearization, points,
+                              scenario: Scenario) -> np.ndarray:
+    """(n, 2, 2) position Hessians of the linearized slot rates; negative semidefinite."""
+    points = np.asarray(points, dtype=float)
+    d_ap, d_irs = (d[:, None, None] for d in distances(points, scenario))
     eye = np.eye(2)
-    u_ap = q - scenario.ap_pos
-    u_irs = q - scenario.irs_pos
-    h_ap = (d_ap**2 * eye - np.outer(u_ap, u_ap)) / d_ap**3
-    h_irs = (d_irs**2 * eye - np.outer(u_irs, u_irs)) / d_irs**3
-    return lin.grad[0] * h_ap + lin.grad[1] * h_irs
+    u_ap = points - scenario.ap_pos
+    u_irs = points - scenario.irs_pos
+    h_ap = (d_ap**2 * eye - u_ap[:, :, None] * u_ap[:, None, :]) / d_ap**3
+    h_irs = (d_irs**2 * eye - u_irs[:, :, None] * u_irs[:, None, :]) / d_irs**3
+    return lin.grad[:, 0, None, None] * h_ap + lin.grad[:, 1, None, None] * h_irs
 
 
 # ---------------------------------------------------------------------------

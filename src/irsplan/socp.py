@@ -31,24 +31,23 @@ import numpy as np
 from .conic import ConicProblem, ConicSolution, solve
 from .errors import AssemblyError
 from .scenario import Scenario, motion_energy
+from .snrmodel import RateLinearization
 
 GBPS = 1e-9
 
 
 @dataclass(frozen=True)
-class LinearObstacle:
-    """Tangent minorant of one obstacle quadratic at one slot's anchor.
+class ObstacleLinearization:
+    """Tangent minorants of the obstacle quadratics, one row per (slot, obstacle).
 
-    minorant(q) = coeff . q + offset  <=  (q - center)' P^-1 (q - center);
-    the subproblem enforces minorant(q) >= safety_level.
+    Row i reads coeff[i] . q + offset[i] <= (q - center)' P^-1 (q - center)
+    for waypoint q of slot[i] and the row's obstacle; the subproblem
+    enforces coeff[i] . q + offset[i] >= safety_level.
     """
 
-    slot: int
-    coeff: np.ndarray
-    offset: float
-
-    def minorant(self, q) -> float:
-        return float(self.coeff @ np.asarray(q, dtype=float)) + self.offset
+    slot: np.ndarray               # (r,) int, the free slot of each row
+    coeff: np.ndarray              # (r, 2)
+    offset: np.ndarray             # (r,)
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ class P4Subproblem:
     problem: ConicProblem
     scenario: Scenario
     prev_traj: np.ndarray
-    linearization: list            # RateLinearization per slot 0..K
-    obstacle_rows: tuple           # LinearObstacle for free slots
+    linearization: RateLinearization   # slots 0..K
+    obstacle_rows: ObstacleLinearization
     trust_radius: float
 
     @property
@@ -93,7 +92,7 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
                 obstacle_rows, trust_radius: float) -> P4Subproblem:
     """Build the conic subproblem around the previous trajectory.
 
-    ``linearization`` holds one RateLinearization per slot 0..K (anchored at
+    ``linearization`` holds the rate minorants of slots 0..K (anchored at
     prev_traj); ``obstacle_rows`` the affine obstacle constraints for free
     slots. The previous trajectory must be feasible for the subproblem at
     itself, which makes its energy an upper bound on the optimum.
@@ -102,13 +101,11 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     k_slots = scenario.n_slots
     if prev_traj.shape != (k_slots + 1, 2):
         raise AssemblyError(f"previous trajectory must be ({k_slots + 1}, 2)")
-    if len(linearization) != k_slots + 1:
+    if len(linearization.value) != k_slots + 1:
         raise AssemblyError("need one rate linearization per slot")
     if trust_radius < 0:
         raise AssemblyError("trust radius must be nonnegative")
-    obs_slot = np.array([row.slot for row in obstacle_rows], dtype=int)
-    obs_coeff = np.array([row.coeff for row in obstacle_rows], dtype=float).reshape(-1, 2)
-    obs_offset = np.array([row.offset for row in obstacle_rows], dtype=float)
+    obs_slot = obstacle_rows.slot
     if np.any((obs_slot < 1) | (obs_slot > k_slots - 1)):
         raise AssemblyError("obstacle rows apply to free slots only")
 
@@ -165,19 +162,19 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
 
     # obstacles: coeff . q + offset >= safety_level
     r = 8 * k_slots + 11 * n_free + np.arange(len(obs_slot))
-    G[r[:, None], 2 * (obs_slot[:, None] - 1) + axes] = -obs_coeff
-    h[r] = obs_offset - scenario.safety_level
+    G[r[:, None], 2 * (obs_slot[:, None] - 1) + axes] = -obstacle_rows.coeff
+    h[r] = obstacle_rows.offset - scenario.safety_level
 
     # rate constraint: sum of per-slot minorants >= (K+1) * r_min, in Gbps.
     # Fixed endpoints contribute their exact anchored rates; free slots
     # contribute beta_k + grad . (s_ap, s_irs) with nonpositive gradients.
     # The constant is a running sum in slot order (np.sum would pair terms
     # and round differently).
-    value = np.array([lin.value for lin in linearization])
-    grad = np.array([lin.grad for lin in linearization[1:-1]]).reshape(-1, 2)
-    d0 = np.array([(lin.d_ap0, lin.d_irs0) for lin in linearization[1:-1]]).reshape(-1, 2)
+    value = linearization.value
+    grad = linearization.grad[1:-1]
     beta = value.copy()
-    beta[1:-1] = value[1:-1] - grad[:, 0] * d0[:, 0] - grad[:, 1] * d0[:, 1]
+    beta[1:-1] = (value[1:-1] - grad[:, 0] * linearization.d_ap0[1:-1]
+                  - grad[:, 1] * linearization.d_irs0[1:-1])
     h[-1] = (np.add.accumulate(beta * GBPS)[-1]
              - (k_slots + 1) * scenario.min_avg_rate * GBPS)
     G[-1, off_sa + free] = -(grad[:, 0] * GBPS)
@@ -186,7 +183,7 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     problem = ConicProblem(c=c, G=G, h=h, dims=dims)
     return P4Subproblem(
         problem=problem, scenario=scenario, prev_traj=prev_traj,
-        linearization=list(linearization), obstacle_rows=tuple(obstacle_rows),
+        linearization=linearization, obstacle_rows=obstacle_rows,
         trust_radius=trust_radius,
     )
 

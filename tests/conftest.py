@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from irsplan.radiomap import build_map
-from irsplan.scenario import ALL_LINK_CLASSES, Scenario, load_scenario, scenario_overrides
+from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, Scenario, load_scenario,
+                              los_class_batch, scenario_overrides)
 from irsplan.snrmodel import ClassFit, SnrModel, fit
 
 DESK_CONFIG = "configs/desk_scenario.cfg"
@@ -49,3 +50,8 @@ def desk_config_with(tmp_path, key, value):
 
 def straight_line(scenario: Scenario) -> np.ndarray:
     return np.linspace(scenario.q_start, scenario.q_goal, scenario.n_slots + 1)
+
+
+def point_class(q, scenario: Scenario) -> LinkClass:
+    """The visibility class of one position, as a LinkClass of two bools."""
+    return LinkClass(*(flags.item() for flags in los_class_batch(np.array([q]), scenario)))

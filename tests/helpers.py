@@ -7,7 +7,7 @@ import numpy as np
 from irsplan.conic import ConicProblem
 from irsplan.scenario import scenario_overrides
 from irsplan.snrmodel import RateLinearization
-from irsplan.socp import LinearObstacle, assemble_p4
+from irsplan.socp import ObstacleLinearization, assemble_p4
 
 
 def _cone_slices(dims):
@@ -61,30 +61,29 @@ def random_k2_subproblem(base_scenario, seed, trust=1.0):
                             min_avg_rate=0.0, v_max=float(rng.uniform(1.5, 3.0)))
     mid = (start + goal) / 2
 
-    obstacle_rows = []
+    coeffs, offsets = [], []
     for _ in range(int(rng.integers(0, 3))):
         direction = rng.standard_normal(2)
         direction /= np.linalg.norm(direction)
         slack = rng.uniform(0.1, 1.0)
         # admitted half-plane direction . q >= direction . mid - slack,
-        # expressed through the minorant form minorant(q) >= safety_level
-        obstacle_rows.append(LinearObstacle(
-            slot=1, coeff=direction,
-            offset=sc.safety_level - float(direction @ mid) + slack,
-        ))
+        # expressed through the minorant form coeff . q + offset >= safety_level
+        coeffs.append(direction)
+        offsets.append(sc.safety_level - float(direction @ mid) + slack)
+    obstacle_rows = ObstacleLinearization(slot=np.ones(len(coeffs), dtype=int),
+                                          coeff=np.reshape(coeffs, (-1, 2)),
+                                          offset=np.array(offsets))
 
-    lins = []
+    d_ap0, d_irs0, values, grads = [], [], [], []
     for q in (start, mid, goal):
-        grad = -rng.uniform(0.0, 0.12e9, size=2)     # bits/s per meter, nonpositive
-        d_ap = math.hypot(np.linalg.norm(q - sc.ap_pos), sc.z_robot - sc.z_ap)
-        d_irs = math.hypot(np.linalg.norm(q - sc.irs_pos), sc.z_robot - sc.z_irs)
-        lins.append(RateLinearization(
-            link=None, d_ap0=d_ap, d_irs0=d_irs,
-            value=float(rng.uniform(1.8e9, 2.6e9)), grad=grad,
-        ))
+        grads.append(-rng.uniform(0.0, 0.12e9, size=2))   # bits/s per meter, nonpositive
+        d_ap0.append(math.hypot(np.linalg.norm(q - sc.ap_pos), sc.z_robot - sc.z_ap))
+        d_irs0.append(math.hypot(np.linalg.norm(q - sc.irs_pos), sc.z_robot - sc.z_irs))
+        values.append(float(rng.uniform(1.8e9, 2.6e9)))
+    lins = RateLinearization(d_ap0=d_ap0, d_irs0=d_irs0, value=values, grad=grads)
     # rate requirement sits below the previous trajectory's linearized rate
     prev = np.stack([start, mid, goal])
-    r_prev = sum(lin.value for lin in lins) / 3.0
+    r_prev = sum(values) / 3.0
     sc = scenario_overrides(sc, min_avg_rate=r_prev * float(rng.uniform(0.9, 0.999)))
     return assemble_p4(sc, lins, prev, obstacle_rows, trust)
 
@@ -107,19 +106,20 @@ def grid_search_k2(sub, resolution=0.01):
     step1 = np.linalg.norm(pts - start, axis=1)
     step2 = np.linalg.norm(goal - pts, axis=1)
     ok &= (step1 <= sc.max_step) & (step2 <= sc.max_step)
-    for row in sub.obstacle_rows:
-        ok &= pts @ row.coeff + row.offset >= sc.safety_level
+    for coeff, offset in zip(sub.obstacle_rows.coeff, sub.obstacle_rows.offset):
+        ok &= pts @ coeff + offset >= sc.safety_level
     dz_ap = sc.z_robot - sc.z_ap
     dz_irs = sc.z_robot - sc.z_irs
     d_ap = np.sqrt(((pts - sc.ap_pos) ** 2).sum(1) + dz_ap**2)
     d_irs = np.sqrt(((pts - sc.irs_pos) ** 2).sum(1) + dz_irs**2)
     total_rate = np.zeros(len(pts))
-    for k, lin in enumerate(sub.linearization):
+    lin = sub.linearization
+    for k in range(3):
         if k == 1:
-            total_rate += (lin.value + lin.grad[0] * (d_ap - lin.d_ap0)
-                           + lin.grad[1] * (d_irs - lin.d_irs0))
+            total_rate += (lin.value[k] + lin.grad[k, 0] * (d_ap - lin.d_ap0[k])
+                           + lin.grad[k, 1] * (d_irs - lin.d_irs0[k]))
         else:
-            total_rate += lin.value
+            total_rate += lin.value[k]
     ok &= total_rate >= 3 * sc.min_avg_rate
 
     if not np.any(ok):

@@ -202,17 +202,17 @@ def test_criterion_4_position_concavity_and_minorant(desk):
     for _ in range(100):
         model = SnrModel(fits={l: _random_params(rng) for l in ALL_LINK_CLASSES})
         anchor = rng.uniform([1, 1], [49, 29])
-        lin = linearize_rate(model, [LOS], anchor[None, :], sc)[0]
-        q = rng.uniform([1, 1], [49, 29])
-        hess = rate_app_position_hessian(lin, q, sc)
+        lin = linearize_rate(model, anchor[None, :], sc)
+        q = rng.uniform([1, 1], [49, 29])[None]
+        hess = rate_app_position_hessian(lin, q, sc)[0]
         max_eig = max(max_eig, float(np.linalg.eigvalsh(hess).max()))
         h = 1e-4
         fdh = np.zeros((2, 2))
         for i in range(2):
             dq = np.zeros(2)
             dq[i] = h
-            fdh[:, i] = (rate_app_position_gradient(lin, q + dq, sc)
-                         - rate_app_position_gradient(lin, q - dq, sc)) / (2 * h)
+            fdh[:, i] = (rate_app_position_gradient(lin, q + dq, sc)[0]
+                         - rate_app_position_gradient(lin, q - dq, sc)[0]) / (2 * h)
         fdh = 0.5 * (fdh + fdh.T)
         worst_fd = max(worst_fd, float(np.max(np.abs(hess - fdh)) / np.abs(fdh).max()))
 
@@ -222,13 +222,13 @@ def test_criterion_4_position_concavity_and_minorant(desk):
     for trial in range(100):
         rng2 = np.random.default_rng(4000 + trial)
         anchor_traj = rng2.uniform([1, 1], [49, 29], size=(31, 2))
-        lins = linearize_rate(model, [LOS] * 31, anchor_traj, sc)
+        lins = linearize_rate(model, anchor_traj, sc)
         probe = rng2.uniform([1, 1], [49, 29], size=(31, 2))
-        for lin, q in zip(lins, probe):
+        for approx, q in zip(rate_app_value(lins, probe, sc), probe):
             from irsplan.scenario import distances
             d_ap, d_irs = distances(q, sc)
             true = float(slot_rate(model, LOS, d_ap, d_irs, sc))
-            gap = (rate_app_value(lin, q, sc) - true) / max(abs(true), 1e-300)
+            gap = (approx - true) / max(abs(true), 1e-300)
             worst_minorant = max(worst_minorant, gap)
     elapsed = time.perf_counter() - t0
     ok = max_eig < 0 and worst_fd <= 1e-3 and worst_minorant <= 1e-9

@@ -134,8 +134,9 @@ def test_unknown_config_key_exits_3(tmp_path):
 
 @pytest.mark.parametrize("edit,flags", [
     (None, ["--rmin", "nan"]), (None, ["--rmin", "inf"]),
-    (("n_slots", "inf"), []), (("los_exponent", "x"), [])],
-    ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x"])
+    (("n_slots", "inf"), []), (("los_exponent", "x"), []),
+    (("bandwidth_mhz", "-200.0"), [])],
+    ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative"])
 def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, flags):
     config = desk_config_with(tmp_path, *edit) if edit else DESK_CONFIG
     out = tmp_path / "run"

@@ -7,8 +7,7 @@ import pytest
 from irsplan import audit
 from irsplan.errors import GraphInfeasibleError, InfeasibleEndpointError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import (Obstacle, los_classes, motion_energy,
-                              scenario_overrides)
+from irsplan.scenario import Obstacle, motion_energy, scenario_overrides
 from irsplan.snrmodel import rate
 
 from conftest import straight_line
@@ -167,9 +166,7 @@ def test_mr_path_rate_at_least_me_path_rate(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=0.0)
     me = shortest_path(build_graph(sc, model=fitted_model, mode="ME"))
     mr = shortest_path(build_graph(sc, model=fitted_model, mode="MR"))
-    links_me = los_classes(me, sc)
-    links_mr = los_classes(mr, sc)
-    assert rate(fitted_model, links_mr, mr, sc) >= rate(fitted_model, links_me, me, sc)
+    assert rate(fitted_model, mr, sc) >= rate(fitted_model, me, sc)
 
 
 def test_select_initial_prefers_me_when_rate_unconstrained(desk_scenario, fitted_model):

@@ -9,9 +9,9 @@ from irsplan.channel import optimal_snr_samples
 from irsplan.cli import main
 from irsplan.errors import FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import build_map, load_map, save_map
-from irsplan.scenario import LinkClass, distances, los_classes, scenario_overrides
+from irsplan.scenario import LinkClass, distances, scenario_overrides
 
-from conftest import DESK_CONFIG
+from conftest import DESK_CONFIG, point_class
 
 
 def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
@@ -20,7 +20,7 @@ def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
     for iy in range(3):
         for ix in range(5):
             center = np.array([xs[ix], ys[iy]])
-            link = los_classes(np.array([center]), empty_scenario)[0]
+            link = point_class(center, empty_scenario)
             expected = optimal_snr_samples(*distances(center, empty_scenario),
                                            empty_scenario, link, 1, 40 ^ (iy * 5 + ix))[0]
             assert built.avg_snr[iy, ix] == expected
@@ -171,7 +171,7 @@ def test_doubling_draws_stays_within_three_standard_errors(desk_scenario):
 
 def test_variance_shrinks_with_draw_count(desk_scenario):
     # sample-variance oracle: per-cell estimator variance scales like 1/draws
-    link = los_classes(np.array([[25.0, 15.0]]), desk_scenario)[0]
+    link = point_class([25.0, 15.0], desk_scenario)
     d_ap, d_irs = distances([25.0, 15.0], desk_scenario)
     singles = np.array([
         optimal_snr_samples(d_ap, d_irs, desk_scenario, link, 1, 1000 + i)[0]

@@ -5,10 +5,10 @@ import pytest
 
 from irsplan.errors import ConfigError, InvalidObstacleError, InvalidTrajectoryError
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
-                              los_class_batch, los_classes, motion_energy,
+                              los_class_batch, motion_energy,
                               obstacle_margin, scenario_overrides)
 
-from conftest import DESK_CONFIG, desk_config_with, straight_line
+from conftest import DESK_CONFIG, desk_config_with, point_class, straight_line
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _los_sampling_oracle(q, target, z0, z1, obstacles, step=0.01):
 
 
 def test_no_obstacles_means_both_los(empty_scenario):
-    assert los_classes(np.array([[20.0, 20.0]]), empty_scenario)[0] == LinkClass(True, True)
+    assert point_class([20.0, 20.0], empty_scenario) == LinkClass(True, True)
 
 
 def test_tall_obstacle_on_segment_blocks_ap(empty_scenario):
@@ -140,11 +140,11 @@ def test_tall_obstacle_on_segment_blocks_ap(empty_scenario):
     blocker = Obstacle.from_extents(mid, 6.0, 4.0, height=50.0)  # taller than both ends
     sc_blocked = scenario_overrides(sc, obstacles=(blocker,),
                                     q_start=[2.0, 2.0], q_goal=[48.0, 2.0])
-    assert los_classes(np.array([q]), sc_blocked)[0].ap_los is False
+    assert point_class(q, sc_blocked).ap_los is False
 
 
 def test_desk_corridor_midpoint_is_double_los(desk_scenario):
-    link = los_classes(np.array([[25.0, 15.0]]), desk_scenario)[0]
+    link = point_class([25.0, 15.0], desk_scenario)
     assert link == LinkClass(True, True)
     assert _los_sampling_oracle([25.0, 15.0], desk_scenario.ap_pos,
                                 desk_scenario.z_robot, desk_scenario.z_ap,
@@ -218,6 +218,20 @@ def test_non_finite_scenario_field_is_a_config_error(desk_scenario, name, value)
     with pytest.raises(ConfigError, match="must be finite") as err:
         scenario_overrides(desk_scenario, **{name: value})
     assert err.value.key == name
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0])
+@pytest.mark.parametrize("name", ["bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent"])
+def test_nonpositive_channel_field_is_a_config_error(desk_scenario, name, value):
+    with pytest.raises(ConfigError, match="must be positive") as err:
+        scenario_overrides(desk_scenario, **{name: value})
+    assert err.value.key == name
+
+
+@pytest.mark.parametrize("height", [math.inf, -math.inf, math.nan])
+def test_non_finite_obstacle_height_is_rejected(height):
+    with pytest.raises(InvalidObstacleError, match="height"):
+        Obstacle.from_extents([10.0, 10.0], 4.0, 2.0, height=height)
 
 
 def test_nan_safety_level_is_a_config_error(desk_scenario):

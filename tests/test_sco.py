@@ -5,24 +5,22 @@ import pytest
 
 from irsplan import audit
 from irsplan.graphinit import build_graph, shortest_path
-from irsplan.scenario import (Obstacle, los_classes, motion_energy,
+from irsplan.scenario import (LinkClass, Obstacle, los_class_batch, motion_energy,
                               obstacle_margin, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
 
-from conftest import straight_line
+from conftest import point_class, straight_line
 
 
 def test_obstacle_linearization_exact_at_anchor(desk_scenario):
     prev = straight_line(desk_scenario)
     rows = linearize_obstacles(prev, desk_scenario.obstacles)
-    assert len(rows) == (desk_scenario.n_slots - 1) * len(desk_scenario.obstacles)
+    assert len(rows.slot) == (desk_scenario.n_slots - 1) * len(desk_scenario.obstacles)
     # at the anchor the affine minorant equals the true quadratic
-    by_slot = {}
-    for row in rows:
-        by_slot.setdefault(row.slot, []).append(row)
-    for slot, slot_rows in by_slot.items():
+    for slot in set(rows.slot.tolist()):
         anchor = prev[slot]
-        values = sorted(r.minorant(anchor) for r in slot_rows)
+        here = rows.slot == slot
+        values = sorted((rows.coeff[here] @ anchor + rows.offset[here]).tolist())
         true_vals = sorted(obstacle_margin(anchor, o) for o in desk_scenario.obstacles)
         assert values == pytest.approx(true_vals, rel=1e-12)
 
@@ -34,26 +32,59 @@ def test_obstacle_linearization_is_tangent_minorant(desk_scenario):
     obstacles = list(desk_scenario.obstacles)
     for _ in range(100):
         q = rng.uniform([0, 0], [50, 30])
-        for row in rows:
+        for slot, coeff, offset in zip(rows.slot, rows.coeff, rows.offset):
             # identify the obstacle by re-deriving the row at its anchor
-            anchor = prev[row.slot]
+            anchor = prev[slot]
             for obs in obstacles:
                 grad = 2.0 * obs.shape_inv @ (anchor - obs.center)
-                if np.allclose(grad, row.coeff):
-                    assert row.minorant(q) <= obstacle_margin(q, obs) + 1e-9
+                if np.allclose(grad, coeff):
+                    assert coeff @ q + offset <= obstacle_margin(q, obs) + 1e-9
 
 
 def test_obstacle_half_plane_hand_case():
     obs = Obstacle(np.array([0.0, 0.0]), np.eye(2), 2.0)
     prev = np.array([[5.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
-    row = linearize_obstacles(prev, (obs,))[0]
+    rows = linearize_obstacles(prev, (obs,))
     # hand expansion at q0 = (2, 0): f(q0) = 4, grad f = (4, 0), offset -4,
     # so the admitted half-plane against level d_s is x >= (d_s + 4) / 4
-    assert np.allclose(row.coeff, [4.0, 0.0])
-    assert row.offset == pytest.approx(-4.0, rel=1e-12)
+    assert np.allclose(rows.coeff[0], [4.0, 0.0])
+    assert rows.offset[0] == pytest.approx(-4.0, rel=1e-12)
     d_s = 1.35
-    x_threshold = (d_s - row.offset) / row.coeff[0]
+    x_threshold = (d_s - rows.offset[0]) / rows.coeff[0, 0]
     assert x_threshold == pytest.approx((d_s + 4.0) / 4.0, rel=1e-12)
+
+
+def _scalar_obstacle_rows(prev, obstacles):
+    """The per-(slot, obstacle) formula, one row at a time, as lists."""
+    slots, coeffs, offsets = [], [], []
+    for k in range(1, len(prev) - 1):
+        for obs in obstacles:
+            diff = prev[k] - obs.center
+            value = float(diff @ obs.shape_inv @ diff)
+            grad = 2.0 * obs.shape_inv @ diff
+            slots.append(k)
+            coeffs.append(grad)
+            offsets.append(value - float(grad @ prev[k]))
+    return slots, coeffs, offsets
+
+
+@pytest.mark.parametrize("n_slots", [1, 2, 30])
+def test_batched_obstacle_rows_keep_the_bits_of_the_scalar_formula(desk_scenario, n_slots):
+    rng = np.random.default_rng(n_slots)
+    for _ in range(20):
+        prev = rng.uniform([0.0, 0.0], [50.0, 30.0], size=(n_slots + 1, 2))
+        rows = linearize_obstacles(prev, desk_scenario.obstacles)
+        slots, coeffs, offsets = _scalar_obstacle_rows(prev, desk_scenario.obstacles)
+        assert rows.slot.tolist() == slots
+        assert np.array_equal(rows.coeff.view(np.int64),
+                              np.reshape(coeffs, (-1, 2)).view(np.int64))
+        assert np.array_equal(rows.offset.view(np.int64), np.array(offsets).view(np.int64))
+
+
+def test_no_obstacles_give_empty_rows(desk_scenario):
+    rows = linearize_obstacles(straight_line(desk_scenario), ())
+    assert rows.slot.shape == (0,) and rows.coeff.shape == (0, 2)
+    assert rows.offset.shape == (0,)
 
 
 def test_unconstrained_run_reaches_uniform_straight_line(empty_scenario, toy_model):
@@ -125,7 +156,8 @@ def test_stationarity_at_convergence(desk_scenario, fitted_model):
 def test_batched_link_classes_match_per_waypoint_classes(desk_scenario, fitted_model,
                                                          mode):
     path = shortest_path(build_graph(desk_scenario, model=fitted_model, mode=mode))
-    links = los_classes(path, desk_scenario)
-    assert links == [los_classes(np.array([q]), desk_scenario)[0] for q in path]
-    assert all(type(flag) is bool for link in links for flag in link)
+    batch = los_class_batch(path, desk_scenario)
+    links = [LinkClass(*pair) for pair in zip(batch.ap_los.tolist(), batch.irs_los.tolist())]
+    assert links == [point_class(q, desk_scenario) for q in path]
+    assert batch.ap_los.dtype == bool and batch.irs_los.dtype == bool
     assert len(set(links)) > 1      # the desk seed paths cross a shadow edge

@@ -10,8 +10,9 @@ from irsplan.channel import expected_snr
 from irsplan.errors import FileFormatError, FitFailureError, UnsupportedVersionError
 from irsplan.radiomap import RadioMap, build_map
 from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, distances, los_class_batch,
-                              los_classes, scenario_overrides)
-from irsplan.snrmodel import (MIN_CLASS_CELLS, ClassFit, SnrModel, fit, linearize_rate,
+                              scenario_overrides)
+from irsplan.snrmodel import (MIN_CLASS_CELLS, ClassFit, RateLinearization, SnrModel, fit,
+                              linearize_rate,
                               load_model, rate, rate_app_position_gradient,
                               rate_app_position_hessian, rate_app_value, rate_gradient,
                               rate_hessian_distances, _fit_class, save_model, slot_rate,
@@ -78,8 +79,7 @@ def test_rate_of_zero_snr_is_zero(empty_scenario):
     dead = SnrModel(fits={l: ClassFit(0.0, 0.0, 0.0, 2.0, 2.0)
                           for l in ALL_LINK_CLASSES})
     traj = straight_line(empty_scenario)
-    links = [LOS] * len(traj)
-    assert rate(dead, links, traj, empty_scenario) == 0.0
+    assert rate(dead, traj, empty_scenario) == 0.0
 
 
 def test_constant_snr_1023_gives_two_gbps(empty_scenario):
@@ -90,13 +90,11 @@ def test_constant_snr_1023_gives_two_gbps(empty_scenario):
         for l in ALL_LINK_CLASSES
     })
     traj = straight_line(empty_scenario)
-    links = [LOS] * len(traj)
-    assert rate(const, links, traj, empty_scenario) == pytest.approx(2e9, rel=1e-14)
+    assert rate(const, traj, empty_scenario) == pytest.approx(2e9, rel=1e-14)
 
 
 def test_rate_matches_independent_per_slot_summation(empty_scenario, toy_model):
     traj = straight_line(empty_scenario)
-    links = [LOS] * len(traj)
     total = 0.0
     for q in traj:   # scalar re-evaluation oracle
         d_ap, d_irs = distances(q, empty_scenario)
@@ -105,7 +103,7 @@ def test_rate_matches_independent_per_slot_summation(empty_scenario, toy_model):
              + cf.gain_cross * d_irs**(-cf.exp_irs / 2) * d_ap**(-cf.exp_ap / 2)
              + cf.gain_direct * d_ap**-cf.exp_ap) * empty_scenario.snr_scale
         total += empty_scenario.bandwidth_hz * math.log2(1 + s)
-    assert rate(toy_model, links, traj, empty_scenario) == pytest.approx(
+    assert rate(toy_model, traj, empty_scenario) == pytest.approx(
         total / len(traj), rel=1e-12
     )
 
@@ -175,37 +173,35 @@ def test_cross_term_free_hessian_offdiagonal_is_gradient_product(empty_scenario)
 
 def test_linearization_exact_at_anchor(empty_scenario, toy_model):
     anchor = np.array([[20.0, 12.0]])
-    lin = linearize_rate(toy_model, [LOS], anchor, empty_scenario)[0]
+    lin = linearize_rate(toy_model, anchor, empty_scenario)
     d_ap, d_irs = distances(anchor[0], empty_scenario)
-    assert rate_app_value(lin, anchor[0], empty_scenario) == pytest.approx(
+    assert rate_app_value(lin, anchor, empty_scenario)[0] == pytest.approx(
         float(slot_rate(toy_model, LOS, d_ap, d_irs, empty_scenario)), rel=1e-14
     )
 
 
 def test_linearization_is_global_underestimator(empty_scenario, toy_model):
     rng = np.random.default_rng(2)
-    lin = linearize_rate(toy_model, [LOS], np.array([[20.0, 12.0]]),
-                         empty_scenario)[0]
+    lin = linearize_rate(toy_model, np.array([[20.0, 12.0]]), empty_scenario)
     for _ in range(100):
         q = rng.uniform([0, 0], [50, 30])
         d_ap, d_irs = distances(q, empty_scenario)
         true = float(slot_rate(toy_model, LOS, d_ap, d_irs, empty_scenario))
-        assert rate_app_value(lin, q, empty_scenario) <= true * (1 + 1e-9)
+        assert rate_app_value(lin, q[None], empty_scenario)[0] <= true * (1 + 1e-9)
 
 
 def test_position_gradient_matches_finite_differences(empty_scenario, toy_model):
-    lin = linearize_rate(toy_model, [LOS], np.array([[20.0, 12.0]]),
-                         empty_scenario)[0]
+    lin = linearize_rate(toy_model, np.array([[20.0, 12.0]]), empty_scenario)
     rng = np.random.default_rng(3)
     h = 1e-6
     for _ in range(20):
-        q = rng.uniform([2, 2], [48, 28])
-        g = rate_app_position_gradient(lin, q, empty_scenario)
+        q = rng.uniform([2, 2], [48, 28])[None]
+        g = rate_app_position_gradient(lin, q, empty_scenario)[0]
         fd = np.array([
-            (rate_app_value(lin, q + [h, 0], empty_scenario)
-             - rate_app_value(lin, q - [h, 0], empty_scenario)) / (2 * h),
-            (rate_app_value(lin, q + [0, h], empty_scenario)
-             - rate_app_value(lin, q - [0, h], empty_scenario)) / (2 * h),
+            (rate_app_value(lin, q + [h, 0], empty_scenario)[0]
+             - rate_app_value(lin, q - [h, 0], empty_scenario)[0]) / (2 * h),
+            (rate_app_value(lin, q + [0, h], empty_scenario)[0]
+             - rate_app_value(lin, q - [0, h], empty_scenario)[0]) / (2 * h),
         ])
         assert np.all(np.abs(g - fd) <= 1e-6 * np.maximum(np.abs(fd), 1.0))
 
@@ -214,9 +210,9 @@ def test_position_hessian_negative_definite(empty_scenario, toy_model):
     rng = np.random.default_rng(4)
     for _ in range(50):
         anchor = rng.uniform([2, 2], [48, 28])
-        lin = linearize_rate(toy_model, [LOS], anchor[None, :], empty_scenario)[0]
+        lin = linearize_rate(toy_model, anchor[None, :], empty_scenario)
         q = rng.uniform([2, 2], [48, 28])
-        hess = rate_app_position_hessian(lin, q, empty_scenario)
+        hess = rate_app_position_hessian(lin, q[None], empty_scenario)[0]
         eig = np.linalg.eigvalsh(hess)
         assert eig.max() < 0
         # leading principal minors alternate: H00 < 0, det > 0
@@ -435,6 +431,17 @@ def test_vectorized_rate_matches_the_scalar_audit(desk_scenario, points, params)
     traj = np.array(points)
     assert len(traj) == desk_scenario.n_slots + 1
     model = SnrModel(fits={link: ClassFit(*p) for link, p in zip(ALL_LINK_CLASSES, params)})
-    planner = rate(model, los_classes(traj, desk_scenario), traj, desk_scenario)
+    planner = rate(model, traj, desk_scenario)
     audited = audit.check_p3(traj, desk_scenario, model).avg_rate
     assert planner == pytest.approx(audited, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("grad,message", [
+    (np.zeros((3, 3)), "one gradient 2-vector per slot"),
+    (np.zeros(2), "one gradient 2-vector per slot"),
+    ([[0.0, -1.0], [2e-12, -1.0]], "nonpositive"),
+], ids=["three-columns", "one-vector", "positive-entry"])
+def test_rate_linearization_rejects_a_bad_gradient(grad, message):
+    n = len(np.atleast_2d(grad))
+    with pytest.raises(ValueError, match=message):
+        RateLinearization(d_ap0=np.ones(n), d_irs0=np.ones(n), value=np.ones(n), grad=grad)

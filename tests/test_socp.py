@@ -9,8 +9,8 @@ from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
                            dump_problem, jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
 from irsplan.errors import AssemblyError, FileFormatError
-from irsplan.scenario import distances, los_classes, motion_energy, scenario_overrides
-from irsplan.snrmodel import linearize_rate
+from irsplan.scenario import distances, motion_energy, scenario_overrides
+from irsplan.snrmodel import RateLinearization, linearize_rate
 from irsplan.sco import linearize_obstacles
 from irsplan.socp import assemble_p4, solve_p4
 
@@ -160,8 +160,7 @@ def test_problem_dump_round_trip(tmp_path):
 def _desk_subproblem(scenario, model, trust=1.0):
     sc = scenario_overrides(scenario, min_avg_rate=1.0e9)
     traj = straight_line(sc)
-    links = los_classes(traj, sc)
-    lins = linearize_rate(model, links, traj, sc)
+    lins = linearize_rate(model, traj, sc)
     rows = linearize_obstacles(traj, sc.obstacles)
     return assemble_p4(sc, lins, traj, rows, trust), sc, traj
 
@@ -178,22 +177,18 @@ def test_two_slot_symmetric_instance_puts_midpoint_in_the_middle(empty_scenario)
     sc = scenario_overrides(empty_scenario, n_slots=2, q_start=[20.0, 15.0],
                             q_goal=[24.0, 15.0], min_avg_rate=0.0)
     prev = np.array([[20.0, 15.0], [21.0, 14.0], [24.0, 15.0]])
-    lins = [
-        # harmless constant linearizations (zero slope)
-        linearize_rate_stub(sc, q) for q in prev
-    ]
-    sub = assemble_p4(sc, lins, prev, [], trust_radius=3.0)
+    # harmless constant linearizations (zero slope)
+    lins = linearize_rate_stub(sc, prev)
+    sub = assemble_p4(sc, lins, prev, linearize_obstacles(prev, ()), trust_radius=3.0)
     sol = solve_p4(sub)
     assert sol.status == "optimal"
     assert np.allclose(sol.trajectory[1], [22.0, 15.0], atol=1e-5)
 
 
-def linearize_rate_stub(sc, q):
-    from irsplan.snrmodel import RateLinearization
-    from irsplan.scenario import distances
-    d_ap, d_irs = distances(q, sc)
-    return RateLinearization(link=None, d_ap0=d_ap, d_irs0=d_irs, value=1.0e9,
-                             grad=np.zeros(2))
+def linearize_rate_stub(sc, traj):
+    d_ap, d_irs = distances(traj, sc)
+    return RateLinearization(d_ap0=d_ap, d_irs0=d_irs, value=np.full(len(traj), 1.0e9),
+                             grad=np.zeros((len(traj), 2)))
 
 
 def test_subproblem_objective_never_exceeds_previous_energy(desk_scenario, fitted_model):
@@ -203,8 +198,7 @@ def test_subproblem_objective_never_exceeds_previous_energy(desk_scenario, fitte
                             0.8 * np.sin(np.linspace(0, math.pi, len(prev)))], axis=1)
     prev[0], prev[-1] = sc.q_start, sc.q_goal
     assert audit.check_p3(prev, sc, fitted_model).ok   # prev feasible for itself
-    links = los_classes(prev, sc)
-    lins = linearize_rate(fitted_model, links, prev, sc)
+    lins = linearize_rate(fitted_model, prev, sc)
     rows = linearize_obstacles(prev, sc.obstacles)
     sub = assemble_p4(sc, lins, prev, rows, 1.0)
     sol = solve_p4(sub)
@@ -241,19 +235,21 @@ def test_subproblem_determinism(desk_scenario, fitted_model):
 
 def test_assembly_validates_shapes(desk_scenario, fitted_model):
     sub, sc, traj = _desk_subproblem(desk_scenario, fitted_model)
+    lin, no_rows = sub.linearization, linearize_obstacles(traj, ())
+    short = RateLinearization(lin.d_ap0[:-1], lin.d_irs0[:-1], lin.value[:-1], lin.grad[:-1])
     with pytest.raises(AssemblyError):
-        assemble_p4(sc, sub.linearization[:-1], traj, [], 1.0)
+        assemble_p4(sc, short, traj, no_rows, 1.0)
     with pytest.raises(AssemblyError):
-        assemble_p4(sc, sub.linearization, traj[:-1], [], 1.0)
+        assemble_p4(sc, lin, traj[:-1], no_rows, 1.0)
     with pytest.raises(AssemblyError):
-        assemble_p4(sc, sub.linearization, traj, [], -1.0)
+        assemble_p4(sc, lin, traj, no_rows, -1.0)
 
 
 @pytest.mark.parametrize("n_slots", [1, 2, 30])
 def test_assembled_rows_are_the_constraint_families(desk_scenario, fitted_model, n_slots):
     sc = scenario_overrides(desk_scenario, n_slots=n_slots)
     prev = straight_line(sc)
-    lins = linearize_rate(fitted_model, los_classes(prev, sc), prev, sc)
+    lins = linearize_rate(fitted_model, prev, sc)
     rows = linearize_obstacles(prev, sc.obstacles)
     sub = assemble_p4(sc, lins, prev, rows, 0.8)
     n_free, dt, gbps = n_slots - 1, sc.slot_duration, 1e-9
@@ -279,13 +275,13 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, fitted_model,
                      [s_ap[k - 1], *(q[k] - sc.ap_pos), sc.z_robot - sc.z_ap],
                      [s_irs[k - 1], *(q[k] - sc.irs_pos), sc.z_robot - sc.z_irs]]
         dims += [3, 4, 4]
-    for row in rows:
-        expected.append([row.minorant(q[row.slot]) - sc.safety_level])
+    for slot, coeff, offset in zip(rows.slot, rows.coeff, rows.offset):
+        expected.append([coeff @ q[slot] + offset - sc.safety_level])
         dims.append(1)
-    rate = [lin.value for lin in lins]
+    rate = lins.value.tolist()
     for k in range(1, n_slots):
-        g_ap, g_irs = lins[k].grad
-        rate[k] += g_ap * (s_ap[k - 1] - lins[k].d_ap0) + g_irs * (s_irs[k - 1] - lins[k].d_irs0)
+        g_ap, g_irs = lins.grad[k]
+        rate[k] += g_ap * (s_ap[k - 1] - lins.d_ap0[k]) + g_irs * (s_irs[k - 1] - lins.d_irs0[k])
     expected.append([(sum(rate) - (n_slots + 1) * sc.min_avg_rate) * gbps])
     dims.append(1)
 
