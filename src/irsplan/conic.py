@@ -10,11 +10,17 @@ where K is a product of cones given as a list of dimensions: dimension 1
 means a nonnegative-orthant coordinate, dimension >= 2 a second-order cone
 {(t, v) : ||v|| <= t}. The dual variable z lives in the same cone.
 
-The algorithm is a Mehrotra predictor-corrector path follower with
-Nesterov-Todd scaling, one sparse LU factorization of the full
-quasi-definite KKT system per iteration and iterative refinement on every
-solve. It is fully deterministic. Primal infeasibility is reported on
-residual stagnation rather than via a homogeneous embedding certificate.
+The algorithm is a Mehrotra predictor-corrector path follower on the
+homogeneous self-dual embedding (Vandenberghe, "The CVXOPT linear and
+quadratic cone program solvers", 2010; ECOS): the pair (kappa, tau) joins
+(s, z) as one more dimension-1 cone, the start is x = y = 0, s = z = e,
+and each iteration takes Nesterov-Todd scaling, one sparse LU
+factorization of the full quasi-definite KKT system and iteratively refined
+solves; the tau column costs one extra solve and a scalar Schur
+complement. A solve ends ``optimal`` when the point scaled by 1/tau meets
+every residual tolerance, ``infeasible`` or ``unbounded`` when the iterate
+holds a Farkas certificate, and ``max-iter`` otherwise. It is fully
+deterministic.
 
 What does not change within a solve is built once: G as a sparse matrix
 (and its transpose) for every product, and the CSC pattern of the KKT
@@ -92,11 +98,16 @@ class ConicProblem:
 
 @dataclass
 class ConicSolution:
+    """The last iterate scaled by 1/tau, or a certificate normalized to -1:
+    (y, z) with h'z + b'y = -1 when ``infeasible``, (x, s) with c'x = -1
+    when ``unbounded``; the other pair is then NaN. Objectives and residuals
+    are those of the last iterate scaled by 1/tau."""
+
     x: Array
     s: Array
     z: Array
     y: Array
-    status: str                   # optimal | max-iter | infeasible
+    status: str                   # optimal | max-iter | infeasible | unbounded
     iterations: int
     primal_objective: float
     dual_objective: float
@@ -111,12 +122,8 @@ class ConicSolution:
 # ``_blocks(u, index)``, whose column 0 is t and columns 1: are v, works on
 # it as one array and scatters the result back with ``_unblock``.
 
-# Centering used when the Mehrotra estimate is unusable (degenerate affine
-# step); normally the centering parameter adapts per iteration.
-_BARRIER_REDUCTION = 0.1
-# Iterations without a 10% drop of the worst residual before giving up.
-_STAGNATION_WINDOW = 20
-# Optimal once the worst scaled residual is at most TOL; at most MAX_ITER steps.
+# Optimal once the worst scaled residual is at most TOL, certified infeasible
+# or unbounded once a normalized Farkas residual is; at most MAX_ITER steps.
 TOL = 1e-8
 MAX_ITER = 200
 
@@ -189,21 +196,21 @@ def max_step_to_boundary(u: Array, du: Array, index) -> float:
 
     Per cone the step is bounded by the t + alpha dt >= 0 face and by the
     smallest positive root of jnorm2(u + alpha du) = a alpha^2 + b alpha + c,
-    where c > 0 for interior u (a linear equation where a vanishes).
+    where c > 0 for interior u. The roots are q/a and c/q with
+    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, which cancels no digits when a
+    is tiny; c/q is also the single root when a vanishes.
     """
     ub, db = _blocks(u, index), _blocks(du, index)
     u0, d0 = ub[:, 0], db[:, 0]
     a = _jnorm2(db)
     b = 2.0 * (u0 * d0 - _rowdot(ub[:, 1:], db[:, 1:]))
     c = _jnorm2(ub)
-    flat = np.abs(a) < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         face = np.where(d0 < 0, -u0 / d0, math.inf)
-        linear = np.where(flat & (b < 0), -c / b, math.inf)
-        sq = np.sqrt(b * b - 4.0 * a * c)          # nan: no real root
-        roots = np.where(flat, math.inf, [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-    return min(float(face.min(initial=math.inf)), float(linear.min(initial=math.inf)),
-               float(roots[roots > 1e-300].min(initial=math.inf)))
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))   # nan: no real root
+        roots = np.array([q / a, c / q])
+    return min(float(face.min(initial=math.inf)),
+               float(roots[roots > 0].min(initial=math.inf)))
 
 
 class _NTScaling:
@@ -260,7 +267,8 @@ def _kkt_pattern(G, A: Array, index: Array, reg: float) -> tuple:
     for sparse G, with every entry of the cones' W^2 blocks in the pattern.
     Returns (kkt, slots, take, shift): ``kkt.data[slots] = shift -
     w2.ravel()[take]`` writes the last block from the (k, dmax, dmax) blocks
-    ``w2``, whose pad rows and columns ``take`` leaves out.
+    ``w2``, whose pad rows and columns ``take`` leaves out, as it leaves out
+    every row of ``index`` at or past m (the (kappa, tau) cone).
     """
     m, n = G.shape
     p = A.shape[0]
@@ -293,9 +301,11 @@ def solve(problem: ConicProblem) -> ConicSolution:
     """Solve the cone program. Deterministic for identical inputs."""
     c, h, A, b = problem.c, problem.h, problem.A, problem.b
     n, m, p = c.size, h.size, b.size
-    index = cone_index(problem.dims)
-    n_cones = len(problem.dims)
-    e = np.zeros(m)
+    # (kappa, tau) is one more dimension-1 cone after the problem's cones,
+    # stored as s[m] and z[m]: scaling, Jordan algebra and steps cover it
+    index = cone_index(problem.dims + (1,))
+    degree = len(problem.dims) + 1
+    e = np.zeros(m + 1)
     e[index[:, 0]] = 1.0                      # the cone identity
     reg = 1e-10
 
@@ -306,168 +316,114 @@ def solve(problem: ConicProblem) -> ConicSolution:
     G = scipy.sparse.csr_matrix(problem.G)
     GT = G.T.tocsr()
     kkt, slots, take, shift = _kkt_pattern(G, A, index, reg)
-    k, d = index.shape
-    identity = np.broadcast_to(np.eye(d), (k, d, d))
+    reg_diag = np.concatenate([np.full(n, reg), np.full(p + m, -reg)])
 
-    def factor(w2):
+    def factor(scaling):
         """Sparse LU of the full quasi-definite KKT matrix
 
             [ dI   A'   G'     ]
             [ A   -dI   0      ]
             [ G    0   -W2-dI  ]
 
-        with the W^2 blocks ``w2`` written into the fixed pattern.
+        with the cones' W^2 blocks written into the fixed pattern.
         Factoring the full system (rather than the Schur complement)
         keeps the conditioning linear in that of the scaled data, which
         is what lets the iterates reach 1e-9 residuals.
         """
-        kkt.data[slots] = shift - w2.ravel()[take]
+        kkt.data[slots] = shift - scaling.w2_blocks().ravel()[take]
         return scipy.sparse.linalg.splu(kkt)
 
-    def kkt_solve(lu, w2, bx, by, bz):
+    def kkt_solve(lu, rhs):
         """Solve the KKT system with refinement against the unregularized
-        operator; returns (dx, dy, dz)."""
-        rhs = np.concatenate([bx, by, bz])
-
-        def unreg_residual(sol):
-            dx, dy, dz = sol[:n], sol[n:n + p], sol[n + p:]
-            w2_dz = _unblock(np.einsum("kij,kj->ki", w2, _blocks(dz, index)), index, m)
-            return np.concatenate([A.T @ dy + GT @ dz - bx,
-                                   A @ dx - by,
-                                   G @ dx - w2_dz - bz])
-
+        operator ``kkt - diag(reg_diag)``; returns (dx, dy, dz)."""
         sol = lu.solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError("non-finite KKT solution")
         for _ in range(2):
-            sol = sol - lu.solve(unreg_residual(sol))
+            sol = sol + lu.solve(rhs - kkt @ sol + reg_diag * sol)
         return sol[:n], sol[n:n + p], sol[n + p:]
 
-    # --- initial point: two solves with identity scaling, then shift into the cone
-    lu0 = factor(identity)
-    x, y, dz = kkt_solve(lu0, identity, np.zeros(n), b.copy(), h.copy())
-    s = -dz                      # equals h - G x up to regularization
-    margin = cone_margin(s, index)
-    if margin < 1e-8:
-        s = s + (1.0 + abs(margin)) * e
-    _, y, z = kkt_solve(lu0, identity, -c, np.zeros(p), np.zeros(m))
-    margin = cone_margin(z, index)
-    if margin < 1e-8:
-        z = z + (1.0 + abs(margin)) * e
+    x, y = np.zeros(n), np.zeros(p)
+    s, z = e.copy(), e.copy()
 
-    def residuals(x, y, s, z):
-        rx = A.T @ y + GT @ z + c
-        ry = A @ x - b
-        rz = G @ x + s - h
-        gap = float(s @ z)
-        pobj = float(c @ x)
-        pres = max(np.linalg.norm(rz) / norm_h, np.linalg.norm(ry) / norm_b)
-        dres = np.linalg.norm(rx) / norm_c
-        gapres = gap / max(1.0, abs(pobj))
-        return rx, ry, rz, gap, pobj, float(pres), float(dres), float(gapres)
-
-    best = None          # (worst, x, y, s, z)
-    best_progress = math.inf
-    stall = 0
-    iters = 0
-    converged = False
-
-    for iteration in range(1, MAX_ITER + 1):
-        iters = iteration
-        rx, ry, rz, gap, pobj, pres, dres, gapres = residuals(x, y, s, z)
-        mu = gap / n_cones
-        worst = max(pres, dres, gapres)
-        if best is None or worst < best[0]:
-            best = (worst, x.copy(), y.copy(), s.copy(), z.copy())
-
-        if worst <= TOL:
-            converged = True
-            break
-
-        # residual stagnation: numerically saturated or infeasible
-        if worst < best_progress * 0.9:
-            best_progress = worst
-            stall = 0
+    for iters in range(1, MAX_ITER + 1):
+        tau, kappa = z[m], s[m]
+        # residuals of the embedding, and of the certificates (tau = 0)
+        aty_gtz = A.T @ y + GT @ z[:m]
+        ax, gx_s = A @ x, G @ x + s[:m]
+        cx, hz_by = float(c @ x), float(h @ z[:m] + b @ y)
+        rx, ry, rz = aty_gtz + c * tau, ax - b * tau, gx_s - h * tau
+        rt = kappa + cx + hz_by
+        pres = max(np.linalg.norm(rz) / norm_h, np.linalg.norm(ry) / norm_b) / tau
+        dres = np.linalg.norm(rx) / norm_c / tau
+        gapres = float(s[:m] @ z[:m]) / tau**2 / max(1.0, abs(cx) / tau)
+        if max(pres, dres, gapres) <= TOL:
+            status = "optimal"
+        elif hz_by < 0 and np.linalg.norm(aty_gtz) <= TOL * norm_c * -hz_by:
+            status = "infeasible"
+        elif cx < 0 and max(np.linalg.norm(gx_s) / norm_h,
+                            np.linalg.norm(ax) / norm_b) <= TOL * -cx:
+            status = "unbounded"
         else:
-            stall += 1
-            if stall >= _STAGNATION_WINDOW:
-                break
+            status = "max-iter"
+        if status != "max-iter" or iters == MAX_ITER:
+            break
 
         try:
             scaling = _NTScaling(s, z, index)
             lam = scaling.apply(z)                 # lam = W z
-            w2 = scaling.w2_blocks()
-            lu = factor(w2)
+            lu = factor(scaling)
+            # K (x1, y1, z1) = (-c, b, h) is the tau column; dtau then
+            # follows from the scalar Schur complement of the tau row
+            x1, y1, z1 = kkt_solve(lu, np.concatenate([-c, b, h]))
+            schur = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
 
-            # predictor (affine) direction
-            lam_sq = jordan_product(lam, lam, index)
-            u = jordan_divide(lam, -lam_sq, index)
-            bz_t = -rz - scaling.apply(u)
-            dx_a, dy_a, dz_a = kkt_solve(lu, w2, -rx, -ry, bz_t)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError,
-                scipy.linalg.LinAlgError):
-            break      # numerically exhausted; report the best iterate
-        ds_a = -rz - G @ dx_a
+            def direction(u, keep):
+                """Newton direction of lam o (W dz + W^-1 ds) = lam o u, with
+                the linear residuals reduced to ``keep`` times their value."""
+                wu, f = scaling.apply(u), keep - 1.0
+                dx, dy, dz = kkt_solve(lu, np.concatenate([f * rx, f * ry, f * rz - wu[:m]]))
+                dtau = (f * rt - wu[m] - c @ dx - b @ dy - h @ dz) / schur
+                dz = np.append(dz + dtau * z1, dtau)
+                return dx + dtau * x1, dy + dtau * y1, scaling.apply(u - scaling.apply(dz)), dz
 
-        alpha_aff = min(
-            1.0,
-            max_step_to_boundary(s, ds_a, index),
-            max_step_to_boundary(z, dz_a, index),
-        )
-        mu_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a)) / n_cones
-        if mu > 0 and np.isfinite(mu_aff):
+            # predictor (affine) direction: lam \ (-lam o lam) = -lam
+            _, _, ds_a, dz_a = direction(-lam, 0.0)
+            alpha_aff = min(1.0, max_step_to_boundary(s, ds_a, index),
+                            max_step_to_boundary(z, dz_a, index))
+            mu = float(s @ z) / degree
+            mu_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a)) / degree
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
-        else:
-            sigma = _BARRIER_REDUCTION
 
-        # corrector + centering
-        correction = jordan_product(
-            scaling.apply(ds_a, inverse=True), scaling.apply(dz_a), index
-        )
-        d_comb = -lam_sq - correction + sigma * mu * e
-        u = jordan_divide(lam, d_comb, index)
-        bz_t = -rz - scaling.apply(u)
-        try:
-            dx_c, dy_c, dz_c = kkt_solve(lu, w2, -rx, -ry, bz_t)
+            # corrector + centering
+            correction = jordan_product(
+                scaling.apply(ds_a, inverse=True), scaling.apply(dz_a), index)
+            d_comb = -jordan_product(lam, lam, index) - correction + sigma * mu * e
+            dx, dy, ds, dz = direction(jordan_divide(lam, d_comb, index), sigma)
         except (ValueError, RuntimeError, np.linalg.LinAlgError,
                 scipy.linalg.LinAlgError):
-            break
-        ds_c = -rz - G @ dx_c
+            break      # numerically exhausted
 
-        alpha = 0.99 * min(
-            max_step_to_boundary(s, ds_c, index),
-            max_step_to_boundary(z, dz_c, index),
-        )
-        alpha = min(1.0, alpha)
+        alpha = min(1.0, 0.99 * min(max_step_to_boundary(s, ds, index),
+                                    max_step_to_boundary(z, dz, index)))
         if not np.isfinite(alpha) or alpha <= 1e-13:
             break
+        x = x + alpha * dx
+        y = y + alpha * dy
+        s = s + alpha * ds
+        z = z + alpha * dz
 
-        x = x + alpha * dx_c
-        y = y + alpha * dy_c
-        s = s + alpha * ds_c
-        z = z + alpha * dz_c
-        # keep iterates numerically interior
-        for vec in (s, z):
-            margin = cone_margin(vec, index)
-            if margin <= 0.0:
-                vec += (abs(margin) + 1e-14) * e
-
-    # report the best iterate seen (the last accepted step may be worse)
-    if best is not None:
-        _, bx_, by_, bs_, bz_ = best
-        x, y, s, z = bx_, by_, bs_, bz_
-    rx, ry, rz, gap, pobj, pres, dres, gapres = residuals(x, y, s, z)
-    if converged or max(pres, dres, gapres) <= TOL:
-        status = "optimal"
-    elif pres > 1e3 * TOL:
-        # primal residual irreducible: no cone point satisfies Gx + s = h
-        status = "infeasible"
+    # the point is (x, y, s, z) / tau; a certificate is normalized to -1
+    if status == "infeasible":
+        x, y, s, z = np.full(n, np.nan), y / -hz_by, np.full(m, np.nan), z[:m] / -hz_by
+    elif status == "unbounded":
+        x, y, s, z = x / -cx, np.full(p, np.nan), s[:m] / -cx, np.full(m, np.nan)
     else:
-        status = "max-iter"
+        x, y, s, z = x / tau, y / tau, s[:m] / tau, z[:m] / tau
     return ConicSolution(
         x=x, s=s, z=z, y=y, status=status, iterations=iters,
-        primal_objective=pobj, dual_objective=float(-(b @ y) - (h @ z)),
-        primal_residual=pres, dual_residual=dres, gap_residual=gapres,
+        primal_objective=cx / tau, dual_objective=-hz_by / tau,
+        primal_residual=float(pres), dual_residual=float(dres), gap_residual=gapres,
     )
 
 

@@ -175,9 +175,9 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
         if abs(previous_energy - energy) / max(previous_energy, 1e-12) <= config.epsilon:
             break
 
-    final_report = audit.check_p3(traj, scenario, model)
+    # the last record holds the audit of traj, on every exit path
     return PlanResult(
         status="optimal", init_label=selection.label, trajectory=traj,
         energy=energy, trace=trace, init_reports=selection.reports,
-        final_audit=final_report, final_residuals=last_residuals,
+        final_audit=trace[-1].audit_report, final_residuals=last_residuals,
     )

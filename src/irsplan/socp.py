@@ -81,7 +81,7 @@ class P4Subproblem:
 class SubproblemSolution:
     trajectory: np.ndarray
     objective: float               # true motion energy of the trajectory, joules
-    status: str                    # optimal | max-iter | infeasible
+    status: str                    # optimal | max-iter | infeasible | unbounded
     primal_residual: float
     dual_residual: float
     gap_residual: float

@@ -1,4 +1,5 @@
-"""Shared test oracles: certified random SOCPs and a grid-search solver."""
+"""Shared test oracles: certified random SOCPs (optimal, infeasible and
+unbounded) and a grid-search solver."""
 
 import math
 
@@ -15,6 +16,10 @@ def _cone_slices(dims):
     return [slice(int(a), int(a + d)) for a, d in zip(starts, dims)]
 
 
+def _random_dims(rng):
+    return [int(d) for d in rng.integers(1, 4, size=rng.integers(2, 5))]
+
+
 def random_certified_socp(seed):
     """Feasible SOCP with a known optimum built from a zero-gap KKT pair.
 
@@ -24,7 +29,7 @@ def random_certified_socp(seed):
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 8))
-    dims = [int(d) for d in rng.integers(1, 4, size=rng.integers(2, 5))]
+    dims = _random_dims(rng)
     m = sum(dims)
     slices = _cone_slices(dims)
     g_mat = rng.standard_normal((m, n))
@@ -48,6 +53,55 @@ def random_certified_socp(seed):
                 z[sl] = rng.uniform(0.5, 2.0) * np.concatenate([[t], -v])
     problem = ConicProblem(c=-g_mat.T @ z, G=g_mat, h=g_mat @ x_star + s, dims=dims)
     return problem, float(problem.c @ x_star)
+
+
+def _interior_point(rng, dims):
+    """A random point strictly inside the product of cones."""
+    u = np.zeros(sum(dims))
+    for sl in _cone_slices(dims):
+        v = rng.standard_normal(sl.stop - sl.start - 1)
+        u[sl] = np.concatenate([[np.linalg.norm(v) + rng.uniform(0.5, 1.0)], v])
+    return u
+
+
+def random_infeasible_socp(seed):
+    """Primal-infeasible, dual-feasible SOCP: G and h are bent so that a
+    random cone point z0 and a random y0 satisfy G'z0 + A'y0 = 0 and
+    h'z0 + b'y0 < 0, and c = -G'z1 - A'y1 for an interior z1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    p = int(rng.integers(0, 3))
+    dims = _random_dims(rng)
+    a_mat, y0, y1 = rng.standard_normal((p, n)), rng.standard_normal(p), rng.standard_normal(p)
+    b = rng.standard_normal(p)
+    z0, z1 = _interior_point(rng, dims), _interior_point(rng, dims)
+    g_mat = rng.standard_normal((sum(dims), n))
+    g_mat -= np.outer(z0, z0 @ g_mat + y0 @ a_mat) / (z0 @ z0)
+    h = rng.standard_normal(sum(dims))
+    h -= z0 * (h @ z0 + b @ y0 + rng.uniform(0.1, 1.0)) / (z0 @ z0)
+    return ConicProblem(c=-g_mat.T @ z1 - a_mat.T @ y1, G=g_mat, h=h, dims=dims,
+                        A=a_mat, b=b)
+
+
+def random_unbounded_socp(seed):
+    """Primal-feasible SOCP with a descent ray: a random d with A d = 0,
+    G d = -s0 for a cone point s0 and c'd < 0, and h = G x1 + s1 with an
+    interior s1, so x1 is feasible."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    p = int(rng.integers(0, 3))
+    dims = _random_dims(rng)
+    a_mat = rng.standard_normal((p, n))
+    d = rng.standard_normal(n)
+    if p:
+        d -= np.linalg.pinv(a_mat) @ (a_mat @ d)
+    s0, s1 = _interior_point(rng, dims), _interior_point(rng, dims)
+    g_mat = rng.standard_normal((sum(dims), n))
+    g_mat -= np.outer(g_mat @ d + s0, d) / (d @ d)
+    c = rng.standard_normal(n)
+    c -= d * (c @ d + rng.uniform(0.1, 1.0)) / (d @ d)
+    x1 = rng.standard_normal(n)
+    return ConicProblem(c=c, G=g_mat, h=g_mat @ x1 + s1, dims=dims, A=a_mat, b=a_mat @ x1)
 
 
 def random_k2_subproblem(base_scenario, seed, trust=1.0):

@@ -15,7 +15,8 @@ from irsplan.sco import linearize_obstacles
 from irsplan.socp import assemble_p4, solve_p4
 
 from conftest import straight_line
-from helpers import grid_search_k2, random_certified_socp, random_k2_subproblem
+from helpers import (grid_search_k2, random_certified_socp, random_infeasible_socp,
+                     random_k2_subproblem, random_unbounded_socp)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +79,21 @@ def test_max_step_reaches_boundary_exactly():
     # [3, 1] plus interleaved mixes of the planner's cone sizes 1, 3 and 4
     dim_sets = [[3, 1]] + [[int(d) for d in rng.choice([1, 3, 4], size=6)]
                            for _ in range(5)]
-    for dims in dim_sets:
-        index = cone_index(dims)
-        for _ in range(100):
-            u = _random_interior(rng, dims, index)
-            du = rng.standard_normal(sum(dims))
-            alpha = max_step_to_boundary(u, du, index)
-            if math.isinf(alpha):
-                assert cone_margin(u + 100.0 * du, index) >= -1e-9
-            else:
-                assert cone_margin(u + alpha * du, index) >= -1e-8
-                assert cone_margin(u + 1.01 * alpha * du + 0 * u, index) < 1e-8
+    cases = [(cone_index(dims), _random_interior(rng, dims, cone_index(dims)),
+              rng.standard_normal(sum(dims)))
+             for dims in dim_sets for _ in range(100)]
+    # a direction along which jnorm2 has a tiny quadratic coefficient (8.9e-16):
+    # the textbook root formula cancels and stepped past the boundary to 0.75
+    cases.append((cone_index([3]), np.array([1.0, 0.0, 0.0]),
+                  np.array([-0.6814404966890053, -0.6124245902743652,
+                            -0.2988264910529741])))
+    for index, u, du in cases:
+        alpha = max_step_to_boundary(u, du, index)
+        if math.isinf(alpha):
+            assert cone_margin(u + 100.0 * du, index) >= -1e-9
+        else:
+            assert cone_margin(u + alpha * du, index) >= -1e-8
+            assert cone_margin(u + 1.01 * alpha * du + 0 * u, index) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +118,53 @@ def test_certified_random_problems_reach_reference_objective():
         assert sol.primal_objective == pytest.approx(p_star, abs=1e-6 * max(1, abs(p_star)))
 
 
+def _assert_infeasibility_certificate(problem, sol):
+    """z in K, G'z + A'y = 0 and h'z + b'y = -1: no x satisfies the constraints."""
+    assert sol.status == "infeasible"
+    assert cone_margin(sol.z, cone_index(problem.dims)) >= -1e-8
+    assert (np.linalg.norm(problem.G.T @ sol.z + problem.A.T @ sol.y)
+            <= 1e-8 * (1 + np.linalg.norm(problem.c)))
+    assert problem.h @ sol.z + problem.b @ sol.y == pytest.approx(-1.0, abs=1e-12)
+
+
+def _assert_unboundedness_certificate(problem, sol):
+    """s = -Gx in K, Ax = 0 and c'x = -1: x is a ray of unbounded descent."""
+    assert sol.status == "unbounded"
+    assert cone_margin(sol.s, cone_index(problem.dims)) >= -1e-8
+    bound = 1e-8 * (1 + np.linalg.norm(problem.h))
+    assert np.linalg.norm(problem.G @ sol.x + sol.s) <= bound
+    assert np.linalg.norm(problem.A @ sol.x) <= bound
+    assert problem.c @ sol.x == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_primal_infeasibility_detected():
     problem = ConicProblem(c=[1.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0], dims=(1, 1))
-    assert solve(problem).status == "infeasible"
+    _assert_infeasibility_certificate(problem, solve(problem))
+
+
+def test_unboundedness_detected():
+    # minimize x1 - 2 x2 subject to x2 <= x1 and x1 >= 1: the ray (1, 1) descends
+    problem = ConicProblem(c=[1.0, -2.0], G=[[-1.0, 1.0], [-1.0, 0.0]], h=[0.0, -1.0],
+                           dims=(1, 1))
+    _assert_unboundedness_certificate(problem, solve(problem))
+
+
+def test_random_infeasible_problems_return_certificates():
+    for seed in range(50):
+        problem = random_infeasible_socp(seed)
+        sol = solve(problem)
+        _assert_infeasibility_certificate(problem, sol)
+        again = solve(problem)
+        assert np.array_equal(sol.z, again.z) and np.array_equal(sol.y, again.y)
+
+
+def test_random_unbounded_problems_return_certificates():
+    for seed in range(50):
+        problem = random_unbounded_socp(seed)
+        sol = solve(problem)
+        _assert_unboundedness_certificate(problem, sol)
+        again = solve(problem)
+        assert np.array_equal(sol.x, again.x) and np.array_equal(sol.s, again.s)
 
 
 def test_equality_constraints_supported():
@@ -220,8 +269,8 @@ def test_every_factorization_of_a_solve_shares_one_kkt_pattern(desk_scenario, fi
     sub, _, _ = _desk_subproblem(desk_scenario, fitted_model)
     sol = solve(sub.problem)
     assert sol.status == "optimal"
-    # the starting point's factorization, then one per iteration but the last
-    assert len(patterns) == sol.iterations >= 2
+    # one factorization per iteration but the last
+    assert len(patterns) == sol.iterations - 1 >= 2
     for indptr, indices in patterns[1:]:
         assert np.array_equal(indptr, patterns[0][0])
         assert np.array_equal(indices, patterns[0][1])
