@@ -18,8 +18,8 @@ and each iteration takes Nesterov-Todd scaling, one sparse LU
 factorization of the full quasi-definite KKT system and iteratively refined
 solves; the tau column costs one extra solve and a scalar Schur
 complement. A solve ends ``optimal`` when the point scaled by 1/tau meets
-every residual tolerance, ``infeasible`` or ``unbounded`` when the iterate
-holds a Farkas certificate, and ``max-iter`` otherwise. It is fully
+every residual tolerance, ``infeasible`` or ``unbounded`` when kappa > tau
+and the iterate holds a Farkas certificate, and ``max-iter`` otherwise. It is fully
 deterministic.
 
 What does not change within a solve is built once: G as a sparse matrix
@@ -123,7 +123,8 @@ class ConicSolution:
 # it as one array and scatters the result back with ``_unblock``.
 
 # Optimal once the worst scaled residual is at most TOL, certified infeasible
-# or unbounded once a normalized Farkas residual is; at most MAX_ITER steps.
+# or unbounded once kappa > tau and a normalized Farkas residual is; at most
+# MAX_ITER steps.
 TOL = 1e-8
 MAX_ITER = 200
 
@@ -357,12 +358,14 @@ def solve(problem: ConicProblem) -> ConicSolution:
         pres = max(np.linalg.norm(rz) / norm_h, np.linalg.norm(ry) / norm_b) / tau
         dres = np.linalg.norm(rx) / norm_c / tau
         gapres = float(s[:m] @ z[:m]) / tau**2 / max(1.0, abs(cx) / tau)
+        # a certificate needs kappa > tau (as in ECOS): its tests compare
+        # c-scaled with h-scaled quantities, which large data can pass at tau ~ 1
         if max(pres, dres, gapres) <= TOL:
             status = "optimal"
-        elif hz_by < 0 and np.linalg.norm(aty_gtz) <= TOL * norm_c * -hz_by:
+        elif kappa > tau and hz_by < 0 and np.linalg.norm(aty_gtz) <= TOL * norm_c * -hz_by:
             status = "infeasible"
-        elif cx < 0 and max(np.linalg.norm(gx_s) / norm_h,
-                            np.linalg.norm(ax) / norm_b) <= TOL * -cx:
+        elif kappa > tau and cx < 0 and max(np.linalg.norm(gx_s) / norm_h,
+                                            np.linalg.norm(ax) / norm_b) <= TOL * -cx:
             status = "unbounded"
         else:
             status = "max-iter"

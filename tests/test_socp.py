@@ -149,22 +149,25 @@ def test_unboundedness_detected():
     _assert_unboundedness_certificate(problem, solve(problem))
 
 
-def test_random_infeasible_problems_return_certificates():
+@pytest.mark.parametrize("generator, assert_certificate", [
+    (random_infeasible_socp, _assert_infeasibility_certificate),
+    (random_unbounded_socp, _assert_unboundedness_certificate),
+])
+def test_random_problems_without_an_optimum_return_certificates(generator,
+                                                                 assert_certificate):
     for seed in range(50):
-        problem = random_infeasible_socp(seed)
-        sol = solve(problem)
-        _assert_infeasibility_certificate(problem, sol)
-        again = solve(problem)
-        assert np.array_equal(sol.z, again.z) and np.array_equal(sol.y, again.y)
+        problem = generator(seed)
+        assert_certificate(problem, solve(problem))
 
 
-def test_random_unbounded_problems_return_certificates():
-    for seed in range(50):
-        problem = random_unbounded_socp(seed)
-        sol = solve(problem)
-        _assert_unboundedness_certificate(problem, sol)
-        again = solve(problem)
-        assert np.array_equal(sol.x, again.x) and np.array_equal(sol.s, again.s)
+@pytest.mark.parametrize("sign, bound", [(1.0, 1e8), (-1.0, 1e9)])
+def test_large_data_are_not_mistaken_for_a_certificate(sign, bound):
+    # minimize t subject to t >= 1e8, and minimize -t subject to t <= 1e9:
+    # at the start h'z and c'x already dwarf the residuals of a certificate
+    problem = ConicProblem(c=[sign], G=[[-sign]], h=[-sign * bound], dims=(1,))
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.primal_objective == pytest.approx(sign * bound, rel=1e-6)
 
 
 def test_equality_constraints_supported():
@@ -176,10 +179,13 @@ def test_equality_constraints_supported():
 
 
 def test_solver_determinism():
-    problem, _ = random_certified_socp(7)
-    a = solve(problem)
-    b = solve(problem)
-    assert np.array_equal(a.x, b.x) and a.iterations == b.iterations
+    for problem in (random_certified_socp(7)[0], random_infeasible_socp(7),
+                    random_unbounded_socp(7)):
+        a = solve(problem)
+        b = solve(problem)
+        assert a.status == b.status and a.iterations == b.iterations
+        for field in ("x", "y", "s", "z"):
+            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
 
 
 def test_dimension_validation():
