@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +23,16 @@ import numpy as np
 from . import artifacts, audit as audit_mod, radiomap, snrmodel
 from .errors import (ConfigError, FileFormatError, FitFailureError, IrsPlanError,
                      SubproblemError)
-from .scenario import ALL_LINK_CLASSES, Scenario, load_scenario, scenario_overrides
+from .scenario import (ALL_LINK_CLASSES, Scenario, load_scenario, scenario_from_payload,
+                       scenario_overrides, scenario_payload)
 from .sco import PlanResult, ScoConfig, run
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+
+FIT_MODES = ("per_class", "global")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_fit)
     p_fit.add_argument("--map", required=True, dest="map_file")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--mode", choices=["per_class", "global"], default="per_class")
+    p_fit.add_argument("--mode", choices=FIT_MODES, default="per_class")
 
     p_plan = sub.add_parser("plan", help="plan one trajectory end to end")
     add_common(p_plan)
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar=("NX", "NY"))
     p_plan.add_argument("--draws", type=int, default=200)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--fit-mode", choices=["per_class", "global"],
+    p_plan.add_argument("--fit-mode", choices=FIT_MODES,
                         default="per_class")
     p_plan.add_argument("--manifest", help="rerun a saved summary.json manifest")
 
@@ -85,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar=("NX", "NY"))
     p_sweep.add_argument("--draws", type=int, default=200)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_audit = sub.add_parser("audit", help="re-check a trajectory artifact")
     add_common(p_audit)
@@ -190,7 +191,7 @@ def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
         raise
 
     summary = {
-        "scenario": artifacts.scenario_payload(scenario),
+        "scenario": scenario_payload(scenario),
         "map": map_meta,
         "fit_mode": fit_mode,
         "sco": {
@@ -231,23 +232,31 @@ def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
     return EXIT_OK, summary
 
 
-def _cmd_plan(args) -> int:
-    if args.manifest:
-        manifest = artifacts.read_summary(args.manifest)
-        scenario = artifacts.scenario_from_payload(manifest["scenario"])
+def _replay(manifest: dict) -> tuple:
+    """The scenario and the _plan_once settings of a summary.json; ConfigError if malformed."""
+    try:
+        scenario = scenario_from_payload(manifest["scenario"])
         map_meta = manifest["map"]
         if "nx" not in map_meta:
             raise ConfigError(
                 "manifest run used an external model file; replay it with "
                 "--model instead", key="manifest"
             )
-        code, _ = _plan_once(
-            scenario, Path(args.out),
-            grid=(map_meta["nx"], map_meta["ny"]),
-            draws=map_meta["draws_per_cell"],
-            seed=map_meta["seed"],
-            fit_mode=manifest.get("fit_mode", "per_class"),
-        )
+        numbers = (map_meta["nx"], map_meta["ny"], map_meta["draws_per_cell"], map_meta["seed"])
+    except KeyError as exc:
+        raise ConfigError("missing from the manifest", key=exc.args[0]) from None
+    fit_mode = manifest.get("fit_mode", "per_class")
+    if not all(type(v) is int for v in numbers) or fit_mode not in FIT_MODES:
+        raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and a fit "
+                          f"mode, got {map_meta} and {fit_mode!r}", key="map")
+    nx, ny, draws, seed = numbers
+    return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed, "fit_mode": fit_mode}
+
+
+def _cmd_plan(args) -> int:
+    if args.manifest:
+        scenario, settings = _replay(artifacts.read_summary(args.manifest))
+        code, _ = _plan_once(scenario, Path(args.out), **settings)
         return code
     scenario = _load_scenario(args)
     code, _ = _plan_once(scenario, Path(args.out), map_file=args.map_file,
@@ -306,11 +315,7 @@ def _cmd_sweep(args) -> int:
         return (m, r, res["status"], res["initial_solution"], res["final_energy_j"],
                 res["avg_rate_gbps"], res["iterations"], cell_dir.name)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+    rows = [run_cell(cell) for cell in cells]
 
     table = ["n_irs_elements,rmin_gbps,status,initial_solution,final_energy_j,"
              "avg_rate_gbps,iterations,artifact_dir"]

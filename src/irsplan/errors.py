@@ -51,10 +51,6 @@ class DegenerateChannelError(IrsPlanError):
     """All-zero effective channel; no beamformer is defined."""
 
 
-class InfeasibleEndpointError(IrsPlanError):
-    """Start or goal position violates the obstacle safety constraint."""
-
-
 class GraphInfeasibleError(IrsPlanError):
     """No layer-respecting start-to-goal path exists in the time-expanded graph."""
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audit
-from .errors import GraphInfeasibleError, InfeasibleEndpointError
-from .scenario import Scenario, distances, los_class_batch, obstacle_margin
+from .errors import GraphInfeasibleError
+from .scenario import Scenario, distances, los_class_batch, slot_energy
 from .snrmodel import SnrModel, slot_rate
 
 
@@ -44,12 +44,6 @@ class TimeExpandedGraph:
         return np.stack(np.meshgrid(self.xs, self.ys), axis=-1)
 
 
-def _edge_energy(scenario: Scenario, length):
-    dt = scenario.slot_duration
-    return (scenario.motor_v2 * np.square(length) / dt
-            + scenario.motor_v1 * np.asarray(length) + scenario.motor_v0 * dt)
-
-
 def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
                 grid_spacing: float = 1.0) -> TimeExpandedGraph:
     """Construct the layered grid graph for one cost mode."""
@@ -59,11 +53,6 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "MR" and model is None:
         raise ValueError("MR mode needs a fitted SNR model")
-
-    for name, q in (("start", scenario.q_start), ("goal", scenario.q_goal)):
-        for obs in scenario.obstacles:
-            if obstacle_margin(q, obs) < scenario.safety_level:
-                raise InfeasibleEndpointError(f"{name} position violates an obstacle")
 
     xmin, xmax, ymin, ymax = scenario.workspace
     xs = xmin + np.arange(math.floor((xmax - xmin) / grid_spacing) + 1) * grid_spacing
@@ -125,7 +114,7 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     # an edge costs edge_cost(its length) + the node cost of its destination
     if graph.mode == "ME":
         def edge_cost(length):
-            return _edge_energy(scenario, length)
+            return slot_energy(length, scenario)
         node_cost, goal_cost = np.zeros((ny, nx)), 0.0
     else:
         rates = graph.node_rate[graph.free]
@@ -218,7 +207,7 @@ def select_initial(scenario: Scenario, model: SnrModel,
             graph = build_graph(scenario, model=model, mode=mode,
                                 grid_spacing=grid_spacing)
             traj = shortest_path(graph)
-        except (GraphInfeasibleError, InfeasibleEndpointError) as exc:
+        except GraphInfeasibleError as exc:
             reports[mode] = str(exc)
             continue
         report = audit.check_p3(traj, scenario, model)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -100,6 +100,38 @@ class Obstacle:
         return cls(np.asarray(center, dtype=float), shape, height)
 
 
+# The numbers behind each annotation of a Scenario field other than the
+# obstacles: the one tuple is the workspace rectangle, every Array a position.
+_FIELD_SHAPES = {"tuple": (4,), "Array": (2,), "float": (), "int": ()}
+
+
+def _as_field(value, kind: str, name: str):
+    """``value`` in the canonical form of its annotation ``kind``.
+
+    Python floats and ints, a tuple of floats or a float array, so that the
+    fingerprint of a scenario does not depend on how its numbers were given.
+    Anything else is a ConfigError naming the field.
+    """
+    shape = _FIELD_SHAPES[kind]
+    try:
+        array = np.asarray(value)
+    except ValueError:                      # ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.shape != shape:
+        count = f"{shape[0]} numbers" if shape else "a number"
+        raise ConfigError(f"expected {count}, got {value!r}", key=name)
+    if kind == "int":
+        if not float(array).is_integer():
+            raise ConfigError("expected an integer", key=name)
+        return int(array)
+    if not np.all(np.isfinite(array)):
+        raise ConfigError("must be finite", key=name)
+    if kind == "float":
+        return float(array)
+    array = array.astype(float)
+    return tuple(array.tolist()) if kind == "tuple" else array
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full static description of one planning problem.
@@ -134,12 +166,10 @@ class Scenario:
     nlos_exponent: float = NLOS_EXPONENT
 
     def __post_init__(self):
-        for name in ("ap_pos", "irs_pos", "q_start", "q_goal"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name, spec in self.__dataclass_fields__.items():
+            if name != "obstacles":
+                object.__setattr__(self, name, _as_field(getattr(self, name), spec.type, name))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for name in self.__dataclass_fields__:
-            if name != "obstacles" and not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError("must be finite", key=name)
         xmin, xmax, ymin, ymax = self.workspace
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("workspace rectangle is empty", key="workspace")
@@ -261,6 +291,14 @@ def motion_energy(traj, scenario: Scenario) -> float:
     )
 
 
+def slot_energy(steps, scenario: Scenario):
+    """Motion energy of one slot for each step length, in joules."""
+    steps = np.asarray(steps)
+    dt = scenario.slot_duration
+    return (scenario.motor_v2 * np.square(steps) / dt + scenario.motor_v1 * steps
+            + scenario.motor_v0 * dt)
+
+
 def obstacle_margin(q, obstacle: Obstacle) -> float:
     """Quadratic form (q-center)^T shape^-1 (q-center); compare against safety_level."""
     d = np.asarray(q, dtype=float) - obstacle.center
@@ -353,17 +391,39 @@ def los_class_batch(points: Array, scenario: Scenario) -> LinkClass:
 # reference path loss in dB, rates in Gbps, bandwidth in MHz. Obstacles are
 # declared as repeated [obstacle] blocks. '#' starts a comment.
 
-_SCALAR_KEYS = {
-    "workspace", "ap_pos", "irs_pos", "z_robot", "z_ap", "z_irs", "n_slots",
-    "slot_duration", "v_max", "safety_level", "motor_v2", "motor_v1", "motor_v0",
-    "tx_power_dbm", "noise_dbm", "bandwidth_mhz", "path_loss_db", "n_antennas",
-    "n_irs_elements", "q_start", "q_goal", "min_avg_rate_gbps",
-    "los_exponent", "nlos_exponent",
+# config key -> (Scenario field, count of numbers, conversion to SI units)
+_CONFIG_KEYS = {
+    "workspace": ("workspace", 4, None),
+    "ap_pos": ("ap_pos", 2, None),
+    "irs_pos": ("irs_pos", 2, None),
+    "z_robot": ("z_robot", 1, None),
+    "z_ap": ("z_ap", 1, None),
+    "z_irs": ("z_irs", 1, None),
+    "n_slots": ("n_slots", 1, None),
+    "slot_duration": ("slot_duration", 1, None),
+    "v_max": ("v_max", 1, None),
+    "safety_level": ("safety_level", 1, None),
+    "motor_v2": ("motor_v2", 1, None),
+    "motor_v1": ("motor_v1", 1, None),
+    "motor_v0": ("motor_v0", 1, None),
+    "tx_power_dbm": ("tx_power", 1, dbm_to_watts),
+    "noise_dbm": ("noise_power", 1, dbm_to_watts),
+    "bandwidth_mhz": ("bandwidth_hz", 1, lambda mhz: mhz * 1e6),
+    "path_loss_db": ("ref_gain", 1, lambda db: db_to_linear(-db)),
+    "n_antennas": ("n_antennas", 1, None),
+    "n_irs_elements": ("n_irs_elements", 1, None),
+    "q_start": ("q_start", 2, None),
+    "q_goal": ("q_goal", 2, None),
+    "min_avg_rate_gbps": ("min_avg_rate", 1, lambda gbps: gbps * 1e9),
+    "los_exponent": ("los_exponent", 1, None),
+    "nlos_exponent": ("nlos_exponent", 1, None),
 }
 
 _OBSTACLE_KEYS = {"center", "length", "width", "angle_deg", "height", "shape"}
 
-_REQUIRED_KEYS = _SCALAR_KEYS - {"los_exponent", "nlos_exponent"}
+# a key may be left out where its field has a default
+_REQUIRED_KEYS = {key for key, (name, _, _) in _CONFIG_KEYS.items()
+                  if Scenario.__dataclass_fields__[name].default is MISSING}
 
 
 def _parse_floats(text: str, n: int, key: str) -> list:
@@ -402,7 +462,7 @@ def load_scenario(path) -> Scenario:
                                       key=f"obstacle.{key}")
                 current[key] = value
             else:
-                if key not in _SCALAR_KEYS:
+                if key not in _CONFIG_KEYS:
                     raise ConfigError(f"unknown key (line {lineno})", key=key)
                 if key in raw:
                     raise ConfigError(f"duplicate key (line {lineno})", key=key)
@@ -445,51 +505,59 @@ def load_scenario(path) -> Scenario:
             except (ValueError, InvalidObstacleError) as exc:
                 raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
 
-    def get_float(key, default=None):
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ConfigError(f"not a number: {raw[key]!r}", key=key) from None
-
-    def get_int(key):
-        value = get_float(key)
-        if not (math.isfinite(value) and value == int(value)):
-            raise ConfigError("expected an integer", key=key)
-        return int(value)
-
-    return Scenario(
-        workspace=tuple(_parse_floats(raw["workspace"], 4, "workspace")),
-        ap_pos=np.array(_parse_floats(raw["ap_pos"], 2, "ap_pos")),
-        irs_pos=np.array(_parse_floats(raw["irs_pos"], 2, "irs_pos")),
-        z_robot=get_float("z_robot"),
-        z_ap=get_float("z_ap"),
-        z_irs=get_float("z_irs"),
-        obstacles=tuple(obstacles),
-        n_slots=get_int("n_slots"),
-        slot_duration=get_float("slot_duration"),
-        v_max=get_float("v_max"),
-        safety_level=get_float("safety_level"),
-        motor_v2=get_float("motor_v2"),
-        motor_v1=get_float("motor_v1"),
-        motor_v0=get_float("motor_v0"),
-        tx_power=dbm_to_watts(get_float("tx_power_dbm")),
-        noise_power=dbm_to_watts(get_float("noise_dbm")),
-        bandwidth_hz=get_float("bandwidth_mhz") * 1e6,
-        ref_gain=db_to_linear(-get_float("path_loss_db")),
-        n_antennas=get_int("n_antennas"),
-        n_irs_elements=get_int("n_irs_elements"),
-        q_start=np.array(_parse_floats(raw["q_start"], 2, "q_start")),
-        q_goal=np.array(_parse_floats(raw["q_goal"], 2, "q_goal")),
-        min_avg_rate=get_float("min_avg_rate_gbps") * 1e9,
-        los_exponent=get_float("los_exponent", LOS_EXPONENT),
-        nlos_exponent=get_float("nlos_exponent", NLOS_EXPONENT),
-    )
+    fields = {}
+    for key, (name, count, to_si) in _CONFIG_KEYS.items():
+        if key in raw:
+            values = _parse_floats(raw[key], count, key)
+            value = values[0] if count == 1 else values
+            fields[name] = to_si(value) if to_si else value
+    return Scenario(obstacles=tuple(obstacles), **fields)
 
 
 def scenario_overrides(scenario: Scenario, **updates) -> Scenario:
     """Copy a scenario with some fields replaced (e.g. n_irs_elements, min_avg_rate)."""
-    fields = {name: getattr(scenario, name) for name in scenario.__dataclass_fields__}
-    fields.update(updates)
-    return Scenario(**fields)
+    return replace(scenario, **updates)
+
+
+# ---------------------------------------------------------------------------
+# Manifest payload: the "scenario" object of summary.json
+#
+# Every field in SI units under its own name, except the three renamed below;
+# obstacles as {center, shape, height}; and the scenario's fingerprint.
+
+_PAYLOAD_KEYS = {"tx_power": "tx_power_w", "noise_power": "noise_power_w",
+                 "min_avg_rate": "min_avg_rate_bits_s"}
+
+
+def scenario_payload(scenario: Scenario) -> dict:
+    """Every configuration value needed to rebuild the scenario exactly."""
+    payload = {_PAYLOAD_KEYS.get(name, name): np.asarray(getattr(scenario, name)).tolist()
+               for name in scenario.__dataclass_fields__ if name != "obstacles"}
+    payload["obstacles"] = [
+        {"center": obs.center.tolist(), "shape": obs.shape.tolist(), "height": obs.height}
+        for obs in scenario.obstacles
+    ]
+    payload["fingerprint"] = scenario.fingerprint()
+    return payload
+
+
+def scenario_from_payload(payload: dict) -> Scenario:
+    """Rebuild a scenario; a ConfigError unless it has the payload's fingerprint."""
+    if not isinstance(payload, dict):
+        raise ConfigError("expected a JSON object", key="scenario")
+    try:
+        fields = {name: payload[_PAYLOAD_KEYS.get(name, name)]
+                  for name in Scenario.__dataclass_fields__}
+        stored = payload["fingerprint"]
+    except KeyError as exc:
+        raise ConfigError("missing from the manifest", key=exc.args[0]) from None
+    try:
+        fields["obstacles"] = [Obstacle(o["center"], o["shape"], o["height"])
+                               for o in fields["obstacles"]]
+    except (KeyError, TypeError, ValueError, InvalidObstacleError) as exc:
+        raise ConfigError(f"bad obstacle: {exc!r}", key="obstacles") from None
+    scenario = Scenario(**fields)
+    if scenario.fingerprint() != stored:
+        raise ConfigError(f"the manifest's fields give scenario {scenario.fingerprint()}, "
+                          f"not {stored}", key="fingerprint")
+    return scenario

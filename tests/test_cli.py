@@ -173,6 +173,35 @@ def test_manifest_replay_reproduces_run(planned, tmp_path):
     assert tree_digest(replay) == tree_digest(planned)
 
 
+@pytest.mark.parametrize("edit,named", [
+    (None, "summary.json"),
+    (lambda summary: summary["scenario"].pop("v_max"), "v_max"),
+    (lambda summary: summary["scenario"].update(workspace="abc"), "workspace"),
+    (lambda summary: summary["scenario"].update(v_max=2.0), "fingerprint"),
+    (lambda summary: summary.update(scenario=[1]), "scenario"),
+    (lambda summary: summary["map"].update(nx="abc"), "map"),
+    (lambda summary: summary.update(fit_mode="bogus"), "map")],
+    ids=["not-json", "v_max-missing", "workspace-not-numeric", "v_max-edited",
+         "scenario-not-an-object", "nx-not-numeric", "fit_mode-unknown"])
+def test_bad_manifest_exits_3_naming_the_key(planned, tmp_path, capsys, edit, named):
+    text = (planned / "summary.json").read_text()
+    if edit is None:
+        text = text[:len(text) // 2]
+    else:
+        summary = json.loads(text)
+        edit(summary)
+        text = json.dumps(summary)
+    manifest = tmp_path / "summary.json"
+    manifest.write_text(text)
+    replay = tmp_path / "replay"
+    code = main(["plan", "--config", DESK_CONFIG, "--out", str(replay),
+                 "--manifest", str(manifest)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not replay.exists()
+
+
 def test_single_cell_sweep_matches_plan(planned, tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),

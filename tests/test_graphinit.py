@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from irsplan import audit
-from irsplan.errors import GraphInfeasibleError, InfeasibleEndpointError
+from irsplan.errors import GraphInfeasibleError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import Obstacle, motion_energy, scenario_overrides
+from irsplan.scenario import motion_energy, scenario_overrides
 from irsplan.snrmodel import rate
 
 from conftest import straight_line
@@ -133,16 +133,6 @@ def test_unreachable_goal_raises(empty_scenario, toy_model):
     graph = build_graph(sc, model=toy_model, mode="ME")
     with pytest.raises(GraphInfeasibleError):
         shortest_path(graph)
-
-
-def test_endpoint_inside_obstacle_raises(empty_scenario, toy_model):
-    # the Scenario constructor already rejects such endpoints, so smuggle the
-    # obstacle in behind the frozen dataclass to exercise the graph's own check
-    blocker = Obstacle.from_extents([10.0, 15.0], 8.0, 8.0, height=2.0)
-    bad = scenario_overrides(empty_scenario, q_start=[10.0, 15.0])
-    object.__setattr__(bad, "obstacles", (blocker,))
-    with pytest.raises(InfeasibleEndpointError):
-        build_graph(bad, model=toy_model, mode="ME")
 
 
 def test_graph_nodes_respect_safety_margin(desk_scenario, fitted_model):

@@ -1,12 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irsplan.errors import ConfigError, InvalidObstacleError, InvalidTrajectoryError
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
-                              los_class_batch, motion_energy,
-                              obstacle_margin, scenario_overrides)
+                              los_class_batch, motion_energy, obstacle_margin,
+                              scenario_from_payload, scenario_overrides, scenario_payload,
+                              slot_energy)
 
 from conftest import DESK_CONFIG, desk_config_with, point_class, straight_line
 
@@ -37,6 +41,13 @@ def test_single_full_speed_step_hand_value(empty_scenario):
     assert motion_energy(np.array([[10.0, 10.0], [13.0, 10.0]]), sc) == pytest.approx(
         128.29, abs=1e-10
     )
+
+
+def test_slot_energies_add_up_to_the_motion_energy(desk_scenario):
+    traj = straight_line(desk_scenario)
+    steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
+    assert slot_energy(steps, desk_scenario).sum() == pytest.approx(
+        motion_energy(traj, desk_scenario), rel=1e-12)
 
 
 def test_wrong_waypoint_count_rejected(empty_scenario):
@@ -267,3 +278,56 @@ def test_fingerprints_distinguish_planning_from_channel(desk_scenario):
     assert other.channel_fingerprint() == desk_scenario.channel_fingerprint()
     bigger = scenario_overrides(desk_scenario, n_irs_elements=128)
     assert bigger.channel_fingerprint() != desk_scenario.channel_fingerprint()
+
+
+@pytest.mark.parametrize("name,value", [("v_max", "x"), ("workspace", "abc"), ("v_max", None),
+                                        ("ap_pos", [1.0, 2.0, 3.0]), ("workspace", (0, 50, 0)),
+                                        ("n_slots", 2.5), ("z_ap", [5.0])])
+def test_non_numeric_or_misshapen_field_is_a_config_error(desk_scenario, name, value):
+    with pytest.raises(ConfigError) as err:
+        scenario_overrides(desk_scenario, **{name: value})
+    assert err.value.key == name
+
+
+def test_fingerprint_does_not_depend_on_how_numbers_are_given(desk_scenario):
+    same = scenario_overrides(desk_scenario, v_max=np.float64(3.0), n_slots=np.int64(30),
+                              workspace=np.array([0, 50, 0, 30]), q_start=(9.5, 15.5))
+    assert same.fingerprint() == desk_scenario.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# manifest payload
+
+PAYLOAD_KEYS = [
+    "ap_pos", "bandwidth_hz", "fingerprint", "irs_pos", "los_exponent",
+    "min_avg_rate_bits_s", "motor_v0", "motor_v1", "motor_v2", "n_antennas",
+    "n_irs_elements", "n_slots", "nlos_exponent", "noise_power_w", "obstacles",
+    "q_goal", "q_start", "ref_gain", "safety_level", "slot_duration", "tx_power_w",
+    "v_max", "workspace", "z_ap", "z_irs", "z_robot",
+]
+
+
+def through_json(scenario):
+    return scenario_from_payload(json.loads(json.dumps(scenario_payload(scenario))))
+
+
+def test_desk_payload_has_its_26_keys_and_round_trips(desk_scenario):
+    assert sorted(scenario_payload(desk_scenario)) == PAYLOAD_KEYS
+    assert through_json(desk_scenario).fingerprint() == desk_scenario.fingerprint()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(poses=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 30.0),
+                                st.floats(0.5, 8.0), st.floats(0.5, 8.0),
+                                st.floats(-90.0, 90.0), st.floats(0.5, 4.0)), max_size=4),
+       n_slots=st.integers(1, 60), m=st.integers(0, 256), rate_gbps=st.floats(0.0, 5.0))
+def test_payload_round_trips_the_fingerprint(desk_scenario, poses, n_slots, m, rate_gbps):
+    obstacles = tuple(Obstacle.from_extents([x, y], length, width, angle, height)
+                      for x, y, length, width, angle, height in poses)
+    try:
+        sc = scenario_overrides(desk_scenario, obstacles=obstacles, n_slots=n_slots,
+                                n_irs_elements=m, min_avg_rate=rate_gbps * 1e9)
+    except ConfigError:          # an endpoint inside an obstacle
+        assume(False)
+    assert through_json(sc).fingerprint() == sc.fingerprint()
+
