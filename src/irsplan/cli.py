@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="scenario configuration file")
+    def add_common(p, config_required=True):
+        p.add_argument("--config", required=config_required,
+                       help="scenario configuration file")
         p.add_argument("--M", type=int, default=None,
                        help="override the IRS element count")
         p.add_argument("--rmin", type=float, default=None,
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--mode", choices=FIT_MODES, default="per_class")
 
     p_plan = sub.add_parser("plan", help="plan one trajectory end to end")
-    add_common(p_plan)
+    add_common(p_plan, config_required=False)
     p_plan.add_argument("--out", required=True, help="output directory")
     p_plan.add_argument("--map", dest="map_file", help="reuse a saved radio map")
     p_plan.add_argument("--model", dest="model_file", help="reuse a fitted model")
@@ -74,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--fit-mode", choices=FIT_MODES,
                         default="per_class")
-    p_plan.add_argument("--manifest", help="rerun a saved summary.json manifest")
+    p_plan.add_argument("--manifest", help="rerun a saved summary.json manifest "
+                        "(in place of --config, which a replay does not read)")
 
     p_sweep = sub.add_parser("sweep", help="grid of plans over M and rate levels")
     p_sweep.add_argument("--config", required=True)
@@ -106,11 +108,24 @@ def _load_scenario(args) -> Scenario:
     return scenario_overrides(scenario, **overrides) if overrides else scenario
 
 
+def _check_map_settings(grid, draws, seed, workers=1,
+                        keys=("--grid", "--draws", "--seed", "--workers")) -> None:
+    """ConfigError naming the flag (or manifest key) of the first map setting
+    that build_map would reject: a grid side below 2, no draws, a negative
+    seed or no worker."""
+    for key, value, least in zip(keys, (min(grid), draws, seed, workers), (2, 1, 0, 1)):
+        if value < least:
+            raise ConfigError(f"must be at least {least}, got {value}", key=key)
+
+
 def _cmd_map(args) -> int:
+    _check_map_settings(args.grid, args.draws, args.seed,
+                        1 if args.workers is None else args.workers)
     scenario = _load_scenario(args)
     built = radiomap.build_map(scenario, nx=args.grid[0], ny=args.grid[1],
                                draws_per_cell=args.draws, seed=args.seed,
                                workers=args.workers)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     radiomap.save_map(built, args.out)
     print(f"radio map {built.nx}x{built.ny} ({args.draws} draws/cell) -> {args.out}")
     for link in ALL_LINK_CLASSES:
@@ -128,6 +143,7 @@ def _cmd_fit(args) -> int:
             f"{scenario.channel_fingerprint()} (check --M / config)", key="map"
         )
     model = snrmodel.fit(built, scenario, mode=args.mode)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, args.out)
     print(f"model ({args.mode}) -> {args.out}")
     for link, cf in model.fits.items():
@@ -250,6 +266,7 @@ def _replay(manifest: dict) -> tuple:
         raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and a fit "
                           f"mode, got {map_meta} and {fit_mode!r}", key="map")
     nx, ny, draws, seed = numbers
+    _check_map_settings((nx, ny), draws, seed, keys=("nx, ny", "draws_per_cell", "seed"))
     return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed, "fit_mode": fit_mode}
 
 
@@ -258,6 +275,7 @@ def _cmd_plan(args) -> int:
         scenario, settings = _replay(artifacts.read_summary(args.manifest))
         code, _ = _plan_once(scenario, Path(args.out), **settings)
         return code
+    _check_map_settings(args.grid, args.draws, args.seed)
     scenario = _load_scenario(args)
     code, _ = _plan_once(scenario, Path(args.out), map_file=args.map_file,
                          model_file=args.model_file, grid=tuple(args.grid),
@@ -278,6 +296,7 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     m_values = _sweep_axis(args.M, int, "--M")
     r_values = _sweep_axis(args.rmin, float, "--rmin")
+    _check_map_settings(args.grid, args.draws, args.seed)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -337,7 +356,10 @@ def _cmd_audit(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.verb == "plan" and not (args.config or args.manifest):
+        parser.error("plan needs --config or --manifest")
     handlers = {"map": _cmd_map, "fit": _cmd_fit, "plan": _cmd_plan,
                 "sweep": _cmd_sweep, "audit": _cmd_audit}
     try:

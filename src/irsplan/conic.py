@@ -27,11 +27,16 @@ What does not change within a solve is built once: G as a sparse matrix
 matrix with the slots of the cones' W^2 blocks. Each iteration writes the
 W^2 values into those slots and refactors; no matrix is reassembled.
 
-The cones form one padded block: ``cone_index`` gives a (k, dmax) array of
-row indices, one row per cone, whose pad entries point at a dummy row that
-reads as zero. Every cone operation (Jordan product and divide, margins,
-step to the boundary, NT scaling) is one array expression over that block.
-A dimension-1 cone is the degenerate second-order cone with a zero v part,
+The cone variables keep one padded layout for the whole solve: s, z, the
+scaled point lam and every search direction are (k, dmax) blocks, one row
+per cone with t in column 0 and v in columns 1:, zero in the pad of a cone
+shorter than dmax. (kappa, tau) is the last row, read as s[-1, 0] and
+z[-1, 0]. ``cone_mask`` marks the entries that are not pad; read row by
+row it is in stacked row order, so ``blocks[mask]`` is the stacked vector,
+built only where G, h and the KKT right-hand side need one. Every cone
+operation (Jordan product and divide, margins, step to the boundary, NT
+scaling) is one array expression over blocks that keeps the pad zero. A
+dimension-1 cone is the degenerate second-order cone with a zero v part,
 so one code path covers both.
 """
 
@@ -117,10 +122,8 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-algebra / cone helpers. All operate on stacked vectors; ``index`` is
-# the output of ``cone_index``. Each helper gathers the (k, dmax) block
-# ``_blocks(u, index)``, whose column 0 is t and columns 1: are v, works on
-# it as one array and scatters the result back with ``_unblock``.
+# Jordan-algebra / cone helpers. Each takes and returns (k, dmax) blocks,
+# column 0 the t part and columns 1: the v part, zero in the pad.
 
 # Optimal once the worst scaled residual is at most TOL, certified infeasible
 # or unbounded once kappa > tau and a normalized Farkas residual is; at most
@@ -129,28 +132,12 @@ TOL = 1e-8
 MAX_ITER = 200
 
 
-def cone_index(dims) -> Array:
-    """Row indices of the cones as one (k, dmax) array, one row per cone.
-
-    A cone shorter than dmax is padded with the dummy row m = sum(dims),
-    which reads as zero and is never written back.
-    """
+def cone_mask(dims) -> Array:
+    """The (k, dmax) block layout of the cones: row i is True in its first
+    dims[i] entries and False in the pad. Row by row it is in stacked row
+    order, so a block array u stacks to u[mask]."""
     dims = np.asarray(dims, dtype=int)
-    cols = np.arange(dims.max(initial=1))
-    starts = np.cumsum(dims) - dims
-    return np.where(cols < dims[:, None], starts[:, None] + cols, dims.sum())
-
-
-def _blocks(u: Array, index: Array) -> Array:
-    """The (k, dmax) cone blocks of a stacked vector, zero in the pad."""
-    return np.append(u, 0.0)[index]
-
-
-def _unblock(blocks: Array, index: Array, m: int) -> Array:
-    """The stacked length-m vector of (k, dmax) blocks, pad entries dropped."""
-    out = np.empty(m + 1)
-    out[index] = blocks
-    return out[:m]
+    return np.arange(dims.max(initial=1)) < dims[:, None]
 
 
 def _rowdot(a: Array, b: Array) -> Array:
@@ -169,30 +156,27 @@ def _jsign(d: int) -> Array:
     return sign
 
 
-def cone_margin(u: Array, index) -> float:
+def cone_margin(u: Array) -> float:
     """Smallest interior margin t - ||v|| (the value itself for dim 1)."""
-    ub = _blocks(u, index)
-    return float(np.min(ub[:, 0] - np.linalg.norm(ub[:, 1:], axis=1), initial=math.inf))
+    return float(np.min(u[:, 0] - np.linalg.norm(u[:, 1:], axis=1), initial=math.inf))
 
 
-def jordan_product(u: Array, v: Array, index) -> Array:
-    ub, vb = _blocks(u, index), _blocks(v, index)
-    out = ub[:, :1] * vb + vb[:, :1] * ub
-    out[:, 0] = _rowdot(ub, vb)
-    return _unblock(out, index, u.size)
+def jordan_product(u: Array, v: Array) -> Array:
+    out = u[:, :1] * v + v[:, :1] * u
+    out[:, 0] = _rowdot(u, v)
+    return out
 
 
-def jordan_divide(lam: Array, d: Array, index) -> Array:
+def jordan_divide(lam: Array, d: Array) -> Array:
     """Solve lam o u = d for u, cone by cone."""
-    lb, db = _blocks(lam, index), _blocks(d, index)
-    l0 = lb[:, 0]
-    u0 = (l0 * db[:, 0] - _rowdot(lb[:, 1:], db[:, 1:])) / _jnorm2(lb)
-    out = (db - u0[:, None] * lb) / l0[:, None]
+    l0 = lam[:, 0]
+    u0 = (l0 * d[:, 0] - _rowdot(lam[:, 1:], d[:, 1:])) / _jnorm2(lam)
+    out = (d - u0[:, None] * lam) / l0[:, None]
     out[:, 0] = u0
-    return _unblock(out, index, d.size)
+    return out
 
 
-def max_step_to_boundary(u: Array, du: Array, index) -> float:
+def max_step_to_boundary(u: Array, du: Array) -> float:
     """Largest alpha >= 0 with u + alpha*du still in the cone closure.
 
     Per cone the step is bounded by the t + alpha dt >= 0 face and by the
@@ -201,11 +185,10 @@ def max_step_to_boundary(u: Array, du: Array, index) -> float:
     q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, which cancels no digits when a
     is tiny; c/q is also the single root when a vanishes.
     """
-    ub, db = _blocks(u, index), _blocks(du, index)
-    u0, d0 = ub[:, 0], db[:, 0]
-    a = _jnorm2(db)
-    b = 2.0 * (u0 * d0 - _rowdot(ub[:, 1:], db[:, 1:]))
-    c = _jnorm2(ub)
+    u0, d0 = u[:, 0], du[:, 0]
+    a = _jnorm2(du)
+    b = 2.0 * (u0 * d0 - _rowdot(u[:, 1:], du[:, 1:]))
+    c = _jnorm2(u)
     with np.errstate(all="ignore"):
         face = np.where(d0 < 0, -u0 / d0, math.inf)
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))   # nan: no real root
@@ -225,15 +208,13 @@ class _NTScaling:
     are (k, dmax), zero in the pad.
     """
 
-    def __init__(self, s: Array, z: Array, index):
-        self.index = index
-        self.sign = _jsign(index.shape[1])
-        sb, zb = _blocks(s, index), _blocks(z, index)
-        snorm2, znorm2 = _jnorm2(sb), _jnorm2(zb)
+    def __init__(self, s: Array, z: Array):
+        self.sign = _jsign(s.shape[1])
+        snorm2, znorm2 = _jnorm2(s), _jnorm2(z)
         if not (np.all(snorm2 > 0) and np.all(znorm2 > 0)):
             raise ValueError("iterate left the cone interior")
-        sbar = sb / np.sqrt(snorm2)[:, None]
-        zbar = zb / np.sqrt(znorm2)[:, None]
+        sbar = s / np.sqrt(snorm2)[:, None]
+        zbar = z / np.sqrt(znorm2)[:, None]
         gamma = np.sqrt((1.0 + _rowdot(sbar, zbar)) / 2.0)
         self.wbar = (sbar + self.sign * zbar) / (2.0 * gamma)[:, None]
         self.u = self.wbar.copy()
@@ -242,60 +223,58 @@ class _NTScaling:
         self.eta = (snorm2 / znorm2) ** 0.25
 
     def apply(self, v: Array, inverse: bool = False) -> Array:
-        """W v (or W^-1 v) for a stacked vector v.
+        """W v (or W^-1 v) for a block v.
 
         W v = eta (2 u (u'v) - J v) and W^-1 v = (1/eta)(2 Ju (Ju'v) - J v).
         """
         u, eta = self.u, self.eta
         if inverse:
             u, eta = self.sign * u, 1.0 / eta
-        vb = _blocks(v, self.index)
-        out = eta[:, None] * (2.0 * u * _rowdot(u, vb)[:, None] - self.sign * vb)
-        return _unblock(out, self.index, v.size)
+        return eta[:, None] * (2.0 * u * _rowdot(u, v)[:, None] - self.sign * v)
 
     def w2_blocks(self) -> Array:
         """The (k, dmax, dmax) dense blocks of W^2 (the quadratic
         representation P(w) = eta^2 (2 wbar wbar' - J)). A pad row or column
-        is eta^2 on the diagonal and zero elsewhere."""
+        is eta^2 on the diagonal and zero elsewhere, so it maps a zero pad
+        to a zero pad."""
         return ((self.eta**2)[:, None, None]
                 * (2.0 * self.wbar[:, :, None] * self.wbar[:, None, :] - np.diag(self.sign)))
 
 
-def _kkt_pattern(G, A: Array, index: Array, reg: float) -> tuple:
+def _kkt_pattern(G, A: Array, mask: Array, reg: float) -> tuple:
     """The CSC matrix of the quasi-definite KKT system and its W^2 slots.
 
     The matrix is [[reg I, A', G'], [A, -reg I, 0], [G, 0, -(W^2 + reg I)]]
-    for sparse G, with every entry of the cones' W^2 blocks in the pattern.
-    Returns (kkt, slots, take, shift): ``kkt.data[slots] = shift -
-    w2.ravel()[take]`` writes the last block from the (k, dmax, dmax) blocks
-    ``w2``, whose pad rows and columns ``take`` leaves out, as it leaves out
-    every row of ``index`` at or past m (the (kappa, tau) cone).
+    for sparse G, with every entry of the cones' W^2 blocks in the pattern;
+    ``mask`` is the cone_mask of G's rows. Returns (kkt, slots, pair, shift):
+    ``kkt.data[slots] = shift - w2[pair]`` writes the last block from the
+    (k, dmax, dmax) blocks ``w2``, whose pad rows and columns ``pair`` leaves
+    out.
     """
     m, n = G.shape
     p = A.shape[0]
-    k, d = index.shape
     G = G.tocoo()
     A = scipy.sparse.coo_matrix(A)
-    w2_rows = np.broadcast_to(index[:, :, None], (k, d, d)).ravel()
-    w2_cols = np.broadcast_to(index[:, None, :], (k, d, d)).ravel()
-    take = np.flatnonzero((w2_rows < m) & (w2_cols < m))
-    w2_rows, w2_cols = w2_rows[take], w2_cols[take]
+    pair = mask[:, :, None] & mask[:, None, :]
+    row = np.cumsum(mask).reshape(mask.shape) - 1           # stacked row of each entry
+    w2_rows = np.broadcast_to(row[:, :, None], pair.shape)[pair]
+    w2_cols = np.broadcast_to(row[:, None, :], pair.shape)[pair]
     diag_n, diag_p = np.arange(n), np.arange(p)
     rows = np.concatenate([diag_n, n + A.row, A.col, n + diag_p, n + p + G.row, G.col,
                            n + p + w2_rows])
     cols = np.concatenate([diag_n, A.col, n + A.row, n + diag_p, G.col, n + p + G.row,
                            n + p + w2_cols])
     values = np.concatenate([np.full(n, reg), A.data, A.data, np.full(p, -reg),
-                             G.data, G.data, np.zeros(take.size)])
+                             G.data, G.data, np.zeros(w2_rows.size)])
     order = np.lexsort((rows, cols))                  # column-major, rows sorted
     size = n + p + m
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
     kkt = scipy.sparse.csc_matrix(
         (values[order], rows[order].astype(np.int32), indptr.astype(np.int32)),
         shape=(size, size))
-    slots = np.argsort(order)[values.size - take.size:]
+    slots = np.argsort(order)[values.size - w2_rows.size:]
     shift = np.where(w2_rows == w2_cols, -reg, 0.0)
-    return kkt, slots, take, shift
+    return kkt, slots, pair, shift
 
 
 def solve(problem: ConicProblem) -> ConicSolution:
@@ -303,11 +282,12 @@ def solve(problem: ConicProblem) -> ConicSolution:
     c, h, A, b = problem.c, problem.h, problem.A, problem.b
     n, m, p = c.size, h.size, b.size
     # (kappa, tau) is one more dimension-1 cone after the problem's cones,
-    # stored as s[m] and z[m]: scaling, Jordan algebra and steps cover it
-    index = cone_index(problem.dims + (1,))
-    degree = len(problem.dims) + 1
-    e = np.zeros(m + 1)
-    e[index[:, 0]] = 1.0                      # the cone identity
+    # the last block row: scaling, Jordan algebra and steps cover it
+    mask = cone_mask(problem.dims + (1,))
+    cones = mask[:-1]
+    degree = mask.shape[0]
+    e = np.zeros(mask.shape)
+    e[:, 0] = 1.0                             # the cone identity
     reg = 1e-10
 
     norm_c = 1.0 + np.linalg.norm(c)
@@ -316,7 +296,7 @@ def solve(problem: ConicProblem) -> ConicSolution:
 
     G = scipy.sparse.csr_matrix(problem.G)
     GT = G.T.tocsr()
-    kkt, slots, take, shift = _kkt_pattern(G, A, index, reg)
+    kkt, slots, pair, shift = _kkt_pattern(G, A, cones, reg)
     reg_diag = np.concatenate([np.full(n, reg), np.full(p + m, -reg)])
 
     def factor(scaling):
@@ -331,7 +311,7 @@ def solve(problem: ConicProblem) -> ConicSolution:
         keeps the conditioning linear in that of the scaled data, which
         is what lets the iterates reach 1e-9 residuals.
         """
-        kkt.data[slots] = shift - scaling.w2_blocks().ravel()[take]
+        kkt.data[slots] = shift - scaling.w2_blocks()[:-1][pair]
         return scipy.sparse.linalg.splu(kkt)
 
     def kkt_solve(lu, rhs):
@@ -348,16 +328,17 @@ def solve(problem: ConicProblem) -> ConicSolution:
     s, z = e.copy(), e.copy()
 
     for iters in range(1, MAX_ITER + 1):
-        tau, kappa = z[m], s[m]
+        tau, kappa = z[-1, 0], s[-1, 0]
+        s_m, z_m = s[:-1][cones], z[:-1][cones]     # stacked, for G and h
         # residuals of the embedding, and of the certificates (tau = 0)
-        aty_gtz = A.T @ y + GT @ z[:m]
-        ax, gx_s = A @ x, G @ x + s[:m]
-        cx, hz_by = float(c @ x), float(h @ z[:m] + b @ y)
+        aty_gtz = A.T @ y + GT @ z_m
+        ax, gx_s = A @ x, G @ x + s_m
+        cx, hz_by = float(c @ x), float(h @ z_m + b @ y)
         rx, ry, rz = aty_gtz + c * tau, ax - b * tau, gx_s - h * tau
         rt = kappa + cx + hz_by
         pres = max(np.linalg.norm(rz) / norm_h, np.linalg.norm(ry) / norm_b) / tau
         dres = np.linalg.norm(rx) / norm_c / tau
-        gapres = float(s[:m] @ z[:m]) / tau**2 / max(1.0, abs(cx) / tau)
+        gapres = float(s_m @ z_m) / tau**2 / max(1.0, abs(cx) / tau)
         # a certificate needs kappa > tau (as in ECOS): its tests compare
         # c-scaled with h-scaled quantities, which large data can pass at tau ~ 1
         if max(pres, dres, gapres) <= TOL:
@@ -373,7 +354,7 @@ def solve(problem: ConicProblem) -> ConicSolution:
             break
 
         try:
-            scaling = _NTScaling(s, z, index)
+            scaling = _NTScaling(s, z)
             lam = scaling.apply(z)                 # lam = W z
             lu = factor(scaling)
             # K (x1, y1, z1) = (-c, b, h) is the tau column; dtau then
@@ -385,30 +366,30 @@ def solve(problem: ConicProblem) -> ConicSolution:
                 """Newton direction of lam o (W dz + W^-1 ds) = lam o u, with
                 the linear residuals reduced to ``keep`` times their value."""
                 wu, f = scaling.apply(u), keep - 1.0
-                dx, dy, dz = kkt_solve(lu, np.concatenate([f * rx, f * ry, f * rz - wu[:m]]))
-                dtau = (f * rt - wu[m] - c @ dx - b @ dy - h @ dz) / schur
-                dz = np.append(dz + dtau * z1, dtau)
+                dx, dy, dz_m = kkt_solve(
+                    lu, np.concatenate([f * rx, f * ry, f * rz - wu[:-1][cones]]))
+                dtau = (f * rt - wu[-1, 0] - c @ dx - b @ dy - h @ dz_m) / schur
+                dz = np.zeros(mask.shape)
+                dz[:-1][cones], dz[-1, 0] = dz_m + dtau * z1, dtau
                 return dx + dtau * x1, dy + dtau * y1, scaling.apply(u - scaling.apply(dz)), dz
 
             # predictor (affine) direction: lam \ (-lam o lam) = -lam
             _, _, ds_a, dz_a = direction(-lam, 0.0)
-            alpha_aff = min(1.0, max_step_to_boundary(s, ds_a, index),
-                            max_step_to_boundary(z, dz_a, index))
-            mu = float(s @ z) / degree
-            mu_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a)) / degree
+            alpha_aff = min(1.0, max_step_to_boundary(s, ds_a),
+                            max_step_to_boundary(z, dz_a))
+            mu = float(np.vdot(s, z)) / degree
+            mu_aff = float(np.vdot(s + alpha_aff * ds_a, z + alpha_aff * dz_a)) / degree
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # corrector + centering
-            correction = jordan_product(
-                scaling.apply(ds_a, inverse=True), scaling.apply(dz_a), index)
-            d_comb = -jordan_product(lam, lam, index) - correction + sigma * mu * e
-            dx, dy, ds, dz = direction(jordan_divide(lam, d_comb, index), sigma)
+            correction = jordan_product(scaling.apply(ds_a, inverse=True), scaling.apply(dz_a))
+            d_comb = -jordan_product(lam, lam) - correction + sigma * mu * e
+            dx, dy, ds, dz = direction(jordan_divide(lam, d_comb), sigma)
         except (ValueError, RuntimeError, np.linalg.LinAlgError,
                 scipy.linalg.LinAlgError):
             break      # numerically exhausted
 
-        alpha = min(1.0, 0.99 * min(max_step_to_boundary(s, ds, index),
-                                    max_step_to_boundary(z, dz, index)))
+        alpha = min(1.0, 0.99 * min(max_step_to_boundary(s, ds), max_step_to_boundary(z, dz)))
         if not np.isfinite(alpha) or alpha <= 1e-13:
             break
         x = x + alpha * dx
@@ -418,11 +399,11 @@ def solve(problem: ConicProblem) -> ConicSolution:
 
     # the point is (x, y, s, z) / tau; a certificate is normalized to -1
     if status == "infeasible":
-        x, y, s, z = np.full(n, np.nan), y / -hz_by, np.full(m, np.nan), z[:m] / -hz_by
+        x, y, s, z = np.full(n, np.nan), y / -hz_by, np.full(m, np.nan), z_m / -hz_by
     elif status == "unbounded":
-        x, y, s, z = x / -cx, np.full(p, np.nan), s[:m] / -cx, np.full(m, np.nan)
+        x, y, s, z = x / -cx, np.full(p, np.nan), s_m / -cx, np.full(m, np.nan)
     else:
-        x, y, s, z = x / tau, y / tau, s[:m] / tau, z[:m] / tau
+        x, y, s, z = x / tau, y / tau, s_m / tau, z_m / tau
     return ConicSolution(
         x=x, s=s, z=z, y=y, status=status, iterations=iters,
         primal_objective=cx / tau, dual_objective=-hz_by / tau,

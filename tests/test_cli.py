@@ -202,6 +202,47 @@ def test_bad_manifest_exits_3_naming_the_key(planned, tmp_path, capsys, edit, na
     assert not replay.exists()
 
 
+def test_manifest_replays_without_config(planned, tmp_path):
+    replay = tmp_path / "replay"
+    assert main(["plan", "--out", str(replay), "--manifest", str(planned / "summary.json")]) == 0
+    assert tree_digest(replay) == tree_digest(planned)
+    with pytest.raises(SystemExit) as exc:          # a plan needs one or the other
+        main(["plan", "--out", str(tmp_path / "neither")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb,flags,named", [
+    ("plan", ["--draws", "0"], "--draws"),
+    ("plan", ["--grid", "1", "1"], "--grid"),
+    ("plan", ["--seed", "-3"], "--seed"),
+    ("map", ["--workers", "0"], "--workers"),
+    ("plan", ["--manifest"], "draws_per_cell")],
+    ids=["plan-draws-0", "plan-grid-1x1", "plan-seed-negative", "map-workers-0",
+         "manifest-draws-0"])
+def test_bad_map_setting_exits_3_naming_it_before_any_output(planned, tmp_path, capsys,
+                                                              verb, flags, named):
+    if flags == ["--manifest"]:
+        summary = json.loads((planned / "summary.json").read_text())
+        summary["map"]["draws_per_cell"] = 0
+        manifest = tmp_path / "summary.json"
+        manifest.write_text(json.dumps(summary))
+        flags = ["--manifest", str(manifest)]
+    out = tmp_path / "new" / "out"
+    assert main([verb, "--config", DESK_CONFIG, "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {named}:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_map_and_fit_create_the_directory_of_out(tmp_path):
+    map_path, model_path = tmp_path / "maps" / "map.csv", tmp_path / "fits" / "a" / "model.txt"
+    assert main(["map", "--config", DESK_CONFIG, "--out", str(map_path), *SMALL]) == 0
+    assert main(["fit", "--config", DESK_CONFIG, "--map", str(map_path),
+                 "--out", str(model_path)]) == 0
+    assert load_map(map_path).nx == 40
+    assert load_model(model_path).fit_mode == "per_class"
+
+
 def test_single_cell_sweep_matches_plan(planned, tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", DESK_CONFIG, "--out", str(out),

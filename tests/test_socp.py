@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsplan import audit
-from irsplan.conic import (ConicProblem, _NTScaling, cone_index, cone_margin,
+from irsplan.conic import (ConicProblem, _NTScaling, cone_margin, cone_mask,
                            dump_problem, jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
 from irsplan.errors import AssemblyError, FileFormatError
@@ -23,15 +25,26 @@ from helpers import (grid_search_k2, random_certified_socp, random_infeasible_so
 # cone algebra
 
 
-def _random_interior(rng, dims, index):
-    u = rng.standard_normal(sum(dims))
-    block = np.append(u, 0.0)[index]          # the pad reads as zero
-    u[index[:, 0]] = np.linalg.norm(block[:, 1:], axis=1) + 0.1 + np.abs(block[:, 0])
+def _blocks_of(dims, stacked):
+    """The (k, dmax) cone blocks of a stacked vector, zero in the pad."""
+    mask = cone_mask(dims)
+    blocks = np.zeros(mask.shape)
+    blocks[mask] = stacked
+    return blocks
+
+
+def _random_interior(rng, dims):
+    u = _blocks_of(dims, rng.standard_normal(sum(dims)))
+    u[:, 0] = np.linalg.norm(u[:, 1:], axis=1) + 0.1 + np.abs(u[:, 0])
     return u
 
 
-def test_cone_index_pads_each_cone_to_the_largest_dimension():
-    index = cone_index([3, 1, 4, 1, 3])
+def test_cone_mask_pads_each_cone_to_the_largest_dimension():
+    mask = cone_mask([3, 1, 4, 1, 3])
+    # row by row the mask is in stacked order: entry j of cone i is stacked row
+    # start_i + j, and the pad (here marked 12) holds no row
+    index = np.full(mask.shape, 12)
+    index[mask] = np.arange(12)
     assert index.tolist() == [
         [0, 1, 2, 12],
         [3, 12, 12, 12],
@@ -45,33 +58,69 @@ def test_nt_scaling_identity_and_inverse():
     rng = np.random.default_rng(0)
     for _ in range(200):
         dims = [int(d) for d in rng.integers(1, 6, size=rng.integers(1, 4))]
-        index = cone_index(dims)
-        s = _random_interior(rng, dims, index)
-        z = _random_interior(rng, dims, index)
-        w = _NTScaling(s, z, index)
+        mask = cone_mask(dims)
+        s = _random_interior(rng, dims)
+        z = _random_interior(rng, dims)
+        w = _NTScaling(s, z)
         lam_from_z = w.apply(z)
         lam_from_s = w.apply(s, inverse=True)
         assert np.allclose(lam_from_z, lam_from_s, rtol=1e-9, atol=1e-11)
-        assert cone_margin(lam_from_z, index) > 0
-        v = rng.standard_normal(sum(dims))
+        assert cone_margin(lam_from_z) > 0
+        v = _blocks_of(dims, rng.standard_normal(sum(dims)))
         assert np.allclose(w.apply(w.apply(v, inverse=True)), v, rtol=1e-9, atol=1e-11)
         # dense W^2 blocks agree with applying W twice, and map the pad to zero
-        m = sum(dims)
-        stacked = np.einsum("kij,kj->ki", w.w2_blocks(), np.append(v, 0.0)[index])
-        assert np.all(stacked[index == m] == 0.0)
-        out = np.empty(m + 1)
-        out[index] = stacked
-        assert np.allclose(out[:m], w.apply(w.apply(v)), rtol=1e-9, atol=1e-11)
+        stacked = np.einsum("kij,kj->ki", w.w2_blocks(), v)
+        assert np.all(stacked[~mask] == 0.0)
+        assert np.allclose(stacked[mask], w.apply(w.apply(v))[mask], rtol=1e-9, atol=1e-11)
 
 
 def test_jordan_product_divide_roundtrip():
     rng = np.random.default_rng(1)
     dims = [3, 1, 4]
-    index = cone_index(dims)
-    lam = _random_interior(rng, dims, index)
-    d = rng.standard_normal(sum(dims))
-    u = jordan_divide(lam, d, index)
-    assert np.allclose(jordan_product(lam, u, index), d, rtol=1e-12, atol=1e-12)
+    lam = _random_interior(rng, dims)
+    d = _blocks_of(dims, rng.standard_normal(sum(dims)))
+    u = jordan_divide(lam, d)
+    assert np.allclose(jordan_product(lam, u), d, rtol=1e-12, atol=1e-12)
+
+
+def _nt_reference(s, z):
+    """W of one cone in the hyperbolic Householder form of the CVXOPT notes:
+    eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] for the normalized NT point w."""
+    s_norm, z_norm = (math.sqrt(u[0] ** 2 - u[1:] @ u[1:]) for u in (s, z))
+    sbar, zbar = s / s_norm, z / z_norm
+    gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
+    w = np.concatenate([[sbar[0] + zbar[0]], sbar[1:] - zbar[1:]]) / (2.0 * gamma)
+    W = np.eye(s.size) + np.outer(w, w) / (1.0 + w[0])
+    W[0], W[:, 0] = w, w
+    return math.sqrt(s_norm / z_norm) * W
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dims=st.lists(st.sampled_from([1, 3, 4]), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_operations_keep_the_pad_zero_and_match_each_cone(dims, seed):
+    rng = np.random.default_rng(seed)
+    mask = cone_mask(dims)
+    s, z = _random_interior(rng, dims), _random_interior(rng, dims)
+    v = _blocks_of(dims, rng.standard_normal(sum(dims)))
+    w = _NTScaling(s, z)
+    w2 = w.w2_blocks()
+    outputs = [jordan_product(s, v), jordan_divide(s, v), w.apply(v),
+               w.apply(v, inverse=True), np.einsum("kij,kj->ki", w2, v)]
+    for out in outputs:
+        assert np.all(out[~mask] == 0.0)
+    # a pad row or column of W^2 holds nothing but its diagonal
+    pad_pairs = (~mask[:, :, None] | ~mask[:, None, :]) & ~np.eye(mask.shape[1], dtype=bool)
+    assert np.all(w2[pad_pairs] == 0.0)
+    for i, d in enumerate(dims):
+        si, vi = s[i, :d], v[i, :d]
+        arrow = np.block([[si[:1], si[1:]], [si[1:, None], si[0] * np.eye(d - 1)]])
+        W = _nt_reference(si, z[i, :d])
+        expected = [arrow @ vi, np.linalg.solve(arrow, vi), W @ vi, np.linalg.solve(W, vi),
+                    W @ W @ vi]
+        for out, ref in zip(outputs, expected):
+            assert np.allclose(out[i, :d], ref, rtol=1e-9, atol=1e-11)
+        assert np.allclose(w2[i, :d, :d], W @ W, rtol=1e-9, atol=1e-11)
 
 
 def test_max_step_reaches_boundary_exactly():
@@ -79,21 +128,20 @@ def test_max_step_reaches_boundary_exactly():
     # [3, 1] plus interleaved mixes of the planner's cone sizes 1, 3 and 4
     dim_sets = [[3, 1]] + [[int(d) for d in rng.choice([1, 3, 4], size=6)]
                            for _ in range(5)]
-    cases = [(cone_index(dims), _random_interior(rng, dims, cone_index(dims)),
-              rng.standard_normal(sum(dims)))
+    cases = [(_random_interior(rng, dims), _blocks_of(dims, rng.standard_normal(sum(dims))))
              for dims in dim_sets for _ in range(100)]
     # a direction along which jnorm2 has a tiny quadratic coefficient (8.9e-16):
     # the textbook root formula cancels and stepped past the boundary to 0.75
-    cases.append((cone_index([3]), np.array([1.0, 0.0, 0.0]),
-                  np.array([-0.6814404966890053, -0.6124245902743652,
-                            -0.2988264910529741])))
-    for index, u, du in cases:
-        alpha = max_step_to_boundary(u, du, index)
+    cases.append((np.array([[1.0, 0.0, 0.0]]),
+                  np.array([[-0.6814404966890053, -0.6124245902743652,
+                             -0.2988264910529741]])))
+    for u, du in cases:
+        alpha = max_step_to_boundary(u, du)
         if math.isinf(alpha):
-            assert cone_margin(u + 100.0 * du, index) >= -1e-9
+            assert cone_margin(u + 100.0 * du) >= -1e-9
         else:
-            assert cone_margin(u + alpha * du, index) >= -1e-8
-            assert cone_margin(u + 1.01 * alpha * du + 0 * u, index) < 1e-8
+            assert cone_margin(u + alpha * du) >= -1e-8
+            assert cone_margin(u + 1.01 * alpha * du + 0 * u) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +169,7 @@ def test_certified_random_problems_reach_reference_objective():
 def _assert_infeasibility_certificate(problem, sol):
     """z in K, G'z + A'y = 0 and h'z + b'y = -1: no x satisfies the constraints."""
     assert sol.status == "infeasible"
-    assert cone_margin(sol.z, cone_index(problem.dims)) >= -1e-8
+    assert cone_margin(_blocks_of(problem.dims, sol.z)) >= -1e-8
     assert (np.linalg.norm(problem.G.T @ sol.z + problem.A.T @ sol.y)
             <= 1e-8 * (1 + np.linalg.norm(problem.c)))
     assert problem.h @ sol.z + problem.b @ sol.y == pytest.approx(-1.0, abs=1e-12)
@@ -130,7 +178,7 @@ def _assert_infeasibility_certificate(problem, sol):
 def _assert_unboundedness_certificate(problem, sol):
     """s = -Gx in K, Ax = 0 and c'x = -1: x is a ray of unbounded descent."""
     assert sol.status == "unbounded"
-    assert cone_margin(sol.s, cone_index(problem.dims)) >= -1e-8
+    assert cone_margin(_blocks_of(problem.dims, sol.s)) >= -1e-8
     bound = 1e-8 * (1 + np.linalg.norm(problem.h))
     assert np.linalg.norm(problem.G @ sol.x + sol.s) <= bound
     assert np.linalg.norm(problem.A @ sol.x) <= bound
