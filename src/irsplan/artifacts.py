@@ -11,13 +11,10 @@ import json
 
 import numpy as np
 
-from .errors import FileFormatError, UnsupportedVersionError
+from . import textfile
+from .errors import FileFormatError
 from .scenario import Scenario, distances, los_class_batch, slot_energy
 from .snrmodel import slot_rate
-
-_TRAJ_TAG = "irsplan-trajectory"
-_TRACE_TAG = "irsplan-trace"
-_VERSION = 1
 
 _TRAJ_COLUMNS = "k,x,y,step_length,slot_energy,slot_rate_bits_s,ap_class,irs_class"
 _TRACE_COLUMNS = "iteration,energy,improvement,status,max_violation"
@@ -31,9 +28,7 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
     links = los_class_batch(traj, scenario)
     rates = slot_rate(model, links, *distances(traj, scenario), scenario)
 
-    lines = [f"# {_TRAJ_TAG} v{_VERSION}",
-             f"# scenario={scenario.fingerprint()}",
-             _TRAJ_COLUMNS]
+    lines = [f"# scenario={scenario.fingerprint()}", _TRAJ_COLUMNS]
     rows = zip(traj.tolist(), [0.0, *steps.tolist()], [0.0, *energies.tolist()],
                rates.tolist(), links.ap_los.tolist(), links.irs_los.tolist())
     for k, ((x, y), step, energy, rate_k, ap, irs) in enumerate(rows):
@@ -41,22 +36,17 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
             f"{k},{x!r},{y!r},{step!r},{energy!r},{rate_k!r},"
             f"{'LOS' if ap else 'NLOS'},{'LOS' if irs else 'NLOS'}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textfile.write(path, "trajectory", lines)
 
 
 def read_trajectory_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {_TRAJ_TAG}"):
-        raise FileFormatError(f"not a {_TRAJ_TAG} file", path=path, line=1)
-    if lines[0].split()[-1] != f"v{_VERSION}":
-        raise UnsupportedVersionError("unsupported trajectory version", path=path, line=1)
-    rows = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
-    if not rows or rows[0] != _TRAJ_COLUMNS:
+    # (line number, text) of each row, past blank and comment lines
+    rows = [(lineno, row) for lineno, row in enumerate(textfile.read(path, "trajectory"), 1)
+            if row and not row.startswith("#")]
+    if not rows or rows[0][1] != _TRAJ_COLUMNS:
         raise FileFormatError("missing column header", path=path, line=3)
     points = []
-    for lineno, row in enumerate(rows[1:], start=4):
+    for lineno, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != 8:
             raise FileFormatError("expected 8 fields", path=path, line=lineno)
@@ -71,14 +61,9 @@ def read_trajectory_csv(path) -> np.ndarray:
 
 
 def write_trace_csv(path, trace) -> None:
-    lines = [f"# {_TRACE_TAG} v{_VERSION}", _TRACE_COLUMNS]
-    for rec in trace:
-        lines.append(
-            f"{rec.iteration},{rec.energy!r},{rec.improvement!r},{rec.status},"
-            f"{rec.max_violation!r}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{rec.iteration},{rec.energy!r},{rec.improvement!r},{rec.status},"
+            f"{rec.max_violation!r}" for rec in trace]
+    textfile.write(path, "trace", [_TRACE_COLUMNS, *rows])
 
 
 def write_summary(path, payload: dict) -> None:

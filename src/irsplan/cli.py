@@ -14,6 +14,7 @@ configuration or file format, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import traceback
 from pathlib import Path
@@ -108,20 +109,33 @@ def _load_scenario(args) -> Scenario:
     return scenario_overrides(scenario, **overrides) if overrides else scenario
 
 
-def _check_map_settings(grid, draws, seed, workers=1,
+def _check_map_settings(workspace, grid, draws, seed, workers=1,
                         keys=("--grid", "--draws", "--seed", "--workers")) -> None:
     """ConfigError naming the flag (or manifest key) of the first map setting
     that build_map would reject: a grid side below 2, no draws, a negative
-    seed or no worker."""
+    seed, no worker, or a grid without square cells on the workspace (None:
+    no map is built, so the grid need not tile one)."""
     for key, value, least in zip(keys, (min(grid), draws, seed, workers), (2, 1, 0, 1)):
         if value < least:
             raise ConfigError(f"must be at least {least}, got {value}", key=key)
+    if workspace is not None:
+        try:
+            radiomap.square_cell_size(workspace, *grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=keys[0]) from None
+
+
+def _check_channel(stamp: str, scenario: Scenario, key: str) -> None:
+    """ConfigError unless the channel stamp of a map or model is the scenario's."""
+    if stamp != scenario.channel_fingerprint():
+        raise ConfigError(f"{key} was made for channel {stamp}, current is "
+                          f"{scenario.channel_fingerprint()} (check --M / config)", key=key)
 
 
 def _cmd_map(args) -> int:
-    _check_map_settings(args.grid, args.draws, args.seed,
-                        1 if args.workers is None else args.workers)
     scenario = _load_scenario(args)
+    _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
+                        1 if args.workers is None else args.workers)
     built = radiomap.build_map(scenario, nx=args.grid[0], ny=args.grid[1],
                                draws_per_cell=args.draws, seed=args.seed,
                                workers=args.workers)
@@ -137,11 +151,7 @@ def _cmd_map(args) -> int:
 def _cmd_fit(args) -> int:
     scenario = _load_scenario(args)
     built = radiomap.load_map(args.map_file)
-    if built.scenario_hash != scenario.channel_fingerprint():
-        raise ConfigError(
-            f"map was built for channel {built.scenario_hash}, current is "
-            f"{scenario.channel_fingerprint()} (check --M / config)", key="map"
-        )
+    _check_channel(built.scenario_hash, scenario, "map")
     model = snrmodel.fit(built, scenario, mode=args.mode)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, args.out)
@@ -158,24 +168,16 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
                grid=(100, 60), draws=200, seed=0, fit_mode="per_class") -> tuple:
     """Map (or reuse), fit and plan. Returns (exit_code, summary dict)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = scenario.channel_fingerprint()
 
     if model_file:
         model = snrmodel.load_model(model_file)
-        if model.scenario_hash and model.scenario_hash != fingerprint:
-            raise ConfigError(
-                f"model was fitted for channel {model.scenario_hash}, current is "
-                f"{fingerprint}", key="model"
-            )
+        if model.scenario_hash:        # a model saved without a stamp fits any channel
+            _check_channel(model.scenario_hash, scenario, "model")
         map_meta = {"source": str(model_file)}
     else:
         if map_file:
             built = radiomap.load_map(map_file)
-            if built.scenario_hash != fingerprint:
-                raise ConfigError(
-                    f"map was built for channel {built.scenario_hash}, current is "
-                    f"{fingerprint} (check --M / config)", key="map"
-                )
+            _check_channel(built.scenario_hash, scenario, "map")
         else:
             built = radiomap.build_map(scenario, nx=grid[0], ny=grid[1],
                                        draws_per_cell=draws, seed=seed)
@@ -210,12 +212,7 @@ def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
         "scenario": scenario_payload(scenario),
         "map": map_meta,
         "fit_mode": fit_mode,
-        "sco": {
-            "epsilon": sco_config.epsilon,
-            "n_it_max": sco_config.n_it_max,
-            "trust_radius": sco_config.trust_radius,
-            "grid_spacing": sco_config.grid_spacing,
-        },
+        "sco": dataclasses.asdict(sco_config),
         "result": {
             "status": result.status,
             "initial_solution": result.init_label,
@@ -266,7 +263,8 @@ def _replay(manifest: dict) -> tuple:
         raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and a fit "
                           f"mode, got {map_meta} and {fit_mode!r}", key="map")
     nx, ny, draws, seed = numbers
-    _check_map_settings((nx, ny), draws, seed, keys=("nx, ny", "draws_per_cell", "seed"))
+    _check_map_settings(scenario.workspace, (nx, ny), draws, seed,
+                        keys=("nx, ny", "draws_per_cell", "seed"))
     return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed, "fit_mode": fit_mode}
 
 
@@ -275,8 +273,10 @@ def _cmd_plan(args) -> int:
         scenario, settings = _replay(artifacts.read_summary(args.manifest))
         code, _ = _plan_once(scenario, Path(args.out), **settings)
         return code
-    _check_map_settings(args.grid, args.draws, args.seed)
     scenario = _load_scenario(args)
+    builds_map = not (args.map_file or args.model_file)
+    _check_map_settings(scenario.workspace if builds_map else None, args.grid, args.draws,
+                        args.seed)
     code, _ = _plan_once(scenario, Path(args.out), map_file=args.map_file,
                          model_file=args.model_file, grid=tuple(args.grid),
                          draws=args.draws, seed=args.seed, fit_mode=args.fit_mode)
@@ -296,11 +296,12 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     m_values = _sweep_axis(args.M, int, "--M")
     r_values = _sweep_axis(args.rmin, float, "--rmin")
-    _check_map_settings(args.grid, args.draws, args.seed)
+    _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    cells = []
+    table = ["n_irs_elements,rmin_gbps,status,initial_solution,final_energy_j,"
+             "avg_rate_gbps,iterations,artifact_dir"]
     for m in m_values:
         sc_m = scenario_overrides(scenario, n_irs_elements=m)
         built = radiomap.build_map(sc_m, nx=args.grid[0], ny=args.grid[1],
@@ -310,39 +311,24 @@ def _cmd_sweep(args) -> int:
             model = snrmodel.fit(built, sc_m)
         except FitFailureError as exc:
             model = exc
-        map_meta = _map_meta(built)
         for r in r_values:
-            cells.append((m, r, sc_m, map_meta, model))
-
-    def run_cell(cell):
-        m, r, sc_m, map_meta, model = cell
-        cell_dir = out_root / f"M{m}_rmin{r:g}"
-
-        def failed(exc):           # partial failure: record and continue
-            return (m, r, f"error: {type(exc).__name__}", None, None, None, None,
-                    cell_dir.name)
-
-        if isinstance(model, FitFailureError):
-            return failed(model)
-        sc_run = scenario_overrides(sc_m, min_avg_rate=r * 1e9)
-        try:
-            _, summary = _plan_with_model(sc_run, cell_dir, model, map_meta,
-                                          "per_class", None)
-        except IrsPlanError as exc:
-            return failed(exc)
-        res = summary["result"]
-        return (m, r, res["status"], res["initial_solution"], res["final_energy_j"],
-                res["avg_rate_gbps"], res["iterations"], cell_dir.name)
-
-    rows = [run_cell(cell) for cell in cells]
-
-    table = ["n_irs_elements,rmin_gbps,status,initial_solution,final_energy_j,"
-             "avg_rate_gbps,iterations,artifact_dir"]
-    for row in rows:
-        table.append(",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                              for v in row))
+            cell_dir = out_root / f"M{m}_rmin{r:g}"
+            try:
+                if isinstance(model, FitFailureError):
+                    raise model
+                _, summary = _plan_with_model(scenario_overrides(sc_m, min_avg_rate=r * 1e9),
+                                              cell_dir, model, _map_meta(built), "per_class",
+                                              None)
+                res = summary["result"]
+                cols = (res["status"], res["initial_solution"], res["final_energy_j"],
+                        res["avg_rate_gbps"], res["iterations"])
+            except IrsPlanError as exc:       # partial failure: record and continue
+                cols = (f"error: {type(exc).__name__}", None, None, None, None)
+            table.append(",".join("" if v is None else (repr(v) if isinstance(v, float)
+                                                        else str(v))
+                                  for v in (m, r, *cols, cell_dir.name)))
     (out_root / "results.csv").write_text("\n".join(table) + "\n", encoding="utf-8")
-    print(f"sweep complete: {len(rows)} cells -> {out_root / 'results.csv'}")
+    print(f"sweep complete: {len(table) - 1} cells -> {out_root / 'results.csv'}")
     return EXIT_OK
 
 

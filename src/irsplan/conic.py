@@ -50,12 +50,10 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import AssemblyError, FileFormatError, UnsupportedVersionError
+from . import textfile
+from .errors import AssemblyError, FileFormatError
 
 Array = np.ndarray
-
-_FORMAT_TAG = "irsplan-conicproblem"
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -419,7 +417,6 @@ def solve(problem: ConicProblem) -> ConicSolution:
 
 def dump_problem(problem: ConicProblem, path) -> None:
     lines = [
-        f"# {_FORMAT_TAG} v{_FORMAT_VERSION}",
         f"n {problem.n_vars}",
         f"m {problem.h.size}",
         f"p {problem.b.size}",
@@ -432,18 +429,11 @@ def dump_problem(problem: ConicProblem, path) -> None:
         lines.append("G " + " ".join(repr(float(v)) for v in row))
     for row in problem.A:
         lines.append("A " + " ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textfile.write(path, "conicproblem", lines)
 
 
 def load_problem(path) -> ConicProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {_FORMAT_TAG}"):
-        raise FileFormatError(f"not a {_FORMAT_TAG} file", path=path, line=1)
-    version = lines[0].split()[-1]
-    if version != f"v{_FORMAT_VERSION}":
-        raise UnsupportedVersionError(f"unsupported version {version}", path=path, line=1)
+    lines = textfile.read(path, "conicproblem")
     fields = {}
     rows = {"G": [], "A": []}     # (line number, values) per matrix row
     for lineno, line in enumerate(lines[1:], start=2):

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textfile
 from .channel import optimal_snr_samples
-from .errors import FileFormatError, UnsupportedVersionError
+from .errors import FileFormatError
 from .scenario import LinkClass, Scenario, distances, los_class_batch
 
-_FORMAT_TAG = "irsplan-radiomap"
-_FORMAT_VERSION = 2
 _COLUMNS = "ix,iy,x,y,ap_class,irs_class,avg_opt_snr_linear,n_draws"
 
 
@@ -74,6 +73,17 @@ class RadioMap:
         )
 
 
+def square_cell_size(workspace, nx: int, ny: int) -> float:
+    """The cell side of an nx-by-ny grid on the workspace rectangle; ValueError
+    unless the grid tiles it with square cells."""
+    xmin, xmax, ymin, ymax = workspace
+    cell_x, cell_y = (xmax - xmin) / nx, (ymax - ymin) / ny
+    if abs(cell_x - cell_y) > 1e-9:
+        raise ValueError(f"grid {nx}x{ny} does not tile the workspace with square cells "
+                         f"({cell_x:.6g} vs {cell_y:.6g})")
+    return cell_x
+
+
 def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
               draws_per_cell: int = 200, seed: int = 0,
               workers: int | None = None) -> RadioMap:
@@ -96,15 +106,8 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
                    else os.cpu_count() or 1)
     if workers < 1:
         raise ValueError("need at least one worker")
-    xmin, xmax, ymin, ymax = scenario.workspace
-    cell_x = (xmax - xmin) / nx
-    cell_y = (ymax - ymin) / ny
-    if abs(cell_x - cell_y) > 1e-9:
-        raise ValueError(
-            f"grid {nx}x{ny} does not tile the workspace with square cells "
-            f"({cell_x:.6g} vs {cell_y:.6g})"
-        )
-
+    cell_x = square_cell_size(scenario.workspace, nx, ny)
+    xmin, _, ymin, _ = scenario.workspace
     xs = xmin + (np.arange(nx) + 0.5) * cell_x
     ys = ymin + (np.arange(ny) + 0.5) * cell_x
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)   # row-major over (iy, ix)
@@ -140,7 +143,6 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
 
 def save_map(radio_map: RadioMap, path) -> None:
     lines = [
-        f"# {_FORMAT_TAG} v{_FORMAT_VERSION}",
         f"# nx={radio_map.nx} ny={radio_map.ny} cell_size={radio_map.cell_size!r}"
         f" xmin={radio_map.origin[0]!r} ymin={radio_map.origin[1]!r}",
         f"# scenario={radio_map.scenario_hash} seed={radio_map.seed}",
@@ -155,41 +157,17 @@ def save_map(radio_map: RadioMap, path) -> None:
     cells = itertools.product(range(radio_map.ny), range(radio_map.nx))
     lines += [f"{ix},{iy},{xs[ix]},{ys[iy]},{ap[k]},{irs[k]},{snr[k]},{draws[k]}"
               for k, (iy, ix) in enumerate(cells)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _header_fields(line: str, lineno: int, path) -> dict:
-    out = {}
-    for token in line.lstrip("# ").split():
-        if "=" not in token:
-            raise FileFormatError("malformed header token", path=path, line=lineno,
-                                  field=token)
-        key, value = token.split("=", 1)
-        out[key] = value
-    return out
+    textfile.write(path, "radiomap", lines)
 
 
 def load_map(path) -> RadioMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FileFormatError("empty file", path=path, line=1)
-
-    head = lines[0].lstrip("# ").split()
-    if len(head) != 2 or head[0] != _FORMAT_TAG:
-        raise FileFormatError(f"not a {_FORMAT_TAG} file", path=path, line=1)
-    if head[1] != f"v{_FORMAT_VERSION}":
-        raise UnsupportedVersionError(
-            f"unsupported version {head[1]} (expected v{_FORMAT_VERSION})",
-            path=path, line=1,
-        )
+    lines = textfile.read(path, "radiomap")
     if len(lines) < 4:
         raise FileFormatError("truncated header", path=path, line=len(lines))
 
     try:
-        geo = _header_fields(lines[1], 2, path)
-        meta = _header_fields(lines[2], 3, path)
+        geo = textfile.header_fields(lines[1], 2, path)
+        meta = textfile.header_fields(lines[2], 3, path)
         nx, ny = int(geo["nx"]), int(geo["ny"])
         cell = float(geo["cell_size"])
         origin = (float(geo["xmin"]), float(geo["ymin"]))

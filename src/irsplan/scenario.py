@@ -184,11 +184,12 @@ class Scenario:
         for key in ("motor_v2", "motor_v1", "motor_v0"):
             if getattr(self, key) < 0:
                 raise ConfigError("motor energy constants must be nonnegative", key=key)
-        for key in ("bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent"):
+        for key in ("bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent",
+                    "noise_power"):
             if getattr(self, key) <= 0:
                 raise ConfigError("must be positive", key=key)
-        if self.tx_power < 0 or self.noise_power <= 0:
-            raise ConfigError("powers must be positive (tx may be zero)", key="tx_power")
+        if self.tx_power < 0:
+            raise ConfigError("transmit power cannot be negative", key="tx_power")
         if self.n_antennas < 1:
             raise ConfigError("AP needs at least one antenna", key="n_antennas")
         if self.n_irs_elements < 0:

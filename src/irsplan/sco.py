@@ -17,8 +17,10 @@ The loop stops for one of three reasons:
               stationary for its trust region, and the loop ends without
               adding a record.
 When a subproblem fails or its solution fails the audit, the iteration
-retries with the trust radius times TRUST_SHRINK, down to TRUST_FLOOR;
-failure at the floor aborts with the trace collected so far.
+retries down one schedule of trust radii: the configured radius, then its
+halvings clipped at TRUST_FLOOR, ending at the floor (1, .5, .25, .125,
+.0625, .05 m by default; a radius at or below the floor is tried alone).
+Failure at the end of the schedule aborts with the trace collected so far.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .scenario import Scenario, motion_energy
 from .snrmodel import SnrModel, linearize_rate
 from .socp import ObstacleLinearization, assemble_p4, solve_p4
 
-# trust-radius retries (see above), 5 of them from the default 1 m radius
+# the trust-radius retry schedule (see above)
 TRUST_SHRINK = 0.5
 TRUST_FLOOR = 0.05
 
@@ -122,57 +124,44 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
                              trajectory=traj, audit_report=init_report)]
     safety_pad = 1e-9    # monotonicity slack for solver round-off
     last_residuals = (0.0, 0.0, 0.0)
+    radii = [config.trust_radius]       # the retry schedule of the module docstring
+    while radii[-1] > TRUST_FLOOR:
+        radii.append(max(radii[-1] * TRUST_SHRINK, TRUST_FLOOR))
 
     for iteration in range(1, config.n_it_max + 1):
         t0 = time.perf_counter()
         lins = linearize_rate(model, traj, scenario)
         obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
 
-        trust = config.trust_radius
-        accepted = None
-        plateau = False
-        while True:
+        for trust in radii:
             sub = assemble_p4(scenario, lins, traj, obstacle_rows, trust)
             sol = solve_p4(sub)
             if sol.status == "optimal":
                 p4_violations = audit.check_p4(sol.trajectory, sub)
                 p3_report = audit.check_p3(sol.trajectory, scenario, model)
                 if not p4_violations and p3_report.ok:
-                    if sol.objective <= energy + safety_pad:
-                        accepted = (sol, p3_report)
-                    else:
-                        # feasible but no descent left within solver accuracy:
-                        # the incumbent is already stationary for this region
-                        plateau = True
                     break
-            shrunk = max(trust * TRUST_SHRINK, TRUST_FLOOR)
-            if shrunk == trust:
-                break
-            trust = shrunk
-
-        if plateau:
-            break
-        if accepted is None:
+        else:
             raise SubproblemError(
                 f"subproblem failed at iteration {iteration} "
                 f"(status {sol.status}, trust radius {trust})",
                 trace=trace,
             )
+        if sol.objective > energy + safety_pad:
+            # feasible but no descent left within solver accuracy:
+            # the incumbent is already stationary for this region
+            break
 
-        sol, p3_report = accepted
-        new_energy = sol.objective
-        improvement = (energy - new_energy) / energy if energy > 0 else 0.0
+        improvement = (energy - sol.objective) / energy if energy > 0 else 0.0
         trace.append(IterationRecord(
-            iteration=iteration, energy=new_energy, improvement=improvement,
+            iteration=iteration, energy=sol.objective, improvement=improvement,
             status=sol.status, max_violation=p3_report.worst_violation,
             wall_time=time.perf_counter() - t0, trust_radius=trust,
             trajectory=sol.trajectory, audit_report=p3_report,
         ))
-        traj = sol.trajectory
+        traj, energy = sol.trajectory, sol.objective
         last_residuals = (sol.primal_residual, sol.dual_residual, sol.gap_residual)
-        previous_energy, energy = energy, new_energy
-
-        if abs(previous_energy - energy) / max(previous_energy, 1e-12) <= config.epsilon:
+        if abs(improvement) <= config.epsilon:
             break
 
     # the last record holds the audit of traj, on every exit path

@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import textfile
 from .channel import _snr_form
-from .errors import FileFormatError, FitFailureError, UnsupportedVersionError
-from .radiomap import RadioMap, _header_fields
+from .errors import FileFormatError, FitFailureError
+from .radiomap import RadioMap
 from .scenario import ALL_LINK_CLASSES, LinkClass, Scenario, distances, los_class_batch
 
 log = logging.getLogger(__name__)
@@ -45,9 +46,6 @@ MIN_CLASS_CELLS = 20
 # starting value, or after _FIT_MAX_ITER accepted steps
 _FIT_MAX_ITER = 500
 _FIT_GRAD_TOL = 1e-10
-
-_FORMAT_TAG = "irsplan-snrmodel"
-_FORMAT_VERSION = 1
 
 # the five model parameters, in ClassFit.as_tuple order
 _PARAMS = ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap")
@@ -409,10 +407,7 @@ def _parse_class_tag(tag: str, path, lineno) -> LinkClass:
 
 
 def save_model(model: SnrModel, path) -> None:
-    lines = [
-        f"# {_FORMAT_TAG} v{_FORMAT_VERSION}",
-        f"# scenario={model.scenario_hash or '-'} fit_mode={model.fit_mode}",
-    ]
+    lines = [f"# scenario={model.scenario_hash or '-'} fit_mode={model.fit_mode}"]
     for link in ALL_LINK_CLASSES:
         cf = model.fits[link]
         lines.append(f"[class {link.label()}]")
@@ -420,26 +415,14 @@ def save_model(model: SnrModel, path) -> None:
             lines.append(f"{name} = {getattr(cf, name)!r}")
         lines.append(f"n_cells = {cf.n_cells}")
         lines.append(f"inherited_from = {cf.inherited_from or '-'}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textfile.write(path, "snrmodel", lines)
 
 
 def load_model(path) -> SnrModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FileFormatError("empty file", path=path, line=1)
-    head = lines[0].lstrip("# ").split()
-    if len(head) != 2 or head[0] != _FORMAT_TAG:
-        raise FileFormatError(f"not a {_FORMAT_TAG} file", path=path, line=1)
-    if head[1] != f"v{_FORMAT_VERSION}":
-        raise UnsupportedVersionError(
-            f"unsupported version {head[1]} (expected v{_FORMAT_VERSION})",
-            path=path, line=1,
-        )
+    lines = textfile.read(path, "snrmodel")
     if len(lines) < 2 or "scenario=" not in lines[1]:
         raise FileFormatError("missing metadata header", path=path, line=2)
-    meta = _header_fields(lines[1], 2, path)
+    meta = textfile.header_fields(lines[1], 2, path)
     scenario_hash = meta.get("scenario", "-")
 
     fits: dict = {}

@@ -216,14 +216,19 @@ def test_manifest_replays_without_config(planned, tmp_path):
     ("plan", ["--grid", "1", "1"], "--grid"),
     ("plan", ["--seed", "-3"], "--seed"),
     ("map", ["--workers", "0"], "--workers"),
-    ("plan", ["--manifest"], "draws_per_cell")],
+    ("plan", {"draws_per_cell": 0}, "draws_per_cell"),
+    ("plan", ["--grid", "100", "50"], "--grid"),
+    ("map", ["--grid", "100", "50"], "--grid"),
+    ("sweep", ["--grid", "100", "50", "--M", "64", "--rmin", "2.0"], "--grid"),
+    ("plan", {"nx": 100, "ny": 50}, "nx, ny")],
     ids=["plan-draws-0", "plan-grid-1x1", "plan-seed-negative", "map-workers-0",
-         "manifest-draws-0"])
+         "manifest-draws-0", "plan-grid-not-square", "map-grid-not-square",
+         "sweep-grid-not-square", "manifest-grid-not-square"])
 def test_bad_map_setting_exits_3_naming_it_before_any_output(planned, tmp_path, capsys,
                                                               verb, flags, named):
-    if flags == ["--manifest"]:
+    if isinstance(flags, dict):         # edits to the map block of a manifest
         summary = json.loads((planned / "summary.json").read_text())
-        summary["map"]["draws_per_cell"] = 0
+        summary["map"].update(flags)
         manifest = tmp_path / "summary.json"
         manifest.write_text(json.dumps(summary))
         flags = ["--manifest", str(manifest)]

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from irsplan import radiomap
+from irsplan import textfile
 from irsplan.channel import optimal_snr_samples
 from irsplan.cli import main
 from irsplan.errors import FileFormatError, UnsupportedVersionError
@@ -115,7 +115,7 @@ def test_truncated_file_fails_with_line_info(small_map, tmp_path):
 def test_version_mismatch_is_explicit(small_map, tmp_path):
     path = tmp_path / "map.csv"
     save_map(small_map, path)
-    current = f"irsplan-radiomap v{radiomap._FORMAT_VERSION}"
+    current = f"irsplan-radiomap v{textfile.VERSIONS['radiomap']}"
     text = path.read_text()
     assert text.startswith(f"# {current}\n")
     (tmp_path / "v9.csv").write_text(text.replace(current, "irsplan-radiomap v9", 1))

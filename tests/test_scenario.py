@@ -232,7 +232,8 @@ def test_non_finite_scenario_field_is_a_config_error(desk_scenario, name, value)
 
 
 @pytest.mark.parametrize("value", [0.0, -2.0])
-@pytest.mark.parametrize("name", ["bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent"])
+@pytest.mark.parametrize("name", ["bandwidth_hz", "ref_gain", "los_exponent", "nlos_exponent",
+                                  "noise_power"])
 def test_nonpositive_channel_field_is_a_config_error(desk_scenario, name, value):
     with pytest.raises(ConfigError, match="must be positive") as err:
         scenario_overrides(desk_scenario, **{name: value})

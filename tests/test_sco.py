@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from irsplan import audit
+from irsplan import audit, sco
+from irsplan.errors import SubproblemError
 from irsplan.graphinit import build_graph, shortest_path
 from irsplan.scenario import (LinkClass, Obstacle, los_class_batch, motion_energy,
                               obstacle_margin, scenario_overrides)
@@ -131,6 +133,20 @@ def test_vanishing_trust_region_freezes_first_iterate(desk_scenario, fitted_mode
     assert len(result.trace) <= 2   # initial + at most one frozen step
     first_energy = result.trace[0].energy
     assert result.energy == pytest.approx(first_energy, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius,radii", [(1.0, [1, .5, .25, .125, .0625, .05]),
+                                          (0.01, [0.01])])
+def test_failing_subproblem_retries_down_the_trust_schedule(desk_scenario, fitted_model,
+                                                            monkeypatch, radius, radii):
+    tried = []
+    monkeypatch.setattr(sco, "assemble_p4", lambda *args: tried.append(args[-1]))
+    monkeypatch.setattr(sco, "solve_p4", lambda sub: SimpleNamespace(status="max-iter"))
+    sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
+    with pytest.raises(SubproblemError, match=f"trust radius {radii[-1]}\\)") as err:
+        run(sc, fitted_model, ScoConfig(trust_radius=radius))
+    assert tried == radii
+    assert [rec.status for rec in err.value.trace] == ["initial"]
 
 
 def test_runs_are_bit_for_bit_deterministic(desk_scenario, fitted_model):
