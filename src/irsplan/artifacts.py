@@ -40,11 +40,13 @@ def write_trajectory_csv(path, traj, scenario: Scenario, model) -> None:
 
 
 def read_trajectory_csv(path) -> np.ndarray:
+    lines = textfile.read(path, "trajectory")
     # (line number, text) of each row, past blank and comment lines
-    rows = [(lineno, row) for lineno, row in enumerate(textfile.read(path, "trajectory"), 1)
+    rows = [(lineno, row) for lineno, row in enumerate(lines, 1)
             if row and not row.startswith("#")]
     if not rows or rows[0][1] != _TRAJ_COLUMNS:
-        raise FileFormatError("missing column header", path=path, line=3)
+        raise FileFormatError("missing column header", path=path,
+                              line=rows[0][0] if rows else len(lines))
     points = []
     for lineno, row in rows[1:]:
         parts = row.split(",")

@@ -28,22 +28,8 @@ class AuditReport:
     max_step: float
     worst_margin: float            # min over slots/obstacles of the quadratic form
     avg_rate: float                # bits/s under the fitted model
+    worst_violation: float         # largest violation across families (0 when feasible)
     violations: list = field(default_factory=list)
-    max_step_bound: float = 0.0
-    safety_level: float = 0.0
-    required_rate: float = 0.0
-
-    @property
-    def worst_violation(self) -> float:
-        """Largest constraint violation across families (0 when feasible)."""
-        return max(
-            0.0,
-            self.endpoint_error,
-            self.max_step - self.max_step_bound,
-            self.safety_level - self.worst_margin,
-            (self.required_rate - self.avg_rate) / self.required_rate
-            if self.required_rate > 0 else 0.0,
-        )
 
     def summary(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
@@ -130,10 +116,15 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
         max_step=max_step,
         worst_margin=worst_margin,
         avg_rate=avg_rate,
+        worst_violation=max(
+            0.0,
+            endpoint_error,
+            max_step - scenario.max_step,
+            scenario.safety_level - worst_margin,
+            (scenario.min_avg_rate - avg_rate) / scenario.min_avg_rate
+            if scenario.min_avg_rate > 0 else 0.0,
+        ),
         violations=violations,
-        max_step_bound=scenario.max_step,
-        safety_level=scenario.safety_level,
-        required_rate=scenario.min_avg_rate,
     )
 
 

@@ -33,8 +33,6 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-FIT_MODES = ("per_class", "global")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="irsplan", description=__doc__,
@@ -63,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_fit)
     p_fit.add_argument("--map", required=True, dest="map_file")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--mode", choices=FIT_MODES, default="per_class")
 
     p_plan = sub.add_parser("plan", help="plan one trajectory end to end")
     add_common(p_plan, config_required=False)
@@ -74,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar=("NX", "NY"))
     p_plan.add_argument("--draws", type=int, default=200)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--fit-mode", choices=FIT_MODES,
-                        default="per_class")
     p_plan.add_argument("--manifest", help="rerun a saved summary.json manifest "
                         "(in place of --config, which a replay does not read)")
 
@@ -132,6 +127,14 @@ def _check_channel(stamp: str, scenario: Scenario, key: str) -> None:
                           f"{scenario.channel_fingerprint()} (check --M / config)", key=key)
 
 
+def _load_model(path, scenario: Scenario) -> snrmodel.SnrModel:
+    """The model saved at ``path``; a ConfigError if it was fitted for another channel."""
+    model = snrmodel.load_model(path)
+    if model.scenario_hash:        # a model saved without a stamp fits any channel
+        _check_channel(model.scenario_hash, scenario, "model")
+    return model
+
+
 def _cmd_map(args) -> int:
     scenario = _load_scenario(args)
     _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
@@ -152,10 +155,10 @@ def _cmd_fit(args) -> int:
     scenario = _load_scenario(args)
     built = radiomap.load_map(args.map_file)
     _check_channel(built.scenario_hash, scenario, "map")
-    model = snrmodel.fit(built, scenario, mode=args.mode)
+    model = snrmodel.fit(built, scenario)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, args.out)
-    print(f"model ({args.mode}) -> {args.out}")
+    print(f"model -> {args.out}")
     for link, cf in model.fits.items():
         print(f"  [{link.label()}] gain_irs={cf.gain_irs:.6g} gain_cross={cf.gain_cross:.6g} "
               f"gain_direct={cf.gain_direct:.6g} exp_irs={cf.exp_irs:.4f} "
@@ -165,14 +168,12 @@ def _cmd_fit(args) -> int:
 
 
 def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None,
-               grid=(100, 60), draws=200, seed=0, fit_mode="per_class") -> tuple:
+               grid=(100, 60), draws=200, seed=0) -> tuple:
     """Map (or reuse), fit and plan. Returns (exit_code, summary dict)."""
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if model_file:
-        model = snrmodel.load_model(model_file)
-        if model.scenario_hash:        # a model saved without a stamp fits any channel
-            _check_channel(model.scenario_hash, scenario, "model")
+        model = _load_model(model_file, scenario)
         map_meta = {"source": str(model_file)}
     else:
         if map_file:
@@ -182,10 +183,10 @@ def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None
             built = radiomap.build_map(scenario, nx=grid[0], ny=grid[1],
                                        draws_per_cell=draws, seed=seed)
             radiomap.save_map(built, out_dir / "map.csv")
-        model = snrmodel.fit(built, scenario, mode=fit_mode)
+        model = snrmodel.fit(built, scenario)
         map_meta = _map_meta(built)
     map_artifact = "map.csv" if not (model_file or map_file) else None
-    return _plan_with_model(scenario, out_dir, model, map_meta, fit_mode, map_artifact)
+    return _plan_with_model(scenario, out_dir, model, map_meta, map_artifact)
 
 
 def _map_meta(built: radiomap.RadioMap) -> dict:
@@ -194,7 +195,7 @@ def _map_meta(built: radiomap.RadioMap) -> dict:
 
 
 def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
-                     fit_mode: str, map_artifact) -> tuple:
+                     map_artifact) -> tuple:
     """Shared by plan and sweep: descend on a fitted model and write the artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
     snrmodel.save_model(model, out_dir / "model.txt")
@@ -211,7 +212,7 @@ def _plan_with_model(scenario: Scenario, out_dir: Path, model, map_meta: dict,
     summary = {
         "scenario": scenario_payload(scenario),
         "map": map_meta,
-        "fit_mode": fit_mode,
+        "fit_mode": "per_class",
         "sco": dataclasses.asdict(sco_config),
         "result": {
             "status": result.status,
@@ -259,13 +260,13 @@ def _replay(manifest: dict) -> tuple:
     except KeyError as exc:
         raise ConfigError("missing from the manifest", key=exc.args[0]) from None
     fit_mode = manifest.get("fit_mode", "per_class")
-    if not all(type(v) is int for v in numbers) or fit_mode not in FIT_MODES:
-        raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and a fit "
-                          f"mode, got {map_meta} and {fit_mode!r}", key="map")
+    if not all(type(v) is int for v in numbers) or fit_mode != "per_class":
+        raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and fit mode "
+                          f"per_class, got {map_meta} and {fit_mode!r}", key="map")
     nx, ny, draws, seed = numbers
     _check_map_settings(scenario.workspace, (nx, ny), draws, seed,
                         keys=("nx, ny", "draws_per_cell", "seed"))
-    return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed, "fit_mode": fit_mode}
+    return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed}
 
 
 def _cmd_plan(args) -> int:
@@ -279,7 +280,7 @@ def _cmd_plan(args) -> int:
                         args.seed)
     code, _ = _plan_once(scenario, Path(args.out), map_file=args.map_file,
                          model_file=args.model_file, grid=tuple(args.grid),
-                         draws=args.draws, seed=args.seed, fit_mode=args.fit_mode)
+                         draws=args.draws, seed=args.seed)
     return code
 
 
@@ -317,8 +318,7 @@ def _cmd_sweep(args) -> int:
                 if isinstance(model, FitFailureError):
                     raise model
                 _, summary = _plan_with_model(scenario_overrides(sc_m, min_avg_rate=r * 1e9),
-                                              cell_dir, model, _map_meta(built), "per_class",
-                                              None)
+                                              cell_dir, model, _map_meta(built), None)
                 res = summary["result"]
                 cols = (res["status"], res["initial_solution"], res["final_energy_j"],
                         res["avg_rate_gbps"], res["iterations"])
@@ -335,7 +335,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     scenario = _load_scenario(args)
     traj = artifacts.read_trajectory_csv(args.trajectory)
-    model = snrmodel.load_model(args.model_file)
+    model = _load_model(args.model_file, scenario)
     report = audit_mod.check_p3(traj, scenario, model)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_INFEASIBLE

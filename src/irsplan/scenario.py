@@ -392,33 +392,20 @@ def los_class_batch(points: Array, scenario: Scenario) -> LinkClass:
 # reference path loss in dB, rates in Gbps, bandwidth in MHz. Obstacles are
 # declared as repeated [obstacle] blocks. '#' starts a comment.
 
-# config key -> (Scenario field, count of numbers, conversion to SI units)
-_CONFIG_KEYS = {
-    "workspace": ("workspace", 4, None),
-    "ap_pos": ("ap_pos", 2, None),
-    "irs_pos": ("irs_pos", 2, None),
-    "z_robot": ("z_robot", 1, None),
-    "z_ap": ("z_ap", 1, None),
-    "z_irs": ("z_irs", 1, None),
-    "n_slots": ("n_slots", 1, None),
-    "slot_duration": ("slot_duration", 1, None),
-    "v_max": ("v_max", 1, None),
-    "safety_level": ("safety_level", 1, None),
-    "motor_v2": ("motor_v2", 1, None),
-    "motor_v1": ("motor_v1", 1, None),
-    "motor_v0": ("motor_v0", 1, None),
-    "tx_power_dbm": ("tx_power", 1, dbm_to_watts),
-    "noise_dbm": ("noise_power", 1, dbm_to_watts),
-    "bandwidth_mhz": ("bandwidth_hz", 1, lambda mhz: mhz * 1e6),
-    "path_loss_db": ("ref_gain", 1, lambda db: db_to_linear(-db)),
-    "n_antennas": ("n_antennas", 1, None),
-    "n_irs_elements": ("n_irs_elements", 1, None),
-    "q_start": ("q_start", 2, None),
-    "q_goal": ("q_goal", 2, None),
-    "min_avg_rate_gbps": ("min_avg_rate", 1, lambda gbps: gbps * 1e9),
-    "los_exponent": ("los_exponent", 1, None),
-    "nlos_exponent": ("nlos_exponent", 1, None),
+# the config keys in other units than their Scenario field: field -> (key,
+# conversion to SI units); every other field is a key of its own name
+_UNIT_KEYS = {
+    "tx_power": ("tx_power_dbm", dbm_to_watts),
+    "noise_power": ("noise_dbm", dbm_to_watts),
+    "bandwidth_hz": ("bandwidth_mhz", lambda mhz: mhz * 1e6),
+    "ref_gain": ("path_loss_db", lambda db: db_to_linear(-db)),
+    "min_avg_rate": ("min_avg_rate_gbps", lambda gbps: gbps * 1e9),
 }
+
+# config key -> (Scenario field, count of numbers, conversion to SI units or None)
+_CONFIG_KEYS = {key: (name, math.prod(_FIELD_SHAPES[spec.type]), to_si)
+                for name, spec in Scenario.__dataclass_fields__.items() if name != "obstacles"
+                for key, to_si in [_UNIT_KEYS.get(name, (name, None))]}
 
 _OBSTACLE_KEYS = {"center", "length", "width", "angle_deg", "height", "shape"}
 

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 
-# a per_class fit needs this many cells in a class; sparser classes inherit
+# a class is fitted on its own cells when it has this many; sparser classes inherit
 MIN_CLASS_CELLS = 20
 
 # a class fit stops once its projected gradient falls to _FIT_GRAD_TOL of its
@@ -77,11 +77,10 @@ class ClassFit:
 
 @dataclass(frozen=True)
 class SnrModel:
-    """Per-class fitted SNR model (four classes; a global fit repeats one)."""
+    """Fitted SNR model: one ClassFit for each of the four visibility classes."""
 
     fits: dict
     scenario_hash: str = ""
-    fit_mode: str = "per_class"
 
     def fit_for(self, link: LinkClass) -> ClassFit:
         return self.fits[link]
@@ -248,13 +247,13 @@ def rate_app_position_hessian(lin: RateLinearization, points,
 # Fitting
 
 
-def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class") -> SnrModel:
-    """Fit the model to a radio map.
+def fit(radio_map: RadioMap, scenario: Scenario) -> SnrModel:
+    """Fit one parameter set per (AP, IRS) visibility class of a radio map.
 
-    ``per_class`` fits each (AP, IRS) visibility class on its own cells;
-    classes with fewer than ``MIN_CLASS_CELLS`` cells inherit the nearest
-    populated class's fit (flip the IRS label first, then the AP label).
-    ``global`` fits a single parameter set on every cell.
+    Each class with at least ``MIN_CLASS_CELLS`` cells is fitted on its own
+    cells; when no class has that many, the most populated one is. Every
+    other class inherits the fit of the nearest fitted class: flip the IRS
+    label first, then the AP label, then both.
     """
     xs, ys = radio_map.cell_centers()
     grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
@@ -263,55 +262,24 @@ def fit(radio_map: RadioMap, scenario: Scenario, mode: str = "per_class") -> Snr
     ap_los = radio_map.ap_los.reshape(-1)
     irs_los = radio_map.irs_los.reshape(-1)
 
-    if mode == "global":
-        fit_all = _fit_class(d_ap, d_irs, values, LinkClass(True, True), scenario)
-        fits = {link: fit_all for link in ALL_LINK_CLASSES}
-        return SnrModel(fits=fits, scenario_hash=radio_map.scenario_hash,
-                        fit_mode="global")
-    if mode != "per_class":
-        raise ValueError(f"unknown fit mode {mode!r}")
-
-    fitted: dict = {}
-    counts: dict = {}
-    for link in ALL_LINK_CLASSES:
-        mask = (ap_los == link.ap_los) & (irs_los == link.irs_los)
-        counts[link] = int(mask.sum())
-        if counts[link] >= MIN_CLASS_CELLS:
-            fitted[link] = _fit_class(d_ap[mask], d_irs[mask], values[mask],
-                                      link, scenario)
-
-    if not fitted:
-        # tiny maps: fit the single most populated class and share it
-        best = max(ALL_LINK_CLASSES, key=lambda c: counts[c])
-        mask = (ap_los == best.ap_los) & (irs_los == best.irs_los)
-        log.warning("no visibility class has %d cells; fitting %s on %d cells",
-                    MIN_CLASS_CELLS, best.label(), counts[best])
-        fitted[best] = _fit_class(d_ap[mask], d_irs[mask], values[mask], best,
-                                  scenario)
-
-    fits = {}
+    masks = {link: (ap_los == link.ap_los) & (irs_los == link.irs_los)
+             for link in ALL_LINK_CLASSES}
+    counts = {link: int(mask.sum()) for link, mask in masks.items()}
+    fitted = ([link for link in ALL_LINK_CLASSES if counts[link] >= MIN_CLASS_CELLS]
+              or [max(ALL_LINK_CLASSES, key=counts.get)])
+    fits = {link: _fit_class(d_ap[masks[link]], d_irs[masks[link]], values[masks[link]],
+                             link, scenario) for link in fitted}
     for link in ALL_LINK_CLASSES:
         if link in fitted:
-            fits[link] = fitted[link]
             continue
-        donor = _nearest_populated(link, fitted)
+        ap, irs = link
+        donor = next(c for c in (LinkClass(ap, not irs), LinkClass(not ap, irs),
+                                 LinkClass(not ap, not irs)) if c in fitted)
         log.warning("class %s has %d cells (< %d); inheriting fit from %s",
                     link.label(), counts[link], MIN_CLASS_CELLS, donor.label())
-        fits[link] = replace(fitted[donor], n_cells=counts[link],
-                             inherited_from=donor.label())
-    return SnrModel(fits=fits, scenario_hash=radio_map.scenario_hash,
-                    fit_mode="per_class")
-
-
-def _nearest_populated(link: LinkClass, fitted: dict) -> LinkClass:
-    for candidate in (
-        LinkClass(link.ap_los, not link.irs_los),
-        LinkClass(not link.ap_los, link.irs_los),
-        LinkClass(not link.ap_los, not link.irs_los),
-    ):
-        if candidate in fitted:
-            return candidate
-    raise RuntimeError("no populated class to inherit from")  # unreachable
+        fits[link] = replace(fits[donor], n_cells=counts[link], inherited_from=donor.label())
+    return SnrModel(fits={link: fits[link] for link in ALL_LINK_CLASSES},
+                    scenario_hash=radio_map.scenario_hash)
 
 
 def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario) -> ClassFit:
@@ -399,18 +367,16 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario) -> Clas
 # Persistence
 
 
-def _parse_class_tag(tag: str, path, lineno) -> LinkClass:
-    parts = tag.split()
-    if len(parts) != 2 or not parts[0].startswith("ap=") or not parts[1].startswith("irs="):
-        raise FileFormatError("malformed class tag", path=path, line=lineno, field=tag)
-    return LinkClass(parts[0] == "ap=LOS", parts[1] == "irs=LOS")
+# the line that opens each class block of a model file
+_CLASS_TAGS = {f"[class {link.label()}]": link for link in ALL_LINK_CLASSES}
 
 
 def save_model(model: SnrModel, path) -> None:
-    lines = [f"# scenario={model.scenario_hash or '-'} fit_mode={model.fit_mode}"]
-    for link in ALL_LINK_CLASSES:
+    # fit_mode=per_class is a fixed part of the v1 header
+    lines = [f"# scenario={model.scenario_hash or '-'} fit_mode=per_class"]
+    for tag, link in _CLASS_TAGS.items():
         cf = model.fits[link]
-        lines.append(f"[class {link.label()}]")
+        lines.append(tag)
         for name in (*_PARAMS, "residual_rms"):
             lines.append(f"{name} = {getattr(cf, name)!r}")
         lines.append(f"n_cells = {cf.n_cells}")
@@ -422,8 +388,9 @@ def load_model(path) -> SnrModel:
     lines = textfile.read(path, "snrmodel")
     if len(lines) < 2 or "scenario=" not in lines[1]:
         raise FileFormatError("missing metadata header", path=path, line=2)
-    meta = textfile.header_fields(lines[1], 2, path)
-    scenario_hash = meta.get("scenario", "-")
+    # fit_mode is not read: the four identical class blocks of a file that
+    # says fit_mode=global are a valid per-class model
+    scenario_hash = textfile.header_fields(lines[1], 2, path).get("scenario", "-")
 
     fits: dict = {}
     current: LinkClass | None = None
@@ -454,9 +421,13 @@ def load_model(path) -> SnrModel:
         line = line.strip()
         if not line:
             continue
-        if line.startswith("[class ") and line.endswith("]"):
+        if line.startswith("["):
             finish(lineno)
-            current = _parse_class_tag(line[len("[class "):-1], path, lineno)
+            current = _CLASS_TAGS.get(line)
+            if current is None or current in fits:
+                raise FileFormatError("unknown class tag" if current is None
+                                      else "repeated class block",
+                                      path=path, line=lineno, field=line)
             fields = {}
         elif "=" in line and current is not None:
             key, value = (part.strip() for part in line.split("=", 1))
@@ -472,5 +443,4 @@ def load_model(path) -> SnrModel:
             f"missing class blocks: {[m.label() for m in missing]}",
             path=path, line=len(lines),
         )
-    return SnrModel(fits=fits, scenario_hash="" if scenario_hash == "-" else scenario_hash,
-                    fit_mode=meta.get("fit_mode", "per_class"))
+    return SnrModel(fits=fits, scenario_hash="" if scenario_hash == "-" else scenario_hash)

@@ -54,8 +54,8 @@ def test_fit_verb_round_trips_model(tmp_path):
     model_path = tmp_path / "model.txt"
     assert main(["fit", "--config", DESK_CONFIG, "--map", str(map_path),
                  "--out", str(model_path)]) == 0
-    model = load_model(model_path)
-    assert model.fit_mode == "per_class"
+    load_model(model_path)
+    assert model_path.read_text().splitlines()[1].endswith(" fit_mode=per_class")
 
 
 def test_fit_rejects_mismatched_map(tmp_path):
@@ -93,6 +93,22 @@ def test_audit_verb_flags_requirement_change(planned):
                  "--trajectory", str(planned / "trajectory.csv"),
                  "--model", str(planned / "model.txt")])
     assert code == 2
+
+
+def test_audit_rejects_a_model_fitted_for_another_channel(planned, tmp_path, capsys):
+    code = main(["audit", "--config", DESK_CONFIG, "--M", "16",
+                 "--trajectory", str(planned / "trajectory.csv"),
+                 "--model", str(planned / "model.txt")])
+    assert code == 3
+    assert "configuration error: model:" in capsys.readouterr().err
+    # a model saved without a channel stamp fits any channel
+    lines = (planned / "model.txt").read_text().splitlines()
+    lines[1] = "# scenario=- fit_mode=per_class"
+    unstamped = tmp_path / "model.txt"
+    unstamped.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--config", DESK_CONFIG, "--M", "16",
+                 "--trajectory", str(planned / "trajectory.csv"),
+                 "--model", str(unstamped)]) == 0
 
 
 def test_infeasible_plan_exits_2_with_summary(tmp_path):
@@ -245,7 +261,8 @@ def test_map_and_fit_create_the_directory_of_out(tmp_path):
     assert main(["fit", "--config", DESK_CONFIG, "--map", str(map_path),
                  "--out", str(model_path)]) == 0
     assert load_map(map_path).nx == 40
-    assert load_model(model_path).fit_mode == "per_class"
+    load_model(model_path)
+    assert model_path.read_text().splitlines()[1].endswith(" fit_mode=per_class")
 
 
 def test_single_cell_sweep_matches_plan(planned, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,11 +281,41 @@ def test_fitted_model_tracks_map_cell_within_residual_band(
     assert log_err <= 4 * max(cf.residual_rms, 1e-6)
 
 
-def test_global_fit_mode_shares_one_parameter_set(small_map, desk_scenario):
-    model = fit(small_map, desk_scenario, mode="global")
-    tuples = {model.fit_for(link).as_tuple() for link in ALL_LINK_CLASSES}
-    assert len(tuples) == 1
-    assert model.fit_mode == "global"
+def test_tiny_desk_map_fits_its_most_populated_class_only(desk_scenario, caplog):
+    # no class of a 5x3 map has MIN_CLASS_CELLS cells
+    tiny = build_map(desk_scenario, nx=5, ny=3, draws_per_cell=5, seed=4)
+    counts = {link: int(np.sum((tiny.ap_los == link.ap_los) & (tiny.irs_los == link.irs_los)))
+              for link in ALL_LINK_CLASSES}
+    assert max(counts.values()) < MIN_CLASS_CELLS
+    with caplog.at_level("WARNING"):
+        model = fit(tiny, desk_scenario)
+    donor = LinkClass(True, True)
+    assert max(counts, key=counts.get) == donor
+    assert model.fit_for(donor).inherited_from is None
+    inheriting = [link for link in ALL_LINK_CLASSES if link != donor]
+    for link in inheriting:
+        cf = model.fit_for(link)
+        assert cf.as_tuple() == model.fit_for(donor).as_tuple()
+        assert (cf.inherited_from, cf.n_cells) == (donor.label(), counts[link])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"class {link.label()} has {counts[link]} cells (< {MIN_CLASS_CELLS}); "
+        f"inheriting fit from {donor.label()}" for link in inheriting]
+
+
+@pytest.mark.parametrize("populated,donors", [
+    ([(True, True), (False, False)], {(True, False): (True, True), (False, True): (False, False)}),
+    ([(True, True), (True, False)], {(False, True): (True, True), (False, False): (True, False)})],
+    ids=["irs-flip-first", "then-ap-flip"])
+def test_sparse_class_inherits_in_flip_order(empty_scenario, populated, donors):
+    built = synthetic_map(empty_scenario, ClassFit(1e-3, 1e-3, 1e-3, 2.0, 2.0))
+    labels = [*donors] * 5 + populated * ((built.nx * built.ny - 5 * len(donors)) // 2)
+    ap_los, irs_los = np.array(labels).T.reshape(2, built.ny, built.nx)
+    model = fit(replace(built, ap_los=ap_los, irs_los=irs_los), empty_scenario)
+    for link in populated:
+        assert model.fit_for(LinkClass(*link)).inherited_from is None
+    for link, donor in donors.items():
+        cf = model.fit_for(LinkClass(*link))
+        assert (cf.inherited_from, cf.n_cells) == (LinkClass(*donor).label(), 5)
 
 
 def test_fit_with_monte_carlo_noise_recovers_within_ten_percent(empty_scenario):
@@ -383,6 +414,31 @@ def test_model_header_token_without_equals_is_a_format_error(fitted_model, tmp_p
     with pytest.raises(FileFormatError) as err:
         load_model(tmp_path / "bad.txt")
     assert (err.value.line, err.value.field) == (2, "stray")
+
+
+@pytest.mark.parametrize("tag,message", [
+    ("[class ap=NLSO irs=LOS]", "unknown class tag"),
+    ("[class ap=LOS irs=NLOS]", "repeated class block")],
+    ids=["misspelt", "repeated"])
+def test_model_class_tag_must_be_known_and_new(fitted_model, tmp_path, tag, message):
+    path = tmp_path / "model.txt"
+    save_model(fitted_model, path)
+    lines = path.read_text().splitlines()
+    lineno = lines.index("[class ap=NLOS irs=LOS]") + 1     # the third block
+    lines[lineno - 1] = tag
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=message) as err:
+        load_model(tmp_path / "bad.txt")
+    assert (err.value.line, err.value.field) == (lineno, tag)
+
+
+def test_model_header_fit_mode_is_not_read(fitted_model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(fitted_model, path)
+    assert path.read_text().splitlines()[1].endswith(" fit_mode=per_class")
+    (tmp_path / "global.txt").write_text(
+        path.read_text().replace("fit_mode=per_class", "fit_mode=global", 1))
+    assert load_model(tmp_path / "global.txt") == load_model(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

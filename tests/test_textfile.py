@@ -58,3 +58,18 @@ def test_trajectory_error_names_its_line_past_a_blank_line(artifact_io, tmp_path
     with pytest.raises(FileFormatError) as err:
         read(tmp_path / "blank.csv")
     assert err.value.line == 11
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda lines: [*lines[:2], "", lines[2].replace("step_length", "step_lenght"),
+                    *lines[3:]], 4),
+    (lambda lines: lines[:2], 2)],
+    ids=["misspelt-past-a-blank-line", "no-rows"])
+def test_trajectory_header_error_names_the_header_line(artifact_io, tmp_path, edit, line):
+    write, read = artifact_io["trajectory"]
+    write(tmp_path / "trajectory.csv")
+    lines = edit((tmp_path / "trajectory.csv").read_text().splitlines())
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="missing column header") as err:
+        read(tmp_path / "bad.csv")
+    assert err.value.line == line
