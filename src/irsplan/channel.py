@@ -279,22 +279,9 @@ def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: Lin
     exp_ap, exp_irs = scenario.exponents(link)
     rho = scenario.ref_gain
     gamma = scenario.irs_ap_gain
-
-    # _snr_form with its coefficients, evaluated in place in the same
-    # operation order, so the samples keep every bit
-    out = np.square(l1_irs)
-    out *= n * rho * gamma**2
-    out *= d_irs ** (-exp_irs)
-    l1_irs *= 2.0 * math.sqrt(n) * rho * gamma
-    l1_irs *= cross
-    l1_irs *= d_irs ** (-exp_irs / 2)
-    l1_irs *= d_ap ** (-exp_ap / 2)
-    out += l1_irs
-    l2sq_direct *= rho
-    l2sq_direct *= d_ap ** (-exp_ap)
-    out += l2sq_direct
-    out *= scenario.snr_scale
-    return out
+    return _snr_form(np.square(l1_irs) * (n * rho * gamma**2),
+                     l1_irs * (2.0 * math.sqrt(n) * rho * gamma) * cross,
+                     l2sq_direct * rho, exp_irs, exp_ap, d_ap, d_irs, scenario.snr_scale)
 
 
 def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:

@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario configuration file")
         p.add_argument("--M", type=int, default=None,
                        help="override the IRS element count")
-        p.add_argument("--rmin", type=float, default=None,
-                       help="override the rate requirement (Gbps)")
 
     p_map = sub.add_parser("map", help="build and save a radio map")
     add_common(p_map)
@@ -91,6 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trajectory", required=True)
     p_audit.add_argument("--model", dest="model_file", required=True)
 
+    for p in (p_plan, p_audit):    # the map and the fit do not depend on the rate
+        p.add_argument("--rmin", type=float, default=None,
+                       help="override the rate requirement (Gbps)")
     return parser
 
 
@@ -298,13 +299,16 @@ def _cmd_sweep(args) -> int:
     m_values = _sweep_axis(args.M, int, "--M")
     r_values = _sweep_axis(args.rmin, float, "--rmin")
     _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed)
+    # every cell's scenario before any work, so that a bad value writes nothing
+    scenarios = [[scenario_overrides(scenario, n_irs_elements=m, min_avg_rate=r * 1e9)
+              for r in r_values] for m in m_values]
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
     table = ["n_irs_elements,rmin_gbps,status,initial_solution,final_energy_j,"
              "avg_rate_gbps,iterations,artifact_dir"]
-    for m in m_values:
-        sc_m = scenario_overrides(scenario, n_irs_elements=m)
+    for m, row in zip(m_values, scenarios):
+        sc_m = row[0]       # the map and the fit do not read the rate requirement
         built = radiomap.build_map(sc_m, nx=args.grid[0], ny=args.grid[1],
                                    draws_per_cell=args.draws, seed=args.seed)
         radiomap.save_map(built, out_root / f"map_M{m}.csv")
@@ -312,13 +316,12 @@ def _cmd_sweep(args) -> int:
             model = snrmodel.fit(built, sc_m)
         except FitFailureError as exc:
             model = exc
-        for r in r_values:
+        for r, sc_r in zip(r_values, row):
             cell_dir = out_root / f"M{m}_rmin{r:g}"
             try:
                 if isinstance(model, FitFailureError):
                     raise model
-                _, summary = _plan_with_model(scenario_overrides(sc_m, min_avg_rate=r * 1e9),
-                                              cell_dir, model, _map_meta(built), None)
+                _, summary = _plan_with_model(sc_r, cell_dir, model, _map_meta(built), None)
                 res = summary["result"]
                 cols = (res["status"], res["initial_solution"], res["final_energy_j"],
                         res["avg_rate_gbps"], res["iterations"])

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textfile
 from .errors import ConfigError, InvalidObstacleError, InvalidTrajectoryError
 
 Array = np.ndarray
@@ -407,98 +408,68 @@ _CONFIG_KEYS = {key: (name, math.prod(_FIELD_SHAPES[spec.type]), to_si)
                 for name, spec in Scenario.__dataclass_fields__.items() if name != "obstacles"
                 for key, to_si in [_UNIT_KEYS.get(name, (name, None))]}
 
-_OBSTACLE_KEYS = {"center", "length", "width", "angle_deg", "height", "shape"}
+# each key of an [obstacle] block with its count of numbers, and the key sets a
+# block may have: a shape matrix, or axis lengths with an optional rotation
+_OBSTACLE_KEYS = {"center": 2, "height": 1, "shape": 3, "length": 1, "width": 1,
+                  "angle_deg": 1}
+_OBSTACLE_FORMS = ({"center", "height", "shape"}, {"center", "height", "length", "width"},
+                   {"center", "height", "length", "width", "angle_deg"})
 
 # a key may be left out where its field has a default
 _REQUIRED_KEYS = {key for key, (name, _, _) in _CONFIG_KEYS.items()
                   if Scenario.__dataclass_fields__[name].default is MISSING}
 
 
-def _parse_floats(text: str, n: int, key: str) -> list:
+def _parse_floats(text: str, n: int, key: str):
+    """The ``n`` numbers of ``text``: a float if ``n`` is 1, else a list."""
     parts = text.split()
     if len(parts) != n:
         raise ConfigError(f"expected {n} numbers, got {len(parts)}", key=key)
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"not a number: {exc}", key=key) from None
+    return values[0] if n == 1 else values
+
+
+def _obstacle(lineno: int, block: dict) -> Obstacle:
+    """The obstacle of the [obstacle] block at line ``lineno``."""
+    if set(block) not in _OBSTACLE_FORMS:
+        raise ConfigError(f"needs center, height and either shape or length, width and "
+                          f"optional angle_deg, got {sorted(block)} (line {lineno})",
+                          key="obstacle")
+    values = {key: _parse_floats(text, _OBSTACLE_KEYS[key], f"obstacle.{key}")
+              for key, (_, text) in block.items()}
+    try:
+        if "shape" in values:
+            pxx, pxy, pyy = values["shape"]
+            return Obstacle(values["center"], [[pxx, pxy], [pxy, pyy]], values["height"])
+        return Obstacle.from_extents(values["center"], values["length"], values["width"],
+                                     values.get("angle_deg", 0.0), values["height"])
+    except InvalidObstacleError as exc:
+        raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario configuration file. Unknown keys are errors."""
-    raw: dict = {}
-    obstacles_raw: list = []
-    current: dict | None = None   # obstacle block under construction
-
+    """Parse a scenario configuration file. Unknown or repeated keys are errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "[obstacle]":
-                current = {}
-                obstacles_raw.append((lineno, current))
-                continue
-            if line.startswith("["):
-                raise ConfigError(f"unknown section {line!r} (line {lineno})", key=line)
-            if "=" not in line:
-                raise ConfigError(f"expected 'key = value' (line {lineno})", key=line)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if current is not None:
-                if key not in _OBSTACLE_KEYS:
-                    raise ConfigError(f"unknown obstacle key (line {lineno})",
-                                      key=f"obstacle.{key}")
-                current[key] = value
-            else:
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"unknown key (line {lineno})", key=key)
-                if key in raw:
-                    raise ConfigError(f"duplicate key (line {lineno})", key=key)
-                raw[key] = value
-
-    missing = _REQUIRED_KEYS - raw.keys()
+        (_, _, top), *sections = textfile.blocks(fh.read().splitlines(), 1, path)
+    fields = {}
+    for key, (lineno, text) in top.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown key (line {lineno})", key=key)
+        name, count, to_si = _CONFIG_KEYS[key]
+        value = _parse_floats(text, count, key)
+        fields[name] = to_si(value) if to_si else value
+    missing = _REQUIRED_KEYS - top.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}",
                           key=sorted(missing)[0])
-
     obstacles = []
-    for lineno, block in obstacles_raw:
-        if "shape" in block:
-            vals = _parse_floats(block["shape"], 3, "obstacle.shape")
-            shape = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
-            center = _parse_floats(block.get("center", ""), 2, "obstacle.center")
-            try:
-                height = float(block.get("height", "nan"))
-                obstacles.append(Obstacle(np.array(center), shape, height))
-            except (ValueError, InvalidObstacleError) as exc:
-                raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
-        else:
-            needed = {"center", "length", "width", "height"}
-            if not needed <= block.keys():
-                raise ConfigError(
-                    f"obstacle block needs {sorted(needed)} (line {lineno})",
-                    key="obstacle",
-                )
-            center = _parse_floats(block["center"], 2, "obstacle.center")
-            try:
-                obstacles.append(
-                    Obstacle.from_extents(
-                        center,
-                        float(block["length"]),
-                        float(block["width"]),
-                        float(block.get("angle_deg", "0.0")),
-                        float(block["height"]),
-                    )
-                )
-            except (ValueError, InvalidObstacleError) as exc:
-                raise ConfigError(str(exc), key=f"obstacle (line {lineno})") from None
-
-    fields = {}
-    for key, (name, count, to_si) in _CONFIG_KEYS.items():
-        if key in raw:
-            values = _parse_floats(raw[key], count, key)
-            value = values[0] if count == 1 else values
-            fields[name] = to_si(value) if to_si else value
+    for lineno, tag, block in sections:
+        if tag != "[obstacle]":
+            raise ConfigError(f"unknown section {tag!r} (line {lineno})", key=tag)
+        obstacles.append(_obstacle(lineno, block))
     return Scenario(obstacles=tuple(obstacles), **fields)
 
 

@@ -69,7 +69,7 @@ class IterationRecord:
 
 @dataclass
 class PlanResult:
-    status: str                    # "optimal" | "infeasible" | "failed"
+    status: str                    # "optimal" | "infeasible"
     init_label: str | None
     trajectory: np.ndarray | None
     energy: float

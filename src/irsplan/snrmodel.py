@@ -370,17 +370,19 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario) -> Clas
 # the line that opens each class block of a model file
 _CLASS_TAGS = {f"[class {link.label()}]": link for link in ALL_LINK_CLASSES}
 
+# the fields of a class block, in the order they are written, with their parsers
+_FIELDS = {**dict.fromkeys((*_PARAMS, "residual_rms"), float), "n_cells": int,
+           "inherited_from": lambda text: None if text == "-" else text}
+
 
 def save_model(model: SnrModel, path) -> None:
     # fit_mode=per_class is a fixed part of the v1 header
     lines = [f"# scenario={model.scenario_hash or '-'} fit_mode=per_class"]
     for tag, link in _CLASS_TAGS.items():
-        cf = model.fits[link]
         lines.append(tag)
-        for name in (*_PARAMS, "residual_rms"):
-            lines.append(f"{name} = {getattr(cf, name)!r}")
-        lines.append(f"n_cells = {cf.n_cells}")
-        lines.append(f"inherited_from = {cf.inherited_from or '-'}")
+        for name in _FIELDS:
+            value = getattr(model.fits[link], name)
+            lines.append(f"{name} = {'-' if value is None else value}")
     textfile.write(path, "snrmodel", lines)
 
 
@@ -392,50 +394,29 @@ def load_model(path) -> SnrModel:
     # says fit_mode=global are a valid per-class model
     scenario_hash = textfile.header_fields(lines[1], 2, path).get("scenario", "-")
 
+    (_, _, head), *class_blocks = textfile.blocks(lines[2:], 3, path)
+    for name, (line, _) in head.items():        # the first field line, if any
+        raise FileFormatError("field before the first class tag", path=path, line=line,
+                              field=name)
     fits: dict = {}
-    current: LinkClass | None = None
-    fields: dict = {}
-    field_lines: dict = {}
-
-    def finish(lineno):
-        if current is None:
-            return
+    for lineno, tag, block in class_blocks:
+        link = _CLASS_TAGS.get(tag)
+        if link is None or link in fits:
+            raise FileFormatError("unknown class tag" if link is None
+                                  else "repeated class block",
+                                  path=path, line=lineno, field=tag)
+        if block.keys() != _FIELDS.keys():
+            raise FileFormatError(f"has the fields {', '.join(block)}, expected "
+                                  f"{', '.join(_FIELDS)}", path=path, line=lineno, field=tag)
         try:
-            params = {name: float(fields[name]) for name in _PARAMS}
-            for name, value in params.items():
-                if not math.isfinite(value):
-                    raise FileFormatError(f"parameter must be finite, got {value}",
-                                          path=path, line=field_lines[name], field=name)
-            fits[current] = ClassFit(
-                **params,
-                residual_rms=float(fields["residual_rms"]),
-                n_cells=int(fields["n_cells"]),
-                inherited_from=None if fields["inherited_from"] == "-"
-                else fields["inherited_from"],
-            )
-        except (KeyError, ValueError) as exc:
-            raise FileFormatError(f"incomplete class block: {exc}", path=path,
-                                  line=lineno) from None
-
-    for lineno, line in enumerate(lines[2:], start=3):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            finish(lineno)
-            current = _CLASS_TAGS.get(line)
-            if current is None or current in fits:
-                raise FileFormatError("unknown class tag" if current is None
-                                      else "repeated class block",
-                                      path=path, line=lineno, field=line)
-            fields = {}
-        elif "=" in line and current is not None:
-            key, value = (part.strip() for part in line.split("=", 1))
-            fields[key] = value
-            field_lines[key] = lineno
-        else:
-            raise FileFormatError("unexpected line", path=path, line=lineno, field=line)
-    finish(len(lines))
+            fields = {name: parse(block[name][1]) for name, parse in _FIELDS.items()}
+        except ValueError as exc:
+            raise FileFormatError(str(exc), path=path, line=lineno, field=tag) from None
+        for name in _PARAMS:
+            if not (math.isfinite(fields[name]) and fields[name] >= 0):
+                raise FileFormatError(f"must be finite and nonnegative, got {fields[name]}",
+                                      path=path, line=block[name][0], field=name)
+        fits[link] = ClassFit(**fields)
 
     missing = [link for link in ALL_LINK_CLASSES if link not in fits]
     if missing:

@@ -1,8 +1,9 @@
-"""The versioned header of every artifact text file, written and checked in one place.
+"""The text formats shared by irsplan's files, written and checked in one place.
 
-Each file starts with the line ``# irsplan-<kind> v<N>``; its body is the
-business of the module that owns the kind. A layout change bumps that kind's
-entry in ``VERSIONS``, so a reader never parses a body it does not know.
+Each artifact file starts with the line ``# irsplan-<kind> v<N>``; its body is
+the business of the module that owns the kind. A layout change bumps that
+kind's entry in ``VERSIONS``, so a reader never parses a body it does not know.
+The scenario config and the model file share the grammar that ``blocks`` reads.
 """
 
 from __future__ import annotations
@@ -46,4 +47,26 @@ def header_fields(line: str, lineno: int, path) -> dict:
                                   field=token)
         key, value = token.split("=", 1)
         out[key] = value
+    return out
+
+
+def blocks(lines, first: int, path) -> list:
+    """``[(lineno, tag, {key: (lineno, value)})]`` of ``lines``, the first being line ``first``.
+
+    The first entry, tag None, holds the lines above the first ``[tag]``; ``#``
+    starts a comment. FileFormatError at a line that is neither a tag nor
+    ``key = value``, and at a key repeated in its block.
+    """
+    out = [(first, None, {})]
+    for lineno, line in enumerate(lines, start=first):
+        line = line.split("#", 1)[0].strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if line.startswith("["):
+            out.append((lineno, line, {}))
+        elif line and not (sep and key):
+            raise FileFormatError("expected 'key = value'", path=path, line=lineno, field=line)
+        elif key in out[-1][2]:
+            raise FileFormatError("repeated key", path=path, line=lineno, field=key)
+        elif line:
+            out[-1][2][key] = (lineno, value)
     return out

@@ -148,17 +148,33 @@ def test_unknown_config_key_exits_3(tmp_path):
     assert main(["map", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
 
 
-@pytest.mark.parametrize("edit,flags", [
-    (None, ["--rmin", "nan"]), (None, ["--rmin", "inf"]),
-    (("n_slots", "inf"), []), (("los_exponent", "x"), []),
-    (("bandwidth_mhz", "-200.0"), [])],
-    ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative"])
-def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, flags):
+@pytest.mark.parametrize("edit,args,named", [
+    (None, ["plan", "--rmin", "nan"], "min_avg_rate"),
+    (None, ["plan", "--rmin", "inf"], "min_avg_rate"),
+    (("n_slots", "inf"), ["plan"], "n_slots"), (("los_exponent", "x"), ["plan"], "los_exponent"),
+    (("bandwidth_mhz", "-200.0"), ["plan"], "bandwidth_hz"),
+    (None, ["sweep", "--M", "0", "--rmin", "nan"], "min_avg_rate"),
+    (None, ["sweep", "--M", "-4", "--rmin", "2.0"], "n_irs_elements")],
+    ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative",
+         "sweep-rmin-nan", "sweep-M-negative"])
+def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, args, named):
     config = desk_config_with(tmp_path, *edit) if edit else DESK_CONFIG
     out = tmp_path / "run"
-    assert main(["plan", "--config", str(config), "--out", str(out), *SMALL, *flags]) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    verb, *flags = args
+    assert main([verb, "--config", str(config), "--out", str(out), *SMALL, *flags]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and named in err
     assert not out.exists()
+
+
+def test_malformed_config_line_exits_3_naming_its_line(tmp_path, capsys):
+    lines = open(DESK_CONFIG).read().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("v_max ="))
+    lines[lineno - 1] = "v_max 3.0"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "run"), *SMALL]) == 3
+    assert capsys.readouterr().err.startswith(f"configuration error: {bad}: line {lineno}: ")
 
 
 def test_plan_never_imports_scipy_optimize(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irsplan.errors import ConfigError, InvalidObstacleError, InvalidTrajectoryError
+from irsplan.errors import (ConfigError, FileFormatError, InvalidObstacleError,
+                            InvalidTrajectoryError)
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
                               los_class_batch, motion_energy, obstacle_margin,
                               scenario_from_payload, scenario_overrides, scenario_payload,
@@ -264,6 +265,38 @@ def test_bad_shape_obstacle_height_is_a_config_error(tmp_path):
     path = tmp_path / "shape.cfg"
     path.write_text(open(DESK_CONFIG).read().split("\n[obstacle]")[0]
                     + "\n[obstacle]\ncenter = 17 18.5\nshape = 9 0 4\nheight = x\n")
+    with pytest.raises(ConfigError, match="obstacle"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("after,extra,field", [
+    ("v_max =", "v_max = 2.0", "v_max"),
+    ("center = 17.0 18.5", "center = 30 25", "center"),
+    ("n_slots =", "n_slots 30", "n_slots 30")],
+    ids=["repeated-top-level-key", "repeated-obstacle-key", "not-key-value"])
+def test_repeated_key_or_bad_line_is_a_format_error_at_its_line(tmp_path, after, extra, field):
+    lines = open(DESK_CONFIG).read().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(after)) + 1
+    lines.insert(lineno - 1, extra)
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_scenario(path)
+    assert (err.value.path, err.value.line, err.value.field) == (path, lineno, field)
+
+
+@pytest.mark.parametrize("block", [
+    "center = 17 18.5\nshape = 9 0 4\nlength = 6\nwidth = 4\nheight = 2",
+    "center = 17 18.5\nshape = 9 0 4\nangle_deg = 30\nheight = 2",
+    "center = 17 18.5\nlength = 6\nheight = 2",
+    "center = 17 18.5\nshape = 9 0 4",
+    "center = 17 18.5\nshape = 9 0 4\nheight = 2\nradius = 1"],
+    ids=["shape-and-extents", "shape-and-angle", "length-without-width", "no-height",
+         "unknown-key"])
+def test_obstacle_block_takes_exactly_one_form(tmp_path, block):
+    path = tmp_path / "obstacle.cfg"
+    path.write_text(open(DESK_CONFIG).read().split("\n[obstacle]")[0]
+                    + f"\n[obstacle]\n{block}\n")
     with pytest.raises(ConfigError, match="obstacle"):
         load_scenario(path)
 

@@ -7,9 +7,11 @@ import pytest
 from irsplan import audit, sco
 from irsplan.errors import SubproblemError
 from irsplan.graphinit import build_graph, shortest_path
+from irsplan.radiomap import build_map
 from irsplan.scenario import (LinkClass, Obstacle, los_class_batch, motion_energy,
                               obstacle_margin, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
+from irsplan.snrmodel import fit
 
 from conftest import point_class, straight_line
 
@@ -147,6 +149,17 @@ def test_failing_subproblem_retries_down_the_trust_schedule(desk_scenario, fitte
         run(sc, fitted_model, ScoConfig(trust_radius=radius))
     assert tried == radii
     assert [rec.status for rec in err.value.trace] == ["initial"]
+
+
+def test_descent_accepts_steps_below_the_published_trust_radius(desk_scenario):
+    # at M=16 and 2.5 Gbps the full-radius step of the last iterations misses the
+    # rate requirement in the P3 audit, so the descent retries at 0.5 and 0.25 m
+    sc = scenario_overrides(desk_scenario, n_irs_elements=16, min_avg_rate=2.5e9)
+    model = fit(build_map(sc, nx=20, ny=12, draws_per_cell=20, seed=11), sc)
+    result = run(sc, model, ScoConfig())
+    assert result.status == "optimal"
+    assert audit.check_p3(result.trajectory, sc, model).ok
+    assert min(rec.trust_radius for rec in result.trace[1:]) < 1.0
 
 
 def test_runs_are_bit_for_bit_deterministic(desk_scenario, fitted_model):

@@ -441,6 +441,24 @@ def test_model_header_fit_mode_is_not_read(fitted_model, tmp_path):
     assert load_model(tmp_path / "global.txt") == load_model(path)
 
 
+@pytest.mark.parametrize("index,extra,line,field", [
+    (4, None, 5, "gain_irs"),
+    (4, "bogus = 1", 3, "[class ap=LOS irs=LOS]"),
+    (2, "gain_irs = 1.0", 3, "gain_irs")],
+    ids=["repeated-field", "unknown-field", "field-before-first-tag"])
+def test_model_class_block_holds_exactly_its_fields(fitted_model, tmp_path, index, extra,
+                                                     line, field):
+    path = tmp_path / "model.txt"
+    save_model(fitted_model, path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "[class ap=LOS irs=LOS]" and lines[3].startswith("gain_irs = ")
+    lines.insert(index, extra or lines[index - 1])      # None: repeat the line above
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load_model(tmp_path / "bad.txt")
+    assert (err.value.line, err.value.field) == (line, field)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_model_non_finite_parameter_is_a_format_error(fitted_model, tmp_path, value):
     path = tmp_path / "model.txt"

@@ -46,6 +46,27 @@ def test_reader_takes_only_its_own_header_at_its_own_version(artifact_io, tmp_pa
     assert err.value.line == 1
 
 
+def test_blocks_group_keys_under_tags_with_their_line_numbers():
+    lines = ["# a comment", "a = 1   # and another", "", "[one]", "b = x = y", "  c=2  ",
+             "[two]", "[one]", "a = 3"]
+    assert textfile.blocks(lines, 5, "f.cfg") == [
+        (5, None, {"a": (6, "1")}),
+        (8, "[one]", {"b": (9, "x = y"), "c": (10, "2")}),
+        (11, "[two]", {}),
+        (12, "[one]", {"a": (13, "3")})]
+
+
+@pytest.mark.parametrize("lines,line,field", [
+    (["a = 1", "[t]", "b = 2", "b = 3"], 4, "b"),
+    (["[t]", "= 1"], 2, "= 1"),
+    (["a = 1", "b"], 2, "b")],
+    ids=["repeated-key", "no-key", "no-equals"])
+def test_blocks_reject_a_repeated_key_or_a_line_that_is_neither(lines, line, field):
+    with pytest.raises(FileFormatError) as err:
+        textfile.blocks(lines, 1, "f.cfg")
+    assert (err.value.path, err.value.line, err.value.field) == ("f.cfg", line, field)
+
+
 def test_trajectory_error_names_its_line_past_a_blank_line(artifact_io, tmp_path):
     write, read = artifact_io["trajectory"]
     write(tmp_path / "trajectory.csv")
