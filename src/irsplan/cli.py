@@ -8,7 +8,8 @@ Verbs:
     audit  re-check a saved trajectory against the original constraints
 
 Exit codes: 0 success, 2 infeasible problem (or failed audit), 3 bad
-configuration or file format, 4 numerical failure.
+configuration, file format, command line or unreadable input file, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -32,11 +33,19 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+MAP_FLAGS = ("--grid", "--draws", "--seed")     # the flags of the map settings, in order
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 3), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message, key=self.prog)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="irsplan", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="irsplan", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p, config_required=True):
@@ -48,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="build and save a radio map")
     add_common(p_map)
     p_map.add_argument("--out", required=True)
-    p_map.add_argument("--grid", type=int, nargs=2, default=[100, 60],
-                       metavar=("NX", "NY"))
-    p_map.add_argument("--draws", type=int, default=200)
-    p_map.add_argument("--seed", type=int, default=0)
-    p_map.add_argument("--workers", type=int, default=None,
-                       help="threads for the map build (default: all usable CPUs)")
 
     p_fit = sub.add_parser("fit", help="fit the SNR model to a radio map")
     add_common(p_fit)
@@ -65,10 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", required=True, help="output directory")
     p_plan.add_argument("--map", dest="map_file", help="reuse a saved radio map")
     p_plan.add_argument("--model", dest="model_file", help="reuse a fitted model")
-    p_plan.add_argument("--grid", type=int, nargs=2, default=[100, 60],
-                        metavar=("NX", "NY"))
-    p_plan.add_argument("--draws", type=int, default=200)
-    p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--manifest", help="rerun a saved summary.json manifest "
                         "(in place of --config, which a replay does not read)")
 
@@ -79,16 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated IRS element counts, e.g. 0,16,64")
     p_sweep.add_argument("--rmin", required=True,
                          help="comma-separated rate requirements in Gbps")
-    p_sweep.add_argument("--grid", type=int, nargs=2, default=[100, 60],
-                         metavar=("NX", "NY"))
-    p_sweep.add_argument("--draws", type=int, default=200)
-    p_sweep.add_argument("--seed", type=int, default=0)
 
     p_audit = sub.add_parser("audit", help="re-check a trajectory artifact")
     add_common(p_audit)
     p_audit.add_argument("--trajectory", required=True)
     p_audit.add_argument("--model", dest="model_file", required=True)
 
+    grid, draws, seed = MAP_FLAGS
+    for p in (p_map, p_plan, p_sweep):      # the verbs that may build a radio map
+        p.add_argument(grid, type=int, nargs=2, default=[100, 60], metavar=("NX", "NY"))
+        p.add_argument(draws, type=int, default=200, help="channel draws per cell")
+        p.add_argument(seed, type=int, default=0)
     for p in (p_plan, p_audit):    # the map and the fit do not depend on the rate
         p.add_argument("--rmin", type=float, default=None,
                        help="override the rate requirement (Gbps)")
@@ -103,22 +103,6 @@ def _load_scenario(args) -> Scenario:
     if getattr(args, "rmin", None) is not None:
         overrides["min_avg_rate"] = args.rmin * 1e9
     return scenario_overrides(scenario, **overrides) if overrides else scenario
-
-
-def _check_map_settings(workspace, grid, draws, seed, workers=1,
-                        keys=("--grid", "--draws", "--seed", "--workers")) -> None:
-    """ConfigError naming the flag (or manifest key) of the first map setting
-    that build_map would reject: a grid side below 2, no draws, a negative
-    seed, no worker, or a grid without square cells on the workspace (None:
-    no map is built, so the grid need not tile one)."""
-    for key, value, least in zip(keys, (min(grid), draws, seed, workers), (2, 1, 0, 1)):
-        if value < least:
-            raise ConfigError(f"must be at least {least}, got {value}", key=key)
-    if workspace is not None:
-        try:
-            radiomap.square_cell_size(workspace, *grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=keys[0]) from None
 
 
 def _check_channel(stamp: str, scenario: Scenario, key: str) -> None:
@@ -138,11 +122,10 @@ def _load_model(path, scenario: Scenario) -> snrmodel.SnrModel:
 
 def _cmd_map(args) -> int:
     scenario = _load_scenario(args)
-    _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
-                        1 if args.workers is None else args.workers)
+    radiomap.check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
+                                MAP_FLAGS)
     built = radiomap.build_map(scenario, nx=args.grid[0], ny=args.grid[1],
-                               draws_per_cell=args.draws, seed=args.seed,
-                               workers=args.workers)
+                               draws_per_cell=args.draws, seed=args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     radiomap.save_map(built, args.out)
     print(f"radio map {built.nx}x{built.ny} ({args.draws} draws/cell) -> {args.out}")
@@ -170,24 +153,30 @@ def _cmd_fit(args) -> int:
 
 def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None,
                grid=(100, 60), draws=200, seed=0) -> tuple:
-    """Map (or reuse), fit and plan. Returns (exit_code, summary dict)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Map (or reuse), fit and plan. Returns (exit_code, summary dict).
 
+    The inputs are read before the output directory is made."""
     if model_file:
         model = _load_model(model_file, scenario)
         map_meta = {"source": str(model_file)}
+    elif map_file:
+        built = radiomap.load_map(map_file)
+        _check_channel(built.scenario_hash, scenario, "map")
+        model, map_meta = snrmodel.fit(built, scenario), _map_meta(built)
     else:
-        if map_file:
-            built = radiomap.load_map(map_file)
-            _check_channel(built.scenario_hash, scenario, "map")
-        else:
-            built = radiomap.build_map(scenario, nx=grid[0], ny=grid[1],
-                                       draws_per_cell=draws, seed=seed)
-            radiomap.save_map(built, out_dir / "map.csv")
-        model = snrmodel.fit(built, scenario)
-        map_meta = _map_meta(built)
+        model, map_meta = _build_and_fit(scenario, grid, draws, seed, out_dir / "map.csv")
     map_artifact = "map.csv" if not (model_file or map_file) else None
     return _plan_with_model(scenario, out_dir, model, map_meta, map_artifact)
+
+
+def _build_and_fit(scenario: Scenario, grid, draws: int, seed: int, map_path: Path) -> tuple:
+    """Build the radio map, save it at ``map_path`` (making its directory) and fit
+    the SNR model to it. Returns (model, map metadata for the summary)."""
+    built = radiomap.build_map(scenario, nx=grid[0], ny=grid[1], draws_per_cell=draws,
+                               seed=seed)
+    map_path.parent.mkdir(parents=True, exist_ok=True)
+    radiomap.save_map(built, map_path)
+    return snrmodel.fit(built, scenario), _map_meta(built)
 
 
 def _map_meta(built: radiomap.RadioMap) -> dict:
@@ -265,8 +254,7 @@ def _replay(manifest: dict) -> tuple:
         raise ConfigError(f"expected integers nx, ny, draws_per_cell and seed and fit mode "
                           f"per_class, got {map_meta} and {fit_mode!r}", key="map")
     nx, ny, draws, seed = numbers
-    _check_map_settings(scenario.workspace, (nx, ny), draws, seed,
-                        keys=("nx, ny", "draws_per_cell", "seed"))
+    radiomap.check_map_settings(scenario.workspace, (nx, ny), draws, seed)
     return scenario, {"grid": (nx, ny), "draws": draws, "seed": seed}
 
 
@@ -277,8 +265,8 @@ def _cmd_plan(args) -> int:
         return code
     scenario = _load_scenario(args)
     builds_map = not (args.map_file or args.model_file)
-    _check_map_settings(scenario.workspace if builds_map else None, args.grid, args.draws,
-                        args.seed)
+    radiomap.check_map_settings(scenario.workspace if builds_map else None, args.grid,
+                                args.draws, args.seed, MAP_FLAGS)
     code, _ = _plan_once(scenario, Path(args.out), map_file=args.map_file,
                          model_file=args.model_file, grid=tuple(args.grid),
                          draws=args.draws, seed=args.seed)
@@ -298,7 +286,8 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     m_values = _sweep_axis(args.M, int, "--M")
     r_values = _sweep_axis(args.rmin, float, "--rmin")
-    _check_map_settings(scenario.workspace, args.grid, args.draws, args.seed)
+    radiomap.check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
+                                MAP_FLAGS)
     # every cell's scenario before any work, so that a bad value writes nothing
     scenarios = [[scenario_overrides(scenario, n_irs_elements=m, min_avg_rate=r * 1e9)
               for r in r_values] for m in m_values]
@@ -308,12 +297,10 @@ def _cmd_sweep(args) -> int:
     table = ["n_irs_elements,rmin_gbps,status,initial_solution,final_energy_j,"
              "avg_rate_gbps,iterations,artifact_dir"]
     for m, row in zip(m_values, scenarios):
-        sc_m = row[0]       # the map and the fit do not read the rate requirement
-        built = radiomap.build_map(sc_m, nx=args.grid[0], ny=args.grid[1],
-                                   draws_per_cell=args.draws, seed=args.seed)
-        radiomap.save_map(built, out_root / f"map_M{m}.csv")
         try:       # every rate level of this element count plans on this one fit
-            model = snrmodel.fit(built, sc_m)
+            # (row[0]: the map and the fit do not read the rate requirement)
+            model, map_meta = _build_and_fit(row[0], args.grid, args.draws, args.seed,
+                                             out_root / f"map_M{m}.csv")
         except FitFailureError as exc:
             model = exc
         for r, sc_r in zip(r_values, row):
@@ -321,7 +308,7 @@ def _cmd_sweep(args) -> int:
             try:
                 if isinstance(model, FitFailureError):
                     raise model
-                _, summary = _plan_with_model(sc_r, cell_dir, model, _map_meta(built), None)
+                _, summary = _plan_with_model(sc_r, cell_dir, model, map_meta, None)
                 res = summary["result"]
                 cols = (res["status"], res["initial_solution"], res["final_energy_j"],
                         res["avg_rate_gbps"], res["iterations"])
@@ -346,14 +333,14 @@ def _cmd_audit(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "plan" and not (args.config or args.manifest):
-        parser.error("plan needs --config or --manifest")
     handlers = {"map": _cmd_map, "fit": _cmd_fit, "plan": _cmd_plan,
                 "sweep": _cmd_sweep, "audit": _cmd_audit}
     try:
+        args = parser.parse_args(argv)
+        if args.verb == "plan" and not (args.config or args.manifest):
+            parser.error("plan needs --config or --manifest")
         return handlers[args.verb](args)
-    except (ConfigError, FileFormatError) as exc:
+    except (ConfigError, FileFormatError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FitFailureError, SubproblemError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import textfile
 from .channel import optimal_snr_samples
-from .errors import FileFormatError
+from .errors import ConfigError, FileFormatError
 from .scenario import LinkClass, Scenario, distances, los_class_batch
 
 _COLUMNS = "ix,iy,x,y,ap_class,irs_class,avg_opt_snr_linear,n_draws"
@@ -73,40 +73,42 @@ class RadioMap:
         )
 
 
-def square_cell_size(workspace, nx: int, ny: int) -> float:
-    """The cell side of an nx-by-ny grid on the workspace rectangle; ValueError
-    unless the grid tiles it with square cells."""
+def check_map_settings(workspace, grid, draws: int, seed: int,
+                       keys=("nx, ny", "draws_per_cell", "seed")) -> float | None:
+    """The cell side of the map these settings build; ConfigError naming the key
+    of the first bad one: a grid side below 2, fewer than one draw per cell, a
+    negative seed, or cells that are not square on the workspace rectangle
+    (not checked when ``workspace`` is None, where no map is built)."""
+    for key, value, least in zip(keys, (min(grid), draws, seed), (2, 1, 0)):
+        if value < least:
+            raise ConfigError(f"must be at least {least}, got {value}", key=key)
+    if workspace is None:
+        return None
+    nx, ny = grid
     xmin, xmax, ymin, ymax = workspace
     cell_x, cell_y = (xmax - xmin) / nx, (ymax - ymin) / ny
     if abs(cell_x - cell_y) > 1e-9:
-        raise ValueError(f"grid {nx}x{ny} does not tile the workspace with square cells "
-                         f"({cell_x:.6g} vs {cell_y:.6g})")
+        raise ConfigError(f"grid {nx}x{ny} does not tile the workspace with square cells "
+                          f"({cell_x:.6g} vs {cell_y:.6g})", key=keys[0])
     return cell_x
 
 
 def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
-              draws_per_cell: int = 200, seed: int = 0,
-              workers: int | None = None) -> RadioMap:
+              draws_per_cell: int = 200, seed: int = 0) -> RadioMap:
     """Generate the radio map on an nx-by-ny grid of cell centers.
 
-    The (square) cell size must tile the workspace exactly. Each cell is
-    classified geometrically, then averages ``draws_per_cell`` closed-form
-    optimal SNR samples from its own seeded stream.
+    The settings must pass ``check_map_settings``: in particular the (square)
+    cell size must tile the workspace exactly. Each cell is classified
+    geometrically, then averages ``draws_per_cell`` closed-form optimal SNR
+    samples from its own seeded stream.
 
-    Rows are filled by a pool of ``workers`` threads, by default one per
-    usable CPU (the draws and reductions release the GIL). Per-cell seeds
-    make the map the same, bit for bit, for every worker count.
+    Rows are filled by a pool of threads, one per CPU this process may run on
+    (the draws and reductions release the GIL). Per-cell seeds make the map the
+    same, bit for bit, for every thread count.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("need at least a 2x2 grid")
-    if draws_per_cell < 1:
-        raise ValueError("need at least one draw per cell")
-    if workers is None:            # the CPUs this process may run on
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    cell_x = square_cell_size(scenario.workspace, nx, ny)
+    cell_x = check_map_settings(scenario.workspace, (nx, ny), draws_per_cell, seed)
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     xmin, _, ymin, _ = scenario.workspace
     xs = xmin + (np.arange(nx) + 0.5) * cell_x
     ys = ymin + (np.arange(ny) + 0.5) * cell_x

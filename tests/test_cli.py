@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import irsplan
-from irsplan import artifacts, snrmodel
+from irsplan import artifacts, radiomap, snrmodel
 from irsplan.cli import main
 from irsplan.errors import FitFailureError, SubproblemError
 from irsplan.radiomap import load_map
@@ -40,12 +40,17 @@ def test_map_verb_builds_loadable_file(tmp_path):
     assert built.nx == 40 and built.ny == 24
 
 
-def test_map_verb_default_workers_write_the_serial_bytes(tmp_path):
+def test_map_verb_default_workers_write_the_serial_bytes(tmp_path, monkeypatch):
+    # the map verb builds on one thread per CPU the process may use
     args = ["--config", DESK_CONFIG, "--grid", "20", "12", "--draws", "20"]
-    serial, default = tmp_path / "serial.csv", tmp_path / "default.csv"
-    assert main(["map", *args, "--out", str(serial), "--workers", "1"]) == 0
-    assert main(["map", *args, "--out", str(default)]) == 0
-    assert serial.read_bytes() == default.read_bytes()
+    written = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(radiomap.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        out = tmp_path / f"cpus{cpus}.csv"
+        assert main(["map", *args, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_fit_verb_round_trips_model(tmp_path):
@@ -238,24 +243,21 @@ def test_manifest_replays_without_config(planned, tmp_path):
     replay = tmp_path / "replay"
     assert main(["plan", "--out", str(replay), "--manifest", str(planned / "summary.json")]) == 0
     assert tree_digest(replay) == tree_digest(planned)
-    with pytest.raises(SystemExit) as exc:          # a plan needs one or the other
-        main(["plan", "--out", str(tmp_path / "neither")])
-    assert exc.value.code == 2
+    assert main(["plan", "--out", str(tmp_path / "neither")]) == 3   # needs one or the other
 
 
 @pytest.mark.parametrize("verb,flags,named", [
     ("plan", ["--draws", "0"], "--draws"),
     ("plan", ["--grid", "1", "1"], "--grid"),
     ("plan", ["--seed", "-3"], "--seed"),
-    ("map", ["--workers", "0"], "--workers"),
     ("plan", {"draws_per_cell": 0}, "draws_per_cell"),
     ("plan", ["--grid", "100", "50"], "--grid"),
     ("map", ["--grid", "100", "50"], "--grid"),
     ("sweep", ["--grid", "100", "50", "--M", "64", "--rmin", "2.0"], "--grid"),
     ("plan", {"nx": 100, "ny": 50}, "nx, ny")],
-    ids=["plan-draws-0", "plan-grid-1x1", "plan-seed-negative", "map-workers-0",
-         "manifest-draws-0", "plan-grid-not-square", "map-grid-not-square",
-         "sweep-grid-not-square", "manifest-grid-not-square"])
+    ids=["plan-draws-0", "plan-grid-1x1", "plan-seed-negative", "manifest-draws-0",
+         "plan-grid-not-square", "map-grid-not-square", "sweep-grid-not-square",
+         "manifest-grid-not-square"])
 def test_bad_map_setting_exits_3_naming_it_before_any_output(planned, tmp_path, capsys,
                                                               verb, flags, named):
     if isinstance(flags, dict):         # edits to the map block of a manifest
@@ -269,6 +271,39 @@ def test_bad_map_setting_exits_3_naming_it_before_any_output(planned, tmp_path, 
     err = capsys.readouterr().err
     assert f"configuration error: {named}:" in err and "Traceback" not in err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--config", "{missing}", "--out", "{out}"],
+    ["plan", "--manifest", "{missing}", "--out", "{out}"],
+    ["plan", "--config", DESK_CONFIG, "--model", "{missing}", "--out", "{out}"],
+    ["plan", "--config", DESK_CONFIG, "--map", "{missing}", "--out", "{out}"],
+    ["fit", "--config", DESK_CONFIG, "--map", "configs", "--out", "{out}/model.txt"],
+    ["fit", "--config", DESK_CONFIG, "--map", "{missing}", "--out", "{out}/model.txt"],
+    ["audit", "--config", DESK_CONFIG, "--trajectory", "{missing}", "--model", "{missing}"]],
+    ids=["plan-config", "plan-manifest", "plan-model", "plan-map", "fit-map-is-a-directory",
+         "fit-map", "audit-trajectory"])
+def test_unreadable_input_file_exits_3_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "new" / "out"
+    assert main([arg.format(missing=tmp_path / "missing", out=out) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_usage_error_exits_3_and_help_exits_0(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["map", "--config", DESK_CONFIG, "--out", str(out), "--rmin", "2.0"],
+                 ["chart", "--config", DESK_CONFIG, "--out", str(out)],
+                 ["plan", "--out", str(out)]):      # a plan needs --config or --manifest
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "configuration error: irsplan" in err and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--help"])
+    assert exc.value.code == 0
+    assert "--grid" in capsys.readouterr().out
 
 
 def test_map_and_fit_create_the_directory_of_out(tmp_path):

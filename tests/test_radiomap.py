@@ -4,10 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from irsplan import textfile
+from irsplan import radiomap, textfile
 from irsplan.channel import optimal_snr_samples
 from irsplan.cli import main
-from irsplan.errors import FileFormatError, UnsupportedVersionError
+from irsplan.errors import ConfigError, FileFormatError, UnsupportedVersionError
 from irsplan.radiomap import build_map, load_map, save_map
 from irsplan.scenario import LinkClass, distances, scenario_overrides
 
@@ -32,30 +32,42 @@ def test_same_seed_identical_maps(desk_scenario):
     assert a.equals(b)
 
 
-def test_parallel_build_matches_serial(desk_scenario):
-    # 15 rows do not divide evenly among 2 (usual CPU count) or 3 workers;
-    # a short switch interval interleaves the row threads as often as possible
+def test_parallel_build_matches_serial(desk_scenario, monkeypatch):
+    # the pool has one thread per CPU the process may use; 15 rows do not divide
+    # evenly among 2 or 3, and a short switch interval interleaves the row threads
+    # as often as possible
+    maps, pools = [], []
+    real_pool = radiomap.ThreadPoolExecutor
+    monkeypatch.setattr(radiomap, "ThreadPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        maps = [build_map(desk_scenario, nx=25, ny=15, draws_per_cell=5, seed=8,
-                          **workers)
-                for workers in ({}, {"workers": 1}, {"workers": 3})]
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(radiomap.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            maps.append(build_map(desk_scenario, nx=25, ny=15, draws_per_cell=5, seed=8))
     finally:
         sys.setswitchinterval(interval)
+    assert pools == [1, 2, 3]
     assert maps[0].equals(maps[1])
     assert maps[0].equals(maps[2])
 
 
-@pytest.mark.parametrize("workers", [0, -2])
-def test_build_needs_at_least_one_worker(desk_scenario, workers):
-    with pytest.raises(ValueError):
-        build_map(desk_scenario, nx=10, ny=6, draws_per_cell=1, seed=0, workers=workers)
-
-
 def test_grid_must_tile_workspace_squarely(desk_scenario):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^nx, ny: "):
         build_map(desk_scenario, nx=70, ny=60, draws_per_cell=1, seed=0)
+
+
+@pytest.mark.parametrize("settings,key", [
+    ({"seed": -1}, "seed"),
+    ({"draws_per_cell": 0}, "draws_per_cell"),
+    ({"nx": 1, "ny": 1}, "nx, ny")],
+    ids=["seed-negative", "draws-0", "grid-1x1"])
+def test_bad_map_setting_is_a_config_error_naming_it(desk_scenario, settings, key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        build_map(desk_scenario, **{"nx": 10, "ny": 6, "draws_per_cell": 1, "seed": 0,
+                                    **settings})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
