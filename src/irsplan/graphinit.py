@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import audit
 from .errors import GraphInfeasibleError
@@ -93,6 +94,25 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
     )
 
 
+def _relax(dist: np.ndarray, offsets: np.ndarray, offset_cost: np.ndarray) -> tuple:
+    """One DP transition: the cheapest arrival cost at each node over every
+    move, and the index of that move, the lowest among equal costs.
+
+    Candidate (idx, y, x) is ``dist[(y, x) - offsets[idx]] + offset_cost[idx]``,
+    read from a window of ``dist`` padded with inf, so a move from outside the
+    grid costs inf. The first True of ``cand == best`` is argmin's first
+    minimum, found faster across the offset axis.
+    """
+    ny, nx = dist.shape
+    reach = int(np.abs(offsets).max())
+    padded = np.full((ny + 2 * reach, nx + 2 * reach), np.inf)
+    padded[reach:reach + ny, reach:reach + nx] = dist
+    windows = sliding_window_view(padded, (ny, nx))
+    cand = windows[reach - offsets[:, 0], reach - offsets[:, 1]] + offset_cost[:, None, None]
+    best = cand.min(axis=0)
+    return best, (cand == best).argmax(axis=0)
+
+
 def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     """Exact minimum-cost K-step path from start to goal.
 
@@ -132,23 +152,10 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     offset_cost = edge_cost(np.linalg.norm(offsets.astype(float), axis=1) * graph.spacing)
 
     for _layer in range(2, k_slots):
-        best = np.full((ny, nx), np.inf)
-        pred = np.full((ny, nx), -1, dtype=np.int32)
-        for idx, (oy, ox) in enumerate(offsets):
-            dst_y = slice(max(0, oy), ny + min(0, oy))
-            dst_x = slice(max(0, ox), nx + min(0, ox))
-            src_y = slice(max(0, -oy), ny + min(0, -oy))
-            src_x = slice(max(0, -ox), nx + min(0, -ox))
-            cand = dist[src_y, src_x] + offset_cost[idx]
-            better = cand < best[dst_y, dst_x]
-            best[dst_y, dst_x] = np.where(better, cand, best[dst_y, dst_x])
-            sub = pred[dst_y, dst_x]
-            sub[better] = idx
-            pred[dst_y, dst_x] = sub
-        best = best + node_cost
-        best[~graph.free] = np.inf
+        best, pred = _relax(dist, offsets, offset_cost)
+        dist = best + node_cost
+        dist[~graph.free] = np.inf
         preds.append(pred)
-        dist = best
 
     # final transition into the injected goal node
     dist_goal = np.linalg.norm(grid - q_goal, axis=-1)

@@ -452,8 +452,7 @@ def _obstacle(lineno: int, block: dict) -> Obstacle:
 
 def load_scenario(path) -> Scenario:
     """Parse a scenario configuration file. Unknown or repeated keys are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        (_, _, top), *sections = textfile.blocks(fh.read().splitlines(), 1, path)
+    (_, _, top), *sections = textfile.blocks(textfile.read_lines(path), 1, path)
     fields = {}
     for key, (lineno, text) in top.items():
         if key not in _CONFIG_KEYS:

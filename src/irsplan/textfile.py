@@ -21,14 +21,23 @@ def write(path, kind: str, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
+def read_lines(path) -> list:
+    """Every line of a UTF-8 text file; FileFormatError at line 1 if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text (byte {exc.start}: {exc.reason})",
+                              path=path, line=1) from None
+
+
 def read(path, kind: str) -> list:
     """Every line of a ``kind`` file, header first, so index + 1 is the line number.
 
     FileFormatError unless line 1 is ``kind``'s header; UnsupportedVersionError
     if it is, but for another version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     tag, _, version = (lines[0] if lines else "").rpartition(" ")
     if tag != f"# irsplan-{kind}" or not version.startswith("v"):
         raise FileFormatError(f"not an irsplan-{kind} file", path=path, line=1)

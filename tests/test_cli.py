@@ -195,6 +195,42 @@ def test_plan_never_imports_scipy_optimize(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+def test_only_a_cone_solve_imports_scipy(tmp_path):
+    # scipy takes about 0.33 s and 32 MB per process (2-vCPU x86 host); only
+    # conic.solve needs it
+    script = (
+        "import sys\n"
+        "import irsplan\n"
+        "from irsplan import artifacts, graphinit, snrmodel\n"
+        "from irsplan.cli import main\n"
+        "from irsplan.scenario import load_scenario\n"
+        "seen = ['scipy' in sys.modules]\n"
+        f"cfg, out = {DESK_CONFIG!r}, {str(tmp_path)!r}\n"
+        "small = ['--draws', '10', '--seed', '3']\n"
+        "codes = [main(['map', '--config', cfg, '--out', out + '/map.csv',"
+        " '--grid', '10', '6', *small])]\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "codes.append(main(['fit', '--config', cfg, '--map', out + '/map.csv',"
+        " '--out', out + '/model.txt']))\n"
+        "sc = load_scenario(cfg)\n"
+        "model = snrmodel.load_model(out + '/model.txt')\n"
+        "seed = graphinit.shortest_path(graphinit.build_graph(sc, mode='ME'))\n"
+        "artifacts.write_trajectory_csv(out + '/trajectory.csv', seed, sc, model)\n"
+        "codes.append(main(['audit', '--config', cfg, '--trajectory', out + '/trajectory.csv',"
+        " '--model', out + '/model.txt']))\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "codes.append(main(['plan', '--config', cfg, '--out', out + '/plan',"
+        " '--grid', '20', '12', *small]))\n"
+        "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+        "print(codes + seen)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(irsplan.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    # exit codes of map, fit, audit and plan, then scipy loaded after import,
+    # map, audit and plan
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, False, False, False, True]"
+
+
 def test_plan_reruns_byte_identically(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -288,6 +324,21 @@ def test_unreadable_input_file_exits_3_before_any_output(tmp_path, capsys, argv)
     assert main([arg.format(missing=tmp_path / "missing", out=out) for arg in argv]) == 3
     err = capsys.readouterr().err
     assert "configuration error:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--config", "{binary}", "--out", "{out}"],
+    ["fit", "--config", DESK_CONFIG, "--map", "{binary}", "--out", "{out}/model.txt"]],
+    ids=["plan-config", "fit-map"])
+def test_non_utf8_input_file_exits_3_at_line_1(tmp_path, capsys, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(256)) * 2)       # 0x80 cannot start a UTF-8 character
+    out = tmp_path / "new" / "out"
+    assert main([arg.format(binary=binary, out=out) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {binary}: line 1: not UTF-8 text" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
 

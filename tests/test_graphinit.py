@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from irsplan import audit
+from irsplan import audit, graphinit
 from irsplan.errors import GraphInfeasibleError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import motion_energy, scenario_overrides
+from irsplan.scenario import Obstacle, motion_energy, scenario_overrides
 from irsplan.snrmodel import rate
 
 from conftest import straight_line
@@ -61,6 +61,27 @@ def enumerate_paths_oracle(graph):
             continue
         best = min(best, total + cost)
     return best
+
+
+def loop_relax(dist, offsets, offset_cost):
+    """One DP transition as a loop over the offsets, each improving on the
+    best so far only when strictly cheaper: the oracle of graphinit._relax.
+    A node no move reaches keeps the offset index -1."""
+    ny, nx = dist.shape
+    best = np.full((ny, nx), np.inf)
+    pred = np.full((ny, nx), -1, dtype=np.int32)
+    for idx, (oy, ox) in enumerate(offsets):
+        dst_y = slice(max(0, oy), ny + min(0, oy))
+        dst_x = slice(max(0, ox), nx + min(0, ox))
+        src_y = slice(max(0, -oy), ny + min(0, -oy))
+        src_x = slice(max(0, -ox), nx + min(0, -ox))
+        cand = dist[src_y, src_x] + offset_cost[idx]
+        better = cand < best[dst_y, dst_x]
+        best[dst_y, dst_x] = np.where(better, cand, best[dst_y, dst_x])
+        sub = pred[dst_y, dst_x]
+        sub[better] = idx
+        pred[dst_y, dst_x] = sub
+    return best, pred
 
 
 def path_cost(graph, traj):
@@ -193,3 +214,42 @@ def test_grid_refinement_never_raises_me_energy(desk_scenario, fitted_model):
     fine = shortest_path(build_graph(sc, model=fitted_model, mode="ME",
                                      grid_spacing=0.5))
     assert motion_energy(fine, sc) <= motion_energy(coarse, sc) + 1e-9
+
+
+# Obstacle layouts besides the desk's own: a wall across the hall with one
+# gap, and small scattered ellipses, some of them rotated.
+DP_LAYOUTS = {
+    "desk": None,
+    "wall-with-gap": (Obstacle.from_extents([25.0, 6.0], 12.0, 2.0, 90.0),
+                      Obstacle.from_extents([25.0, 24.0], 12.0, 2.0, 90.0)),
+    "scattered": tuple(Obstacle.from_extents(center, 3.0, 1.5, angle)
+                       for center, angle in [([15.0, 15.0], 0.0), ([20.0, 10.0], 45.0),
+                                             ([24.0, 17.0], 90.0), ([30.0, 13.0], 30.0),
+                                             ([35.0, 16.0], 120.0), ([12.0, 20.0], 0.0)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["ME", "MR"])
+@pytest.mark.parametrize("layout", sorted(DP_LAYOUTS))
+def test_dp_transition_matches_the_per_offset_loop(desk_scenario, fitted_model, monkeypatch,
+                                                  layout, mode):
+    obstacles = DP_LAYOUTS[layout]
+    sc = scenario_overrides(desk_scenario, min_avg_rate=0.0,
+                            **({} if obstacles is None else {"obstacles": obstacles}))
+    graph = build_graph(sc, model=fitted_model, mode=mode)
+    path = shortest_path(graph)
+    relax = graphinit._relax
+    transitions = []
+
+    def checked(dist, offsets, offset_cost):
+        best, pred = relax(dist, offsets, offset_cost)
+        loop_best, loop_pred = loop_relax(dist, offsets, offset_cost)
+        reached = loop_pred >= 0
+        assert np.array_equal(best, loop_best)          # bitwise, inf where unreached
+        assert np.array_equal(pred[reached], loop_pred[reached])
+        transitions.append(1)
+        return loop_best, loop_pred
+
+    monkeypatch.setattr(graphinit, "_relax", checked)
+    assert np.array_equal(shortest_path(graph), path)
+    assert len(transitions) == sc.n_slots - 2
