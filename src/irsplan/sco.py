@@ -7,7 +7,15 @@ solves the resulting second-order cone subproblem inside a trust region. The pre
 own subproblem, so accepted energies are non-increasing; every accepted
 iterate must additionally pass the independent original-constraint audit.
 
-The loop stops for one of three reasons:
+``descent_step`` takes one step from the incumbent. When a subproblem fails
+or its solution fails an audit, it retries down one schedule of trust radii:
+the configured radius, then its halvings clipped at TRUST_FLOOR, ending at
+the floor (1, .5, .25, .125, .0625, .05 m by default; a radius at or below
+the floor is tried alone). Failure at the end of the schedule raises
+SubproblemError, and ``run`` attaches the trace so far. The record of each
+accepted step keeps its whole subproblem solution.
+
+``run`` holds the stop rule, and ``PlanResult.stop_reason`` names the exit:
     epsilon   an accepted step changed the energy by at most epsilon,
               relative (the magnitude of the change, so a large descent
               step never terminates the loop);
@@ -16,11 +24,6 @@ The loop stops for one of three reasons:
               the energy within solver round-off: the incumbent is already
               stationary for its trust region, and the loop ends without
               adding a record.
-When a subproblem fails or its solution fails the audit, the iteration
-retries down one schedule of trust radii: the configured radius, then its
-halvings clipped at TRUST_FLOOR, ending at the floor (1, .5, .25, .125,
-.0625, .05 m by default; a radius at or below the floor is tried alone).
-Failure at the end of the schedule aborts with the trace collected so far.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import SubproblemError
 from .graphinit import InitSelection, select_initial
 from .scenario import Scenario, motion_energy
 from .snrmodel import SnrModel, linearize_rate
-from .socp import ObstacleLinearization, assemble_p4, solve_p4
+from .socp import ObstacleLinearization, SubproblemSolution, assemble_p4, solve_p4
 
 # the trust-radius retry schedule (see above)
 TRUST_SHRINK = 0.5
@@ -65,6 +68,7 @@ class IterationRecord:
     trust_radius: float
     trajectory: np.ndarray = None
     audit_report: "audit.AuditReport" = None
+    solution: SubproblemSolution | None = None   # the accepted step's; None on record 0
 
 
 @dataclass
@@ -75,12 +79,16 @@ class PlanResult:
     energy: float
     trace: list = field(default_factory=list)
     init_reports: dict = field(default_factory=dict)
-    final_audit: audit.AuditReport | None = None
-    final_residuals: tuple = (0.0, 0.0, 0.0)
+    stop_reason: str | None = None  # "epsilon" | "cap" | "plateau"; None when infeasible
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def final_audit(self) -> audit.AuditReport | None:
+        """The P3 audit of the returned trajectory; None when infeasible."""
+        return self.trace[-1].audit_report if self.trace else None
 
 
 def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
@@ -106,6 +114,31 @@ def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
                                  coeff=grad.reshape(-1, 2), offset=offset.reshape(-1))
 
 
+def descent_step(incumbent: IterationRecord, model: SnrModel, scenario: Scenario,
+                 radii: list[float]) -> tuple:
+    """The accepted step from the incumbent: (solution, P3 report, trust radius).
+
+    Tries the radii in turn and accepts the first solution that solves
+    optimal and passes both audits, so the index of the returned radius is
+    the number of shrinks; raises SubproblemError when none passes.
+    """
+    traj = incumbent.trajectory
+    lins = linearize_rate(model, traj, scenario)
+    obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
+    for trust in radii:
+        sub = assemble_p4(scenario, lins, traj, obstacle_rows, trust)
+        sol = solve_p4(sub)
+        if sol.status == "optimal":
+            rejected = [f"P4 {v}" for v in audit.check_p4(sol.trajectory, sub)]
+            p3_report = audit.check_p3(sol.trajectory, scenario, model)
+            rejected += [f"P3 {v}" for v in p3_report.violations]
+            if not rejected:
+                return sol, p3_report, trust
+    violation = f", {rejected[0]}" if sol.status == "optimal" else ""
+    raise SubproblemError(f"subproblem failed at iteration {incumbent.iteration + 1}"
+                          f"{violation} (status {sol.status}, trust radius {trust})")
+
+
 def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) -> PlanResult:
     """Full descent from the graph initializer to a stationary trajectory."""
     selection: InitSelection = select_initial(scenario, model,
@@ -114,42 +147,29 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
         return PlanResult(status="infeasible", init_label=None, trajectory=None,
                           energy=float("inf"), init_reports=selection.reports)
 
-    traj = selection.trajectory
-    energy = motion_energy(traj, scenario)
     init_report = selection.reports[selection.label]
-    trace = [IterationRecord(iteration=0, energy=energy, improvement=0.0,
-                             status="initial",
+    trace = [IterationRecord(iteration=0, energy=motion_energy(selection.trajectory, scenario),
+                             improvement=0.0, status="initial",
                              max_violation=init_report.worst_violation,
                              wall_time=0.0, trust_radius=config.trust_radius,
-                             trajectory=traj, audit_report=init_report)]
+                             trajectory=selection.trajectory, audit_report=init_report)]
     safety_pad = 1e-9    # monotonicity slack for solver round-off
-    last_residuals = (0.0, 0.0, 0.0)
     radii = [config.trust_radius]       # the retry schedule of the module docstring
     while radii[-1] > TRUST_FLOOR:
         radii.append(max(radii[-1] * TRUST_SHRINK, TRUST_FLOOR))
 
     for iteration in range(1, config.n_it_max + 1):
         t0 = time.perf_counter()
-        lins = linearize_rate(model, traj, scenario)
-        obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
-
-        for trust in radii:
-            sub = assemble_p4(scenario, lins, traj, obstacle_rows, trust)
-            sol = solve_p4(sub)
-            if sol.status == "optimal":
-                p4_violations = audit.check_p4(sol.trajectory, sub)
-                p3_report = audit.check_p3(sol.trajectory, scenario, model)
-                if not p4_violations and p3_report.ok:
-                    break
-        else:
-            raise SubproblemError(
-                f"subproblem failed at iteration {iteration} "
-                f"(status {sol.status}, trust radius {trust})",
-                trace=trace,
-            )
+        energy = trace[-1].energy
+        try:
+            sol, p3_report, trust = descent_step(trace[-1], model, scenario, radii)
+        except SubproblemError as exc:
+            exc.trace = trace
+            raise
         if sol.objective > energy + safety_pad:
             # feasible but no descent left within solver accuracy:
             # the incumbent is already stationary for this region
+            stop_reason = "plateau"
             break
 
         improvement = (energy - sol.objective) / energy if energy > 0 else 0.0
@@ -157,16 +177,14 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
             iteration=iteration, energy=sol.objective, improvement=improvement,
             status=sol.status, max_violation=p3_report.worst_violation,
             wall_time=time.perf_counter() - t0, trust_radius=trust,
-            trajectory=sol.trajectory, audit_report=p3_report,
+            trajectory=sol.trajectory, audit_report=p3_report, solution=sol,
         ))
-        traj, energy = sol.trajectory, sol.objective
-        last_residuals = (sol.primal_residual, sol.dual_residual, sol.gap_residual)
         if abs(improvement) <= config.epsilon:
+            stop_reason = "epsilon"
             break
+    else:
+        stop_reason = "cap"
 
-    # the last record holds the audit of traj, on every exit path
-    return PlanResult(
-        status="optimal", init_label=selection.label, trajectory=traj,
-        energy=energy, trace=trace, init_reports=selection.reports,
-        final_audit=trace[-1].audit_report, final_residuals=last_residuals,
-    )
+    return PlanResult(status="optimal", init_label=selection.label,
+                      trajectory=trace[-1].trajectory, energy=trace[-1].energy, trace=trace,
+                      init_reports=selection.reports, stop_reason=stop_reason)

@@ -63,29 +63,13 @@ class P4Subproblem:
     def n_free(self) -> int:
         return self.scenario.n_slots - 1
 
-    def dump(self, path) -> None:
-        """Write the conic problem in the plain-text interchange format."""
-        from .conic import dump_problem
-        dump_problem(self.problem, path)
-
-    def extract_trajectory(self, x: np.ndarray) -> np.ndarray:
-        traj = np.empty((self.scenario.n_slots + 1, 2))
-        traj[0] = self.scenario.q_start
-        traj[-1] = self.scenario.q_goal
-        if self.n_free:
-            traj[1:-1] = x[: 2 * self.n_free].reshape(self.n_free, 2)
-        return traj
-
 
 @dataclass(frozen=True)
 class SubproblemSolution:
     trajectory: np.ndarray
     objective: float               # true motion energy of the trajectory, joules
     status: str                    # optimal | max-iter | infeasible | unbounded
-    primal_residual: float
-    dual_residual: float
-    gap_residual: float
-    iterations: int = 0
+    conic: ConicSolution | None    # the cone solve; None when no waypoint is free to move
 
 
 def assemble_p4(scenario: Scenario, linearization, prev_traj,
@@ -197,19 +181,13 @@ def solve_p4(sub: P4Subproblem) -> SubproblemSolution:
     scenario = sub.scenario
     if sub.trust_radius <= 1e-8 or sub.n_free == 0:
         traj = sub.prev_traj.copy()
-        return SubproblemSolution(
-            trajectory=traj, objective=motion_energy(traj, scenario),
-            status="optimal", primal_residual=0.0, dual_residual=0.0,
-            gap_residual=0.0, iterations=0,
-        )
+        return SubproblemSolution(trajectory=traj, objective=motion_energy(traj, scenario),
+                                  status="optimal", conic=None)
     sol: ConicSolution = solve(sub.problem)
-    traj = sub.extract_trajectory(sol.x)
+    # the free waypoints lead the variable layout
+    traj = np.vstack([scenario.q_start, sol.x[:2 * sub.n_free].reshape(-1, 2), scenario.q_goal])
     return SubproblemSolution(
         trajectory=traj,
         objective=motion_energy(traj, scenario) if np.all(np.isfinite(traj)) else np.inf,
-        status=sol.status,
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
-        gap_residual=sol.gap_residual,
-        iterations=sol.iterations,
+        status=sol.status, conic=sol,
     )

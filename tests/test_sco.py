@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from irsplan import audit, sco
+from irsplan import audit, sco, socp
 from irsplan.errors import SubproblemError
 from irsplan.graphinit import build_graph, shortest_path
 from irsplan.radiomap import build_map
@@ -12,6 +12,7 @@ from irsplan.scenario import (LinkClass, Obstacle, los_class_batch, motion_energ
                               obstacle_margin, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
 from irsplan.snrmodel import fit
+from irsplan.socp import SubproblemSolution
 
 from conftest import point_class, straight_line
 
@@ -122,7 +123,7 @@ def test_infeasible_requirement_returns_typed_outcome(desk_scenario, fitted_mode
     sc = scenario_overrides(desk_scenario, min_avg_rate=9e9)
     result = run(sc, fitted_model, ScoConfig())
     assert result.status == "infeasible"
-    assert result.trajectory is None
+    assert result.trajectory is None and result.stop_reason is None
     assert math.isinf(result.energy)
     assert "ME" in result.init_reports and "MR" in result.init_reports
 
@@ -133,6 +134,7 @@ def test_vanishing_trust_region_freezes_first_iterate(desk_scenario, fitted_mode
     init = run(sc, fitted_model, ScoConfig(trust_radius=1e-9, n_it_max=1))
     assert np.array_equal(result.trajectory, init.trajectory)
     assert len(result.trace) <= 2   # initial + at most one frozen step
+    assert all(rec.solution.conic is None for rec in result.trace[1:])
     first_energy = result.trace[0].energy
     assert result.energy == pytest.approx(first_energy, abs=1e-12)
 
@@ -148,6 +150,15 @@ def test_failing_subproblem_retries_down_the_trust_schedule(desk_scenario, fitte
     with pytest.raises(SubproblemError, match=f"trust radius {radii[-1]}\\)") as err:
         run(sc, fitted_model, ScoConfig(trust_radius=radius))
     assert tried == radii
+    assert [rec.status for rec in err.value.trace] == ["initial"]
+
+
+def test_audit_rejection_names_the_first_violation(desk_scenario, fitted_model, monkeypatch):
+    monkeypatch.setattr(audit, "check_p4", lambda traj, sub: ["slot 3: injected violation"])
+    sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
+    with pytest.raises(SubproblemError, match="trust radius 0.05\\)") as err:
+        run(sc, fitted_model, ScoConfig())
+    assert "P4 slot 3: injected violation (status optimal," in str(err.value)
     assert [rec.status for rec in err.value.trace] == ["initial"]
 
 
@@ -174,11 +185,56 @@ def test_runs_are_bit_for_bit_deterministic(desk_scenario, fitted_model):
 def test_stationarity_at_convergence(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
     result = run(sc, fitted_model, ScoConfig())
+    assert result.stop_reason == "epsilon" and len(result.trace) > 1
     # relative improvement at the last accepted step obeys the stopping rule
-    if len(result.trace) > 1:
-        assert abs(result.trace[-1].improvement) <= ScoConfig().epsilon + 1e-12
+    assert abs(result.trace[-1].improvement) <= ScoConfig().epsilon + 1e-12
     # subproblem KKT residuals at the incumbent are small
-    assert max(result.final_residuals) <= 1e-6
+    conic = result.trace[-1].solution.conic
+    assert max(conic.primal_residual, conic.dual_residual, conic.gap_residual) <= 1e-6
+
+
+def test_step_records_keep_the_whole_subproblem_solution(desk_scenario, fitted_model,
+                                                         monkeypatch):
+    solves, socp_solve = [], socp.solve
+
+    def counting_solve(problem):
+        conic = socp_solve(problem)
+        solves.append((problem.G.shape[0], conic.iterations))
+        return conic
+
+    monkeypatch.setattr(socp, "solve", counting_solve)
+    sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
+    result = run(sc, fitted_model, ScoConfig())
+    assert result.trace[0].solution is None
+    # with no retry, record k holds the one solve of iteration k
+    assert all(rec.trust_radius == ScoConfig().trust_radius for rec in result.trace)
+    steps = [rec.solution.conic for rec in result.trace[1:]]
+    assert steps and len(steps) == len(solves)
+    for conic, (rows, _) in zip(steps, solves):
+        assert conic.status == "optimal"
+        assert conic.z.shape == (rows,) and np.all(np.isfinite(conic.z))
+    assert sum(conic.iterations for conic in steps) == sum(n for _, n in solves)
+
+
+def test_cap_stops_after_n_it_max_accepted_steps(desk_scenario, fitted_model):
+    sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
+    result = run(sc, fitted_model, ScoConfig(n_it_max=1, epsilon=1e-12))
+    assert result.stop_reason == "cap"
+    assert [rec.iteration for rec in result.trace] == [0, 1]
+
+
+def test_plateau_stops_without_adding_a_record(desk_scenario, fitted_model, monkeypatch):
+    def no_descent(sub):
+        traj = sub.prev_traj.copy()
+        return SubproblemSolution(trajectory=traj, conic=None, status="optimal",
+                                  objective=motion_energy(traj, sub.scenario) + 1.0)
+
+    monkeypatch.setattr(sco, "solve_p4", no_descent)
+    sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
+    result = run(sc, fitted_model, ScoConfig())
+    assert result.stop_reason == "plateau" and len(result.trace) == 1
+    assert np.array_equal(result.trajectory, result.trace[0].trajectory)
+    assert result.final_audit is result.trace[0].audit_report
 
 
 @pytest.mark.parametrize("mode", ["ME", "MR"])
