@@ -19,7 +19,8 @@ model = fit(radio_map, scenario)
 
 result = run(scenario, model, ScoConfig())
 print(f"status: {result.status}, seed path: {result.init_label}")
-print("energy trace (J):", " -> ".join(f"{rec.energy:.1f}" for rec in result.trace))
+energies = [rec.solution.objective for rec in result.trace]
+print("energy trace (J):", " -> ".join(f"{e:.1f}" for e in energies))
 print(audit.check_p3(result.trajectory, scenario, model).summary())
 
 # ASCII sketch: '#' blocked cells (safety level), 'o' trajectory, S/G endpoints

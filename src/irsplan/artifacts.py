@@ -59,12 +59,15 @@ def read_trajectory_csv(path) -> np.ndarray:
             raise FileFormatError(f"bad number: {exc}", path=path, line=lineno) from None
         if k != len(points) - 1:
             raise FileFormatError("slot indices out of order", path=path, line=lineno)
+    if not points:
+        raise FileFormatError("no waypoint rows", path=path, line=len(lines))
     return np.array(points)
 
 
 def write_trace_csv(path, trace) -> None:
-    rows = [f"{rec.iteration},{rec.energy!r},{rec.improvement!r},{rec.status},"
-            f"{rec.max_violation!r}" for rec in trace]
+    """One row per ``sco.IterationRecord``, numbered by its index in the trace."""
+    rows = [f"{k},{rec.solution.objective!r},{rec.improvement!r},{rec.solution.status},"
+            f"{rec.audit_report.worst_violation!r}" for k, rec in enumerate(trace)]
     textfile.write(path, "trace", [_TRACE_COLUMNS, *rows])
 
 

@@ -18,6 +18,7 @@ from .scenario import LinkClass, Scenario, los_class_batch
 ENDPOINT_TOL = 1e-9
 STEP_TOL = 1e-6
 MARGIN_TOL = 1e-6
+P4_TOL = 1e-6          # subproblem constraints; relative for the rate sum
 RATE_REL_TOL = 1e-6
 
 
@@ -56,12 +57,15 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
 
     Checks endpoints (exact), per-slot step bounds, the true obstacle
     quadratics at the safety level, and the fitted-model average rate with
-    visibility classes re-derived at each waypoint.
+    visibility classes re-derived at each waypoint. A non-finite coordinate,
+    which every comparison below would let through, is a violation of its own.
     """
     violations = []
     n = len(traj)
     if n != scenario.n_slots + 1:
         violations.append(f"waypoint count {n} != {scenario.n_slots + 1}")
+    non_finite = [k for k in range(n) if not all(map(math.isfinite, traj[k]))]
+    violations += [f"slot {k}: non-finite waypoint" for k in non_finite]
 
     endpoint_error = max(
         math.hypot(traj[0][0] - scenario.q_start[0], traj[0][1] - scenario.q_start[1]),
@@ -117,7 +121,7 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
         worst_margin=worst_margin,
         avg_rate=avg_rate,
         worst_violation=max(
-            0.0,
+            math.inf if non_finite else 0.0,
             endpoint_error,
             max_step - scenario.max_step,
             scenario.safety_level - worst_margin,
@@ -128,11 +132,11 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
     )
 
 
-def check_p4(traj, sub, tol: float = 1e-6) -> list:
+def check_p4(traj, sub) -> list:
     """Audit a subproblem solution against the subproblem's own constraints.
 
     Returns a list of violation strings (empty means the solution satisfies
-    every constraint of the convex subproblem to ``tol`` absolute).
+    every constraint of the convex subproblem to ``P4_TOL``).
     """
     scenario = sub.scenario
     violations = []
@@ -140,17 +144,17 @@ def check_p4(traj, sub, tol: float = 1e-6) -> list:
 
     for k in range(1, n):
         step = math.hypot(traj[k][0] - traj[k - 1][0], traj[k][1] - traj[k - 1][1])
-        if step > scenario.max_step + tol:
+        if step > scenario.max_step + P4_TOL:
             violations.append(f"slot {k}: step {step:.8f} > D_max")
     for k in range(1, n - 1):
         move = math.hypot(traj[k][0] - sub.prev_traj[k][0],
                           traj[k][1] - sub.prev_traj[k][1])
-        if move > sub.trust_radius + tol:
+        if move > sub.trust_radius + P4_TOL:
             violations.append(f"slot {k}: trust move {move:.8f} > {sub.trust_radius}")
     rows = sub.obstacle_rows
     for slot, coeff, offset in zip(rows.slot.tolist(), rows.coeff, rows.offset):
         value = coeff[0] * traj[slot][0] + coeff[1] * traj[slot][1] + offset
-        if value < scenario.safety_level - tol:
+        if value < scenario.safety_level - P4_TOL:
             violations.append(
                 f"slot {slot}: linearized obstacle {value:.8f} < "
                 f"{scenario.safety_level}"
@@ -169,7 +173,7 @@ def check_p4(traj, sub, tol: float = 1e-6) -> list:
         total += (lin.value[k] + lin.grad[k, 0] * (d_ap - lin.d_ap0[k])
                   + lin.grad[k, 1] * (d_irs - lin.d_irs0[k]))
     required = (scenario.n_slots + 1) * scenario.min_avg_rate
-    if total < required - tol * max(1.0, abs(required)):
+    if total < required - P4_TOL * max(1.0, abs(required)):
         violations.append(
             f"linearized rate sum {total / 1e9:.6f} < required {required / 1e9:.6f} Gbps"
         )

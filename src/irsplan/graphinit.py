@@ -191,14 +191,13 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
 class InitSelection:
     """Outcome of the initializer: a feasible seed trajectory or infeasibility."""
 
-    status: str                   # "feasible" | "infeasible"
-    trajectory: np.ndarray | None
+    trajectory: np.ndarray | None   # None when infeasible
     label: str | None             # "ME" | "MR"
     reports: dict
 
     @property
     def feasible(self) -> bool:
-        return self.status == "feasible"
+        return self.trajectory is not None
 
 
 def select_initial(scenario: Scenario, model: SnrModel,
@@ -220,7 +219,5 @@ def select_initial(scenario: Scenario, model: SnrModel,
         report = audit.check_p3(traj, scenario, model)
         reports[mode] = report
         if report.ok:
-            return InitSelection(status="feasible", trajectory=traj, label=mode,
-                                 reports=reports)
-    return InitSelection(status="infeasible", trajectory=None, label=None,
-                         reports=reports)
+            return InitSelection(trajectory=traj, label=mode, reports=reports)
+    return InitSelection(trajectory=None, label=None, reports=reports)

@@ -56,10 +56,7 @@ class RadioMap:
 
     def cell_centers(self) -> tuple:
         """(xs, ys) 1-D center coordinates along each axis."""
-        x0, y0 = self.origin
-        xs = x0 + (np.arange(self.nx) + 0.5) * self.cell_size
-        ys = y0 + (np.arange(self.ny) + 0.5) * self.cell_size
-        return xs, ys
+        return _cell_centers(self.nx, self.ny, self.cell_size, self.origin)
 
     def equals(self, other: "RadioMap") -> bool:
         return (
@@ -71,6 +68,11 @@ class RadioMap:
             and np.array_equal(self.ap_los, other.ap_los)
             and np.array_equal(self.irs_los, other.irs_los)
         )
+
+
+def _cell_centers(nx: int, ny: int, cell_size: float, origin) -> tuple:
+    x0, y0 = origin
+    return x0 + (np.arange(nx) + 0.5) * cell_size, y0 + (np.arange(ny) + 0.5) * cell_size
 
 
 def check_map_settings(workspace, grid, draws: int, seed: int,
@@ -139,8 +141,15 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
 
 
 # ---------------------------------------------------------------------------
-# Persistence. Versioned header, one CSV row per cell, floats written with
-# Python's shortest round-trip repr so that load(save(m)) == m exactly.
+# Persistence. Versioned header, one CSV row per cell in row-major order, floats
+# written with Python's shortest round-trip repr so that load(save(m)) == m exactly.
+
+
+def _row_labels(nx: int, ny: int, cell_size: float, origin) -> list:
+    """The ``ix,iy,x,y`` text that opens each cell's row, in the file's row order."""
+    xs, ys = ([repr(v) for v in axis.tolist()]
+              for axis in _cell_centers(nx, ny, cell_size, origin))
+    return [f"{ix},{iy},{xs[ix]},{ys[iy]}" for iy in range(ny) for ix in range(nx)]
 
 
 def save_map(radio_map: RadioMap, path) -> None:
@@ -151,18 +160,19 @@ def save_map(radio_map: RadioMap, path) -> None:
         _COLUMNS,
     ]
     # the row-major cells column by column, each value as a plain Python number
-    xs, ys = ([repr(v) for v in axis.tolist()] for axis in radio_map.cell_centers())
+    labels = _row_labels(radio_map.nx, radio_map.ny, radio_map.cell_size, radio_map.origin)
     ap, irs = ([("NLOS", "LOS")[v] for v in los.ravel().tolist()]
                for los in (radio_map.ap_los, radio_map.irs_los))
     snr = [repr(v) for v in radio_map.avg_snr.ravel().tolist()]
     draws = radio_map.n_draws.ravel().tolist()
-    cells = itertools.product(range(radio_map.ny), range(radio_map.nx))
-    lines += [f"{ix},{iy},{xs[ix]},{ys[iy]},{ap[k]},{irs[k]},{snr[k]},{draws[k]}"
-              for k, (iy, ix) in enumerate(cells)]
+    lines += [f"{label},{ap[k]},{irs[k]},{snr[k]},{draws[k]}"
+              for k, label in enumerate(labels)]
     textfile.write(path, "radiomap", lines)
 
 
 def load_map(path) -> RadioMap:
+    """The map saved at ``path``. Its rows must come in the order save_map writes
+    them, each opening with its cell's ``ix,iy,x,y`` exactly as written there."""
     lines = textfile.read(path, "radiomap")
     if len(lines) < 4:
         raise FileFormatError("truncated header", path=path, line=len(lines))
@@ -171,6 +181,8 @@ def load_map(path) -> RadioMap:
         geo = textfile.header_fields(lines[1], 2, path)
         meta = textfile.header_fields(lines[2], 3, path)
         nx, ny = int(geo["nx"]), int(geo["ny"])
+        if min(nx, ny) < 1:
+            raise ValueError(f"grid {nx}x{ny} has no cells")
         cell = float(geo["cell_size"])
         origin = (float(geo["xmin"]), float(geo["ymin"]))
         scenario_hash = meta["scenario"]
@@ -182,36 +194,27 @@ def load_map(path) -> RadioMap:
         raise FileFormatError("unexpected column header", path=path, line=4,
                               field=lines[3])
 
-    expected = nx * ny
     rows = lines[4:]
-    if len(rows) != expected:
+    if len(rows) != nx * ny:
         raise FileFormatError(
-            f"expected {expected} cell rows, found {len(rows)} (truncated or padded)",
+            f"expected {nx * ny} cell rows, found {len(rows)} (truncated or padded)",
             path=path, line=len(lines),
         )
 
-    avg = np.zeros((ny, nx))
-    draws = np.zeros((ny, nx), dtype=np.int64)
-    ap_los = np.zeros((ny, nx), dtype=bool)
-    irs_los = np.zeros((ny, nx), dtype=bool)
-    seen = np.zeros((ny, nx), dtype=bool)
-    for offset, row in enumerate(rows):
-        lineno = offset + 5
+    cells = []          # (avg_snr, n_draws, ap_los, irs_los) of each cell in turn
+    labels = _row_labels(nx, ny, cell, origin)
+    for lineno, row, label in zip(itertools.count(5), rows, labels):
         parts = row.split(",")
         if len(parts) != 8:
             raise FileFormatError("expected 8 fields", path=path, line=lineno)
-        try:
-            ix, iy = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FileFormatError("bad cell index", path=path, line=lineno,
-                                  field=parts[0]) from None
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise FileFormatError("cell index out of range", path=path, line=lineno,
-                                  field=f"{ix},{iy}")
-        for label, pos in (("ap_class", 4), ("irs_class", 5)):
+        for name, got, want in zip(_COLUMNS.split(","), parts, label.split(",")):
+            if got != want:
+                raise FileFormatError(f"expected {want} (cells in row-major order), "
+                                      f"got {got}", path=path, line=lineno, field=name)
+        for name, pos in (("ap_class", 4), ("irs_class", 5)):
             if parts[pos] not in ("LOS", "NLOS"):
                 raise FileFormatError("class must be LOS or NLOS", path=path,
-                                      line=lineno, field=label)
+                                      line=lineno, field=name)
         try:
             cell_snr, cell_draws = float(parts[6]), int(parts[7])
         except ValueError as exc:
@@ -223,14 +226,9 @@ def load_map(path) -> RadioMap:
         if cell_draws < 1:
             raise FileFormatError(f"a cell needs at least one draw, got {parts[7]}",
                                   path=path, line=lineno, field="n_draws")
-        avg[iy, ix], draws[iy, ix] = cell_snr, cell_draws
-        ap_los[iy, ix] = parts[4] == "LOS"
-        irs_los[iy, ix] = parts[5] == "LOS"
-        seen[iy, ix] = True
-    if not seen.all():
-        raise FileFormatError("duplicate and missing cell rows", path=path,
-                              line=len(lines))
+        cells.append((cell_snr, cell_draws, parts[4] == "LOS", parts[5] == "LOS"))
 
+    avg, draws, ap_los, irs_los = (np.array(col).reshape(ny, nx) for col in zip(*cells))
     return RadioMap(nx=nx, ny=ny, cell_size=cell, origin=origin, avg_snr=avg,
                     n_draws=draws, ap_los=ap_los, irs_los=irs_los,
                     scenario_hash=scenario_hash, seed=seed)

@@ -3,17 +3,20 @@
 Each iteration builds tangent minorants of the rate (``linearize_rate``,
 which freezes each slot's visibility class) and of the obstacle quadratics
 at the previous trajectory, each as one set of arrays over the slots, and
-solves the resulting second-order cone subproblem inside a trust region. The previous trajectory is always feasible for its
-own subproblem, so accepted energies are non-increasing; every accepted
-iterate must additionally pass the independent original-constraint audit.
+solves the resulting second-order cone subproblem inside a trust region.
+The previous trajectory is always feasible for its own subproblem, so
+accepted energies are non-increasing; every accepted iterate must
+additionally pass the independent original-constraint audit.
 
-``descent_step`` takes one step from the incumbent. When a subproblem fails
-or its solution fails an audit, it retries down one schedule of trust radii:
-the configured radius, then its halvings clipped at TRUST_FLOOR, ending at
-the floor (1, .5, .25, .125, .0625, .05 m by default; a radius at or below
-the floor is tried alone). Failure at the end of the schedule raises
-SubproblemError, and ``run`` attaches the trace so far. The record of each
-accepted step keeps its whole subproblem solution.
+The trace holds one ``IterationRecord`` for the seed path (record 0, a
+solution with status "initial" and no cone solve) and one for each accepted
+step, each with its whole subproblem solution and its P3 audit.
+``descent_step`` builds the record of one step from the last one. When a
+subproblem fails or its solution fails an audit, it retries down one
+schedule of trust radii: the configured radius, then its halvings clipped
+at TRUST_FLOOR, ending at the floor (1, .5, .25, .125, .0625, .05 m by
+default; a radius at or below the floor is tried alone). Failure at the
+end of the schedule raises SubproblemError carrying the trace so far.
 
 ``run`` holds the stop rule, and ``PlanResult.stop_reason`` names the exit:
     epsilon   an accepted step changed the energy by at most epsilon,
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import audit
 from .errors import SubproblemError
-from .graphinit import InitSelection, select_initial
+from .graphinit import select_initial
 from .scenario import Scenario, motion_energy
 from .snrmodel import SnrModel, linearize_rate
 from .socp import ObstacleLinearization, SubproblemSolution, assemble_p4, solve_p4
@@ -59,31 +62,37 @@ class ScoConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
-    energy: float
-    improvement: float             # relative change versus the previous energy
-    status: str                    # subproblem status, or "initial"
-    max_violation: float           # worst audited constraint violation (0 = clean)
-    wall_time: float
+    """One accepted step of the descent; record 0 holds the seed path."""
+
+    solution: SubproblemSolution   # record 0: status "initial", conic None
+    audit_report: audit.AuditReport   # the P3 audit of solution.trajectory
+    improvement: float             # relative energy change versus the previous record
     trust_radius: float
-    trajectory: np.ndarray = None
-    audit_report: "audit.AuditReport" = None
-    solution: SubproblemSolution | None = None   # the accepted step's; None on record 0
+    wall_time: float
 
 
 @dataclass
 class PlanResult:
-    status: str                    # "optimal" | "infeasible"
     init_label: str | None
-    trajectory: np.ndarray | None
-    energy: float
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)   # empty when infeasible
     init_reports: dict = field(default_factory=dict)
     stop_reason: str | None = None  # "epsilon" | "cap" | "plateau"; None when infeasible
 
     @property
     def feasible(self) -> bool:
-        return self.status == "optimal"
+        return bool(self.trace)
+
+    @property
+    def status(self) -> str:
+        return "optimal" if self.trace else "infeasible"
+
+    @property
+    def trajectory(self) -> np.ndarray | None:
+        return self.trace[-1].solution.trajectory if self.trace else None
+
+    @property
+    def energy(self) -> float:
+        return self.trace[-1].solution.objective if self.trace else float("inf")
 
     @property
     def final_audit(self) -> audit.AuditReport | None:
@@ -114,14 +123,16 @@ def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
                                  coeff=grad.reshape(-1, 2), offset=offset.reshape(-1))
 
 
-def descent_step(incumbent: IterationRecord, model: SnrModel, scenario: Scenario,
-                 radii: list[float]) -> tuple:
-    """The accepted step from the incumbent: (solution, P3 report, trust radius).
+def descent_step(trace: list, model: SnrModel, scenario: Scenario,
+                 radii: list[float]) -> IterationRecord:
+    """The record of the accepted step from the incumbent ``trace[-1]``.
 
     Tries the radii in turn and accepts the first solution that solves
-    optimal and passes both audits, so the index of the returned radius is
-    the number of shrinks; raises SubproblemError when none passes.
+    optimal and passes both audits, so the record's radius tells the number
+    of shrinks; raises SubproblemError carrying ``trace`` when none passes.
     """
+    t0 = time.perf_counter()
+    incumbent = trace[-1].solution
     traj = incumbent.trajectory
     lins = linearize_rate(model, traj, scenario)
     obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
@@ -133,58 +144,44 @@ def descent_step(incumbent: IterationRecord, model: SnrModel, scenario: Scenario
             p3_report = audit.check_p3(sol.trajectory, scenario, model)
             rejected += [f"P3 {v}" for v in p3_report.violations]
             if not rejected:
-                return sol, p3_report, trust
+                energy = incumbent.objective
+                improvement = (energy - sol.objective) / energy if energy > 0 else 0.0
+                return IterationRecord(sol, p3_report, improvement, trust,
+                                       time.perf_counter() - t0)
     violation = f", {rejected[0]}" if sol.status == "optimal" else ""
-    raise SubproblemError(f"subproblem failed at iteration {incumbent.iteration + 1}"
-                          f"{violation} (status {sol.status}, trust radius {trust})")
+    raise SubproblemError(f"subproblem failed at iteration {len(trace)}{violation} "
+                          f"(status {sol.status}, trust radius {trust})", trace=trace)
 
 
 def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) -> PlanResult:
     """Full descent from the graph initializer to a stationary trajectory."""
-    selection: InitSelection = select_initial(scenario, model,
-                                              grid_spacing=config.grid_spacing)
+    selection = select_initial(scenario, model, grid_spacing=config.grid_spacing)
     if not selection.feasible:
-        return PlanResult(status="infeasible", init_label=None, trajectory=None,
-                          energy=float("inf"), init_reports=selection.reports)
+        return PlanResult(init_label=None, init_reports=selection.reports)
 
-    init_report = selection.reports[selection.label]
-    trace = [IterationRecord(iteration=0, energy=motion_energy(selection.trajectory, scenario),
-                             improvement=0.0, status="initial",
-                             max_violation=init_report.worst_violation,
-                             wall_time=0.0, trust_radius=config.trust_radius,
-                             trajectory=selection.trajectory, audit_report=init_report)]
+    initial = SubproblemSolution(selection.trajectory,
+                                 motion_energy(selection.trajectory, scenario), "initial",
+                                 conic=None)
+    trace = [IterationRecord(initial, selection.reports[selection.label], improvement=0.0,
+                             trust_radius=config.trust_radius, wall_time=0.0)]
     safety_pad = 1e-9    # monotonicity slack for solver round-off
     radii = [config.trust_radius]       # the retry schedule of the module docstring
     while radii[-1] > TRUST_FLOOR:
         radii.append(max(radii[-1] * TRUST_SHRINK, TRUST_FLOOR))
 
-    for iteration in range(1, config.n_it_max + 1):
-        t0 = time.perf_counter()
-        energy = trace[-1].energy
-        try:
-            sol, p3_report, trust = descent_step(trace[-1], model, scenario, radii)
-        except SubproblemError as exc:
-            exc.trace = trace
-            raise
-        if sol.objective > energy + safety_pad:
+    for _ in range(config.n_it_max):
+        step = descent_step(trace, model, scenario, radii)
+        if step.solution.objective > trace[-1].solution.objective + safety_pad:
             # feasible but no descent left within solver accuracy:
             # the incumbent is already stationary for this region
             stop_reason = "plateau"
             break
-
-        improvement = (energy - sol.objective) / energy if energy > 0 else 0.0
-        trace.append(IterationRecord(
-            iteration=iteration, energy=sol.objective, improvement=improvement,
-            status=sol.status, max_violation=p3_report.worst_violation,
-            wall_time=time.perf_counter() - t0, trust_radius=trust,
-            trajectory=sol.trajectory, audit_report=p3_report, solution=sol,
-        ))
-        if abs(improvement) <= config.epsilon:
+        trace.append(step)
+        if abs(step.improvement) <= config.epsilon:
             stop_reason = "epsilon"
             break
     else:
         stop_reason = "cap"
 
-    return PlanResult(status="optimal", init_label=selection.label,
-                      trajectory=trace[-1].trajectory, energy=trace[-1].energy, trace=trace,
+    return PlanResult(init_label=selection.label, trace=trace,
                       init_reports=selection.reports, stop_reason=stop_reason)

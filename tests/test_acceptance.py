@@ -255,7 +255,7 @@ def test_criterion_5_descent_and_audit_on_every_run(desk, battery):
         if outcome.status != "optimal":
             failures.append(f"{key}: status {outcome.status}")
             continue
-        energies = [rec.energy for rec in outcome.trace]
+        energies = [rec.solution.objective for rec in outcome.trace]
         if not all(b <= a + 1e-9 for a, b in zip(energies, energies[1:])):
             failures.append(f"{key}: energy trace not monotone")
         if len(outcome.trace) - 1 > cfg.n_it_max:

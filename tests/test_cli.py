@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import irsplan
-from irsplan import artifacts, radiomap, snrmodel
+from irsplan import artifacts, audit, radiomap, sco, snrmodel
 from irsplan.cli import main
-from irsplan.errors import FitFailureError, SubproblemError
+from irsplan.errors import FitFailureError
 from irsplan.radiomap import load_map
-from irsplan.sco import IterationRecord
+from irsplan.scenario import load_scenario
 from irsplan.snrmodel import load_model
+from irsplan.socp import SubproblemSolution
 
 from conftest import DESK_CONFIG, desk_config_with
 
@@ -100,6 +101,23 @@ def test_audit_verb_flags_requirement_change(planned):
     assert code == 2
 
 
+def test_audit_verb_fails_a_non_finite_waypoint(planned, tmp_path, capsys):
+    lines = (planned / "trajectory.csv").read_text().splitlines()
+    parts = lines[4].split(",")                  # the row of waypoint k=1
+    assert parts[0] == "1"
+    parts[1:3] = ["nan", "nan"]
+    lines[4] = ",".join(parts)
+    edited = tmp_path / "trajectory.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--config", DESK_CONFIG, "--trajectory", str(edited),
+                 "--model", str(planned / "model.txt")]) == 2
+    assert "audit FAIL" in capsys.readouterr().out
+    report = audit.check_p3(artifacts.read_trajectory_csv(edited), load_scenario(DESK_CONFIG),
+                            load_model(planned / "model.txt"))
+    assert report.violations == ["slot 1: non-finite waypoint"]
+    assert report.worst_violation == float("inf")
+
+
 def test_audit_rejects_a_model_fitted_for_another_channel(planned, tmp_path, capsys):
     code = main(["audit", "--config", DESK_CONFIG, "--M", "16",
                  "--trajectory", str(planned / "trajectory.csv"),
@@ -126,24 +144,26 @@ def test_infeasible_plan_exits_2_with_summary(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
-def test_numerical_failure_writes_trace_and_exits_4(tmp_path, monkeypatch):
-    trace = [IterationRecord(iteration=0, energy=1500.0, improvement=0.0,
-                             status="initial", max_violation=0.0, wall_time=0.0,
-                             trust_radius=1.0),
-             IterationRecord(iteration=1, energy=1400.0, improvement=0.0625,
-                             status="optimal", max_violation=0.0, wall_time=0.1,
-                             trust_radius=1.0)]
+def test_numerical_failure_writes_trace_and_exits_4(tmp_path, monkeypatch, capsys):
+    # a real descent from a seed path of 1600 J whose first step reaches 1500 J
+    # (the seed itself) and whose second fails at every trust radius
+    solves = []
 
-    def failing_run(*args, **kwargs):
-        raise SubproblemError("subproblem failed at iteration 2", trace=trace)
+    def second_step_fails(sub):
+        solves.append(sub.trust_radius)
+        return SubproblemSolution(sub.prev_traj.copy(), 1500.0,
+                                  "optimal" if len(solves) == 1 else "max-iter", conic=None)
 
-    monkeypatch.setattr("irsplan.cli.run", failing_run)
+    monkeypatch.setattr(sco, "motion_energy", lambda traj, scenario: 1600.0)
+    monkeypatch.setattr(sco, "solve_p4", second_step_fails)
     out = tmp_path / "run"
     code = main(["plan", "--config", DESK_CONFIG, "--out", str(out), *SMALL])
     assert code == 4
+    assert "subproblem failed at iteration 2" in capsys.readouterr().err
+    assert solves[0] == solves[1] and len(solves) > 2     # step 2 ran down the schedule
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("# irsplan-trace")
-    assert lines[2:] == ["0,1500.0,0.0,initial,0.0", "1,1400.0,0.0625,optimal,0.0"]
+    assert lines[2:] == ["0,1600.0,0.0,initial,0.0", "1,1500.0,0.0625,optimal,0.0"]
     assert not (out / "trajectory.csv").exists()
 
 
@@ -316,12 +336,16 @@ def test_bad_map_setting_exits_3_naming_it_before_any_output(planned, tmp_path, 
     ["plan", "--config", DESK_CONFIG, "--map", "{missing}", "--out", "{out}"],
     ["fit", "--config", DESK_CONFIG, "--map", "configs", "--out", "{out}/model.txt"],
     ["fit", "--config", DESK_CONFIG, "--map", "{missing}", "--out", "{out}/model.txt"],
-    ["audit", "--config", DESK_CONFIG, "--trajectory", "{missing}", "--model", "{missing}"]],
+    ["audit", "--config", DESK_CONFIG, "--trajectory", "{missing}", "--model", "{missing}"],
+    ["audit", "--config", DESK_CONFIG, "--trajectory", "{empty}", "--model", "{model}"]],
     ids=["plan-config", "plan-manifest", "plan-model", "plan-map", "fit-map-is-a-directory",
-         "fit-map", "audit-trajectory"])
-def test_unreadable_input_file_exits_3_before_any_output(tmp_path, capsys, argv):
+         "fit-map", "audit-trajectory", "audit-empty-trajectory"])
+def test_unreadable_input_file_exits_3_before_any_output(planned, tmp_path, capsys, argv):
+    empty = tmp_path / "empty.csv"      # a trajectory file with its header lines only
+    empty.write_text("".join((planned / "trajectory.csv").read_text().splitlines(True)[:3]))
     out = tmp_path / "new" / "out"
-    assert main([arg.format(missing=tmp_path / "missing", out=out) for arg in argv]) == 3
+    assert main([arg.format(missing=tmp_path / "missing", out=out, empty=empty,
+                            model=planned / "model.txt") for arg in argv]) == 3
     err = capsys.readouterr().err
     assert "configuration error:" in err and "Traceback" not in err
     assert not (tmp_path / "new").exists()

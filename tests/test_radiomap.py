@@ -115,6 +115,35 @@ def test_every_saved_field_is_a_plain_number_or_a_class(small_map, tmp_path):
         assert ap in ("LOS", "NLOS") and irs in ("LOS", "NLOS")
 
 
+@pytest.mark.parametrize("edit,field", [("x", "x"), ("swap", "ix")],
+                         ids=["edited-x", "swapped-rows"])
+def test_rows_must_label_their_cells_in_save_order(small_map, tmp_path, edit, field):
+    path = tmp_path / "map.csv"
+    save_map(small_map, path)
+    lines = path.read_text().splitlines()
+    if edit == "x":
+        parts = lines[10].split(",")
+        parts[2:4] = ["999.0", "-5"]
+        lines[10] = ",".join(parts)
+    else:
+        lines[10], lines[11] = lines[11], lines[10]
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="row-major order") as err:
+        load_map(tmp_path / "bad.csv")
+    assert (err.value.line, err.value.field) == (11, field)
+
+
+def test_a_header_without_cells_is_a_format_error(small_map, tmp_path):
+    path = tmp_path / "map.csv"
+    save_map(small_map, path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(f"nx={small_map.nx} ", "nx=0 ")
+    (tmp_path / "empty.csv").write_text("\n".join(lines[:4]) + "\n")      # and no rows
+    with pytest.raises(FileFormatError, match="bad header") as err:
+        load_map(tmp_path / "empty.csv")
+    assert err.value.line == 2
+
+
 def test_truncated_file_fails_with_line_info(small_map, tmp_path):
     path = tmp_path / "map.csv"
     save_map(small_map, path)

@@ -109,7 +109,7 @@ def test_energy_trace_is_monotone_and_audited(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
     result = run(sc, fitted_model, ScoConfig())
     assert result.status == "optimal"
-    energies = [rec.energy for rec in result.trace]
+    energies = [rec.solution.objective for rec in result.trace]
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
     assert len(result.trace) - 1 <= ScoConfig().n_it_max
     assert result.final_audit.ok
@@ -135,7 +135,7 @@ def test_vanishing_trust_region_freezes_first_iterate(desk_scenario, fitted_mode
     assert np.array_equal(result.trajectory, init.trajectory)
     assert len(result.trace) <= 2   # initial + at most one frozen step
     assert all(rec.solution.conic is None for rec in result.trace[1:])
-    first_energy = result.trace[0].energy
+    first_energy = result.trace[0].solution.objective
     assert result.energy == pytest.approx(first_energy, abs=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_failing_subproblem_retries_down_the_trust_schedule(desk_scenario, fitte
     with pytest.raises(SubproblemError, match=f"trust radius {radii[-1]}\\)") as err:
         run(sc, fitted_model, ScoConfig(trust_radius=radius))
     assert tried == radii
-    assert [rec.status for rec in err.value.trace] == ["initial"]
+    assert [rec.solution.status for rec in err.value.trace] == ["initial"]
 
 
 def test_audit_rejection_names_the_first_violation(desk_scenario, fitted_model, monkeypatch):
@@ -159,7 +159,7 @@ def test_audit_rejection_names_the_first_violation(desk_scenario, fitted_model, 
     with pytest.raises(SubproblemError, match="trust radius 0.05\\)") as err:
         run(sc, fitted_model, ScoConfig())
     assert "P4 slot 3: injected violation (status optimal," in str(err.value)
-    assert [rec.status for rec in err.value.trace] == ["initial"]
+    assert [rec.solution.status for rec in err.value.trace] == ["initial"]
 
 
 def test_descent_accepts_steps_below_the_published_trust_radius(desk_scenario):
@@ -178,7 +178,7 @@ def test_runs_are_bit_for_bit_deterministic(desk_scenario, fitted_model):
     a = run(sc, fitted_model, ScoConfig())
     b = run(sc, fitted_model, ScoConfig())
     assert np.array_equal(a.trajectory, b.trajectory)
-    assert [r.energy for r in a.trace] == [r.energy for r in b.trace]
+    assert [r.solution.objective for r in a.trace] == [r.solution.objective for r in b.trace]
     assert a.init_label == b.init_label
 
 
@@ -205,7 +205,11 @@ def test_step_records_keep_the_whole_subproblem_solution(desk_scenario, fitted_m
     monkeypatch.setattr(socp, "solve", counting_solve)
     sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
     result = run(sc, fitted_model, ScoConfig())
-    assert result.trace[0].solution is None
+    # record 0 is the seed path, in the shape of every other record
+    seed = result.trace[0]
+    assert (seed.solution.status, seed.solution.conic) == ("initial", None)
+    assert seed.solution.objective == motion_energy(seed.solution.trajectory, sc)
+    assert seed.audit_report is result.init_reports[result.init_label]
     # with no retry, record k holds the one solve of iteration k
     assert all(rec.trust_radius == ScoConfig().trust_radius for rec in result.trace)
     steps = [rec.solution.conic for rec in result.trace[1:]]
@@ -220,7 +224,7 @@ def test_cap_stops_after_n_it_max_accepted_steps(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
     result = run(sc, fitted_model, ScoConfig(n_it_max=1, epsilon=1e-12))
     assert result.stop_reason == "cap"
-    assert [rec.iteration for rec in result.trace] == [0, 1]
+    assert len(result.trace) == 2
 
 
 def test_plateau_stops_without_adding_a_record(desk_scenario, fitted_model, monkeypatch):
@@ -233,7 +237,7 @@ def test_plateau_stops_without_adding_a_record(desk_scenario, fitted_model, monk
     sc = scenario_overrides(desk_scenario, min_avg_rate=2.0e9)
     result = run(sc, fitted_model, ScoConfig())
     assert result.stop_reason == "plateau" and len(result.trace) == 1
-    assert np.array_equal(result.trajectory, result.trace[0].trajectory)
+    assert np.array_equal(result.trajectory, result.trace[0].solution.trajectory)
     assert result.final_audit is result.trace[0].audit_report
 
 
