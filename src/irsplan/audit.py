@@ -43,6 +43,19 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _gap(p, q) -> float:
+    # planar distance between two positions
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _distances(q, scenario: Scenario) -> tuple:
+    # deliberate re-statement of scenario.distances for one waypoint
+    return tuple(
+        math.sqrt((q[0] - pos[0]) ** 2 + (q[1] - pos[1]) ** 2 + (scenario.z_robot - z) ** 2)
+        for pos, z in ((scenario.ap_pos, scenario.z_ap), (scenario.irs_pos, scenario.z_irs))
+    )
+
+
 def _slot_snr(fitted, d_ap: float, d_irs: float, snr_scale: float) -> float:
     # deliberate re-statement of the model form, kept independent of snrmodel
     return (
@@ -67,17 +80,11 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
     non_finite = [k for k in range(n) if not all(map(math.isfinite, traj[k]))]
     violations += [f"slot {k}: non-finite waypoint" for k in non_finite]
 
-    endpoint_error = max(
-        math.hypot(traj[0][0] - scenario.q_start[0], traj[0][1] - scenario.q_start[1]),
-        math.hypot(traj[-1][0] - scenario.q_goal[0], traj[-1][1] - scenario.q_goal[1]),
-    )
+    endpoint_error = max(_gap(traj[0], scenario.q_start), _gap(traj[-1], scenario.q_goal))
     if endpoint_error > ENDPOINT_TOL:
         violations.append(f"endpoints off by {endpoint_error:.3e}")
 
-    max_step = 0.0
-    for k in range(1, n):
-        step = math.hypot(traj[k][0] - traj[k - 1][0], traj[k][1] - traj[k - 1][1])
-        max_step = max(max_step, step)
+    max_step = max([0.0, *(_gap(traj[k], traj[k - 1]) for k in range(1, n))])
     if max_step > scenario.max_step + STEP_TOL:
         violations.append(f"step {max_step:.6f} exceeds {scenario.max_step}")
 
@@ -96,16 +103,10 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
                 )
 
     total_rate = 0.0
-    dz_ap = scenario.z_robot - scenario.z_ap
-    dz_irs = scenario.z_robot - scenario.z_irs
     ap_los, irs_los = los_class_batch(traj, scenario)
     for k in range(n):
         fitted = model.fit_for(LinkClass(ap_los[k], irs_los[k]))
-        d_ap = math.sqrt((traj[k][0] - scenario.ap_pos[0]) ** 2
-                         + (traj[k][1] - scenario.ap_pos[1]) ** 2 + dz_ap**2)
-        d_irs = math.sqrt((traj[k][0] - scenario.irs_pos[0]) ** 2
-                          + (traj[k][1] - scenario.irs_pos[1]) ** 2 + dz_irs**2)
-        snr = _slot_snr(fitted, d_ap, d_irs, scenario.snr_scale)
+        snr = _slot_snr(fitted, *_distances(traj[k], scenario), scenario.snr_scale)
         total_rate += scenario.bandwidth_hz * math.log2(1.0 + snr)
     avg_rate = total_rate / n if n else 0.0
     if avg_rate < scenario.min_avg_rate * (1.0 - RATE_REL_TOL):
@@ -143,12 +144,11 @@ def check_p4(traj, sub) -> list:
     n = scenario.n_slots + 1
 
     for k in range(1, n):
-        step = math.hypot(traj[k][0] - traj[k - 1][0], traj[k][1] - traj[k - 1][1])
+        step = _gap(traj[k], traj[k - 1])
         if step > scenario.max_step + P4_TOL:
             violations.append(f"slot {k}: step {step:.8f} > D_max")
     for k in range(1, n - 1):
-        move = math.hypot(traj[k][0] - sub.prev_traj[k][0],
-                          traj[k][1] - sub.prev_traj[k][1])
+        move = _gap(traj[k], sub.prev_traj[k])
         if move > sub.trust_radius + P4_TOL:
             violations.append(f"slot {k}: trust move {move:.8f} > {sub.trust_radius}")
     rows = sub.obstacle_rows
@@ -161,15 +161,10 @@ def check_p4(traj, sub) -> list:
             )
 
     # true linearized rate evaluated from positions (not the epigraph vars)
-    dz_ap = scenario.z_robot - scenario.z_ap
-    dz_irs = scenario.z_robot - scenario.z_irs
     total = 0.0
     lin = sub.linearization
     for k in range(n):
-        d_ap = math.sqrt((traj[k][0] - scenario.ap_pos[0]) ** 2
-                         + (traj[k][1] - scenario.ap_pos[1]) ** 2 + dz_ap**2)
-        d_irs = math.sqrt((traj[k][0] - scenario.irs_pos[0]) ** 2
-                          + (traj[k][1] - scenario.irs_pos[1]) ** 2 + dz_irs**2)
+        d_ap, d_irs = _distances(traj[k], scenario)
         total += (lin.value[k] + lin.grad[k, 0] * (d_ap - lin.d_ap0[k])
                   + lin.grad[k, 1] * (d_irs - lin.d_irs0[k]))
     required = (scenario.n_slots + 1) * scenario.min_avg_rate

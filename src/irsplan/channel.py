@@ -269,10 +269,8 @@ def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: Lin
     m, n = scenario.n_irs_elements, scenario.n_antennas
     rng = np.random.default_rng(seed)
     powers = rng.standard_exponential(n_draws * (m + 1)).reshape(n_draws, m + 1)
-    if n > 1:
-        l2sq_direct = np.add(powers[:, 0], rng.standard_gamma(n - 1, n_draws))
-    else:
-        l2sq_direct = powers[:, 0].copy()
+    remainder = rng.standard_gamma(n - 1, n_draws) if n > 1 else 0.0
+    l2sq_direct = powers[:, 0] + remainder      # a new array: the sqrt below is in place
     np.sqrt(powers, out=powers)
     cross = powers[:, 0]
     l1_irs = np.sum(powers[:, 1:], axis=1)

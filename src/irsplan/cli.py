@@ -241,6 +241,8 @@ def _replay(manifest: dict) -> tuple:
     try:
         scenario = scenario_from_payload(manifest["scenario"])
         map_meta = manifest["map"]
+        if not isinstance(map_meta, dict):
+            raise ConfigError(f"expected a JSON object, got {map_meta!r}", key="map")
         if "nx" not in map_meta:
             raise ConfigError(
                 "manifest run used an external model file; replay it with "

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import audit
 from .errors import GraphInfeasibleError
-from .scenario import Scenario, distances, los_class_batch, slot_energy
+from .scenario import Scenario, distances, los_class_batch, obstacle_margin, slot_energy
 from .snrmodel import SnrModel, slot_rate
 
 
@@ -62,9 +62,7 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
 
     free = np.ones(len(points), dtype=bool)
     for obs in scenario.obstacles:
-        diff = points - obs.center
-        margins = np.einsum("ni,ij,nj->n", diff, obs.shape_inv, diff)
-        free &= margins >= scenario.safety_level
+        free &= obstacle_margin(points, obs) >= scenario.safety_level
     free = free.reshape(len(ys), len(xs))
 
     reach = math.floor(scenario.max_step / grid_spacing + 1e-9)

@@ -104,17 +104,17 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
     geometrically, then averages ``draws_per_cell`` closed-form optimal SNR
     samples from its own seeded stream.
 
-    Rows are filled by a pool of threads, one per CPU this process may run on
-    (the draws and reductions release the GIL). Per-cell seeds make the map the
-    same, bit for bit, for every thread count.
+    Rows are filled by a pool of threads, one per CPU this process may run on.
+    Each cell's small numpy operations and ``default_rng`` hold the GIL: 2 threads
+    built the desk map 1.1-1.7x faster than 1 on a 2-vCPU host. Per-cell seeds
+    make the map the same, bit for bit, for every thread count.
     """
     cell_x = check_map_settings(scenario.workspace, (nx, ny), draws_per_cell, seed)
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    xmin, _, ymin, _ = scenario.workspace
-    xs = xmin + (np.arange(nx) + 0.5) * cell_x
-    ys = ymin + (np.arange(ny) + 0.5) * cell_x
-    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)   # row-major over (iy, ix)
+    origin = scenario.workspace[0], scenario.workspace[2]
+    grid = np.stack(np.meshgrid(*_cell_centers(nx, ny, cell_x, origin)),
+                    axis=-1).reshape(-1, 2)                    # row-major over (iy, ix)
     ap_los, irs_los = los_class_batch(grid, scenario)
     links = [LinkClass(*pair) for pair in zip(ap_los.tolist(), irs_los.tolist())]
     d_ap, d_irs = (d.tolist() for d in distances(grid, scenario))
@@ -133,7 +133,7 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
         list(pool.map(fill_row, range(ny)))
 
     return RadioMap(
-        nx=nx, ny=ny, cell_size=cell_x, origin=(xmin, ymin),
+        nx=nx, ny=ny, cell_size=cell_x, origin=origin,
         avg_snr=avg, n_draws=np.full((ny, nx), draws_per_cell, dtype=np.int64),
         ap_los=ap_los.reshape(ny, nx), irs_los=irs_los.reshape(ny, nx),
         scenario_hash=scenario.channel_fingerprint(), seed=seed,
@@ -168,6 +168,17 @@ def save_map(radio_map: RadioMap, path) -> None:
     lines += [f"{label},{ap[k]},{irs[k]},{snr[k]},{draws[k]}"
               for k, label in enumerate(labels)]
     textfile.write(path, "radiomap", lines)
+
+
+def _cell_number(text: str, parse, least, **where):
+    """``parse(text)`` if it is a finite number at least ``least``, else FileFormatError."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= least):
+        raise FileFormatError(f"expected a finite number at least {least}, got {text}", **where)
+    return value
 
 
 def load_map(path) -> RadioMap:
@@ -215,17 +226,9 @@ def load_map(path) -> RadioMap:
             if parts[pos] not in ("LOS", "NLOS"):
                 raise FileFormatError("class must be LOS or NLOS", path=path,
                                       line=lineno, field=name)
-        try:
-            cell_snr, cell_draws = float(parts[6]), int(parts[7])
-        except ValueError as exc:
-            raise FileFormatError(f"bad numeric field: {exc}", path=path,
-                                  line=lineno, field=parts[6]) from None
-        if not (math.isfinite(cell_snr) and cell_snr >= 0.0):
-            raise FileFormatError(f"SNR must be finite and nonnegative, got {parts[6]}",
-                                  path=path, line=lineno, field="avg_opt_snr_linear")
-        if cell_draws < 1:
-            raise FileFormatError(f"a cell needs at least one draw, got {parts[7]}",
-                                  path=path, line=lineno, field="n_draws")
+        cell_snr = _cell_number(parts[6], float, 0.0, path=path, line=lineno,
+                                field="avg_opt_snr_linear")
+        cell_draws = _cell_number(parts[7], int, 1, path=path, line=lineno, field="n_draws")
         cells.append((cell_snr, cell_draws, parts[4] == "LOS", parts[5] == "LOS"))
 
     avg, draws, ap_los, irs_los = (np.array(col).reshape(ny, nx) for col in zip(*cells))

@@ -301,10 +301,12 @@ def slot_energy(steps, scenario: Scenario):
             + scenario.motor_v0 * dt)
 
 
-def obstacle_margin(q, obstacle: Obstacle) -> float:
-    """Quadratic form (q-center)^T shape^-1 (q-center); compare against safety_level."""
+def obstacle_margin(q, obstacle: Obstacle):
+    """Quadratic form (q-center)^T shape^-1 (q-center) of one (2,) point, or of each row
+    of an (n, 2) array with the same bits; compare against safety_level."""
     d = np.asarray(q, dtype=float) - obstacle.center
-    return float(d @ obstacle.shape_inv @ d)
+    margin = (d[..., None, :] @ obstacle.shape_inv @ d[..., :, None])[..., 0, 0]
+    return float(margin) if d.ndim == 1 else margin
 
 
 def distances(points, scenario: Scenario) -> tuple:

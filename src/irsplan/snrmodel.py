@@ -49,6 +49,7 @@ _FIT_GRAD_TOL = 1e-10
 
 # the five model parameters, in ClassFit.as_tuple order
 _PARAMS = ("gain_irs", "gain_cross", "gain_direct", "exp_irs", "exp_ap")
+_CHECKED = (*_PARAMS, "residual_rms", "n_cells")     # finite and nonnegative
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ClassFit:
     inherited_from: str | None = None
 
     def __post_init__(self):
-        for name in _PARAMS:
+        for name in _CHECKED:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -359,8 +360,7 @@ def _fit_class(d_ap, d_irs, values, link: LinkClass, scenario: Scenario) -> Clas
         return ClassFit(gain_irs=a, gain_cross=b, gain_direct=c, exp_irs=nu, exp_ap=mu,
                         residual_rms=math.sqrt(2.0 * cost / n), n_cells=n)
     except ValueError as exc:
-        raise FitFailureError(f"fit for class {link.label()} has no valid parameters: "
-                              f"{exc}") from None
+        raise FitFailureError(f"fit for class {link.label()} is not valid: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ def load_model(path) -> SnrModel:
             fields = {name: parse(block[name][1]) for name, parse in _FIELDS.items()}
         except ValueError as exc:
             raise FileFormatError(str(exc), path=path, line=lineno, field=tag) from None
-        for name in _PARAMS:
+        for name in _CHECKED:
             if not (math.isfinite(fields[name]) and fields[name] >= 0):
                 raise FileFormatError(f"must be finite and nonnegative, got {fields[name]}",
                                       path=path, line=block[name][0], field=name)

@@ -273,9 +273,12 @@ def test_manifest_replay_reproduces_run(planned, tmp_path):
     (lambda summary: summary["scenario"].update(v_max=2.0), "fingerprint"),
     (lambda summary: summary.update(scenario=[1]), "scenario"),
     (lambda summary: summary["map"].update(nx="abc"), "map"),
+    (lambda summary: summary.update(map=5), "map"),
+    (lambda summary: summary.update(map=[1, 2]), "map"),
     (lambda summary: summary.update(fit_mode="bogus"), "map")],
     ids=["not-json", "v_max-missing", "workspace-not-numeric", "v_max-edited",
-         "scenario-not-an-object", "nx-not-numeric", "fit_mode-unknown"])
+         "scenario-not-an-object", "nx-not-numeric", "map-a-number", "map-a-list",
+         "fit_mode-unknown"])
 def test_bad_manifest_exits_3_naming_the_key(planned, tmp_path, capsys, edit, named):
     text = (planned / "summary.json").read_text()
     if edit is None:

@@ -7,7 +7,7 @@ import pytest
 from irsplan import audit, graphinit
 from irsplan.errors import GraphInfeasibleError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import Obstacle, motion_energy, scenario_overrides
+from irsplan.scenario import Obstacle, motion_energy, obstacle_margin, scenario_overrides
 from irsplan.snrmodel import rate
 
 from conftest import straight_line
@@ -164,6 +164,17 @@ def test_graph_nodes_respect_safety_margin(desk_scenario, fitted_model):
         diff = grid[free] - obs.center
         margins = np.einsum("ni,ij,nj->n", diff, obs.shape_inv, diff)
         assert margins.min() >= desk_scenario.safety_level
+
+
+def test_free_mask_is_the_one_point_margin_test(desk_scenario):
+    # a non-integer spacing puts nodes where a differently rounded form of the
+    # quadratic could fall on the other side of the safety level
+    graph = build_graph(desk_scenario, mode="ME", grid_spacing=0.7)
+    grid = graph.node_positions().reshape(-1, 2)
+    expected = [all(obstacle_margin(point, obs) >= desk_scenario.safety_level
+                    for obs in desk_scenario.obstacles) for point in grid]
+    assert graph.free.reshape(-1).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 def test_edges_respect_step_bound(desk_scenario, fitted_model):

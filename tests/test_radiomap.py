@@ -229,7 +229,8 @@ def test_variance_shrinks_with_draw_count(desk_scenario):
 @pytest.mark.parametrize("field,value", [("avg_opt_snr_linear", "nan"),
                                          ("avg_opt_snr_linear", "inf"),
                                          ("avg_opt_snr_linear", "-1.0"),
-                                         ("n_draws", "0")])
+                                         ("n_draws", "0"),
+                                         ("n_draws", "x")])
 def test_bad_cell_value_is_a_format_error(small_map, tmp_path, capsys, field, value):
     path = tmp_path / "map.csv"
     save_map(small_map, path)

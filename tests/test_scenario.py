@@ -111,6 +111,17 @@ def test_margin_invariant_under_joint_rotation():
         )
 
 
+def test_margin_of_an_array_is_the_one_point_margin_of_each_row(desk_scenario):
+    rng = np.random.default_rng(8)
+    xmin, xmax, ymin, ymax = desk_scenario.workspace
+    points = np.column_stack([rng.uniform(xmin, xmax, 2000), rng.uniform(ymin, ymax, 2000)])
+    for obs in desk_scenario.obstacles:
+        margins = obstacle_margin(points, obs)
+        assert margins.shape == (2000,)
+        one_by_one = np.array([obstacle_margin(q, obs) for q in points])
+        assert np.array_equal(margins.view(np.uint64), one_by_one.view(np.uint64))
+
+
 def test_invalid_obstacles_rejected():
     with pytest.raises(InvalidObstacleError):
         Obstacle(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]), 2.0)  # asymmetric

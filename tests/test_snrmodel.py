@@ -459,18 +459,37 @@ def test_model_class_block_holds_exactly_its_fields(fitted_model, tmp_path, inde
     assert (err.value.line, err.value.field) == (line, field)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_model_non_finite_parameter_is_a_format_error(fitted_model, tmp_path, value):
+def _assert_rejected_at_its_line(model, tmp_path, name, value):
+    """load_model on ``model`` saved with its first ``name`` line set to
+    ``value`` raises FileFormatError naming that line and field."""
     path = tmp_path / "model.txt"
-    save_model(fitted_model, path)
+    save_model(model, path)
     lines = path.read_text().splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1)
-                  if line.startswith("gain_irs = "))
-    lines[lineno - 1] = f"gain_irs = {value}"
+                  if line.startswith(f"{name} = "))
+    lines[lineno - 1] = f"{name} = {value}"
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError) as err:
         load_model(tmp_path / "bad.txt")
-    assert (err.value.line, err.value.field) == (lineno, "gain_irs")
+    assert (err.value.line, err.value.field) == (lineno, name)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_model_non_finite_parameter_is_a_format_error(fitted_model, tmp_path, value):
+    _assert_rejected_at_its_line(fitted_model, tmp_path, "gain_irs", value)
+
+
+@pytest.mark.parametrize("name,value", [("n_cells", "-3"), ("residual_rms", "nan"),
+                                        ("residual_rms", "-1.0")])
+def test_model_bad_fit_statistic_is_a_format_error(fitted_model, tmp_path, name, value):
+    _assert_rejected_at_its_line(fitted_model, tmp_path, name, value)
+
+
+@pytest.mark.parametrize("name,value", [("n_cells", -3), ("residual_rms", math.nan),
+                                        ("residual_rms", math.inf), ("residual_rms", -1.0)])
+def test_class_fit_rejects_a_bad_fit_statistic(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        ClassFit(1.0, 1.0, 1.0, 2.0, 2.0, **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
