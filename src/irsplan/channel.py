@@ -128,30 +128,17 @@ class Beamformer:
         return np.exp(1j * self.global_phase) * np.diag(np.exp(1j * self.phases))
 
 
-def _finish_draw(scenario, link, d_ap, d_irs, fading_irs, fading_direct) -> ChannelDraw:
-    irs_resp, ap_resp = _array_responses(scenario)
-    exp_ap, exp_irs = scenario.exponents(link)
-    return ChannelDraw(
-        fading_irs=fading_irs,
-        fading_direct=fading_direct,
-        irs_response=irs_resp,
-        ap_response=ap_resp,
-        gamma=scenario.irs_ap_gain,
-        ref_gain=scenario.ref_gain,
-        d_ap=d_ap,
-        d_irs=d_irs,
-        exp_ap=exp_ap,
-        exp_irs=exp_irs,
-    )
-
-
 def draw_channel(q, scenario: Scenario, link: LinkClass, seed: int) -> ChannelDraw:
     """Draw one channel realization at position q. Identical seeds reproduce bits."""
-    fading_irs, fading_direct = _draw_fading(
-        scenario.n_irs_elements, scenario.n_antennas, 1, seed
-    )
+    fading_irs, fading_direct = _draw_fading(scenario.n_irs_elements, scenario.n_antennas,
+                                             1, seed)
+    irs_resp, ap_resp = _array_responses(scenario)
     d_ap, d_irs = distances(q, scenario)
-    return _finish_draw(scenario, link, d_ap, d_irs, fading_irs[0], fading_direct[0])
+    exp_ap, exp_irs = scenario.exponents(link)
+    return ChannelDraw(fading_irs=fading_irs[0], fading_direct=fading_direct[0],
+                       irs_response=irs_resp, ap_response=ap_resp,
+                       gamma=scenario.irs_ap_gain, ref_gain=scenario.ref_gain,
+                       d_ap=d_ap, d_irs=d_irs, exp_ap=exp_ap, exp_irs=exp_irs)
 
 
 def _draw_fading(m: int, n: int, count: int, seed: int) -> tuple:
@@ -224,15 +211,21 @@ def optimal_snr_closed_form(draw: ChannelDraw, d_ap: float, d_irs: float,
     """
     if d_ap <= 0 or d_irs <= 0:
         raise ValueError("distances must be positive")
-    rho = draw.ref_gain
-    n = draw.n_antennas
     l1_irs = float(np.sum(np.abs(draw.fading_irs)))
-    cross = abs(draw.ap_response @ draw.fading_direct)
-    a_coef = n * rho * draw.gamma**2 * l1_irs**2
-    b_coef = 2.0 * math.sqrt(n) * rho * draw.gamma * l1_irs * cross
-    c_coef = rho * float(np.sum(np.abs(draw.fading_direct) ** 2))
-    return _snr_form(a_coef, b_coef, c_coef, draw.exp_irs, draw.exp_ap, d_ap, d_irs,
-                     scenario.snr_scale)
+    coefs = _snr_coefficients(l1_irs**2, l1_irs, abs(draw.ap_response @ draw.fading_direct),
+                              float(np.sum(np.abs(draw.fading_direct) ** 2)),
+                              draw.n_antennas, draw.ref_gain, draw.gamma)
+    return _snr_form(*coefs, draw.exp_irs, draw.exp_ap, d_ap, d_irs, scenario.snr_scale)
+
+
+def _snr_coefficients(l1_sq, l1, cross, l2sq_direct, n, rho, gamma) -> tuple:
+    """The gains (A, B, C) = (N rho gamma^2 l1^2, 2 sqrt(N) rho gamma l1 |a^H h_d|,
+    rho ||h_d||^2) of the beamforming-optimal SNR, from the draw statistics
+    l1^2, l1 = sum_i |h_i|, |a^H h_d| and ||h_d||^2 (scalars or arrays). The
+    grouping of each product is part of the map file: its bits depend on it."""
+    return (l1_sq * (n * rho * gamma**2),
+            l1 * (2.0 * math.sqrt(n) * rho * gamma) * cross,
+            l2sq_direct * rho)
 
 
 def _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs, snr_scale):
@@ -275,11 +268,9 @@ def optimal_snr_samples(d_ap: float, d_irs: float, scenario: Scenario, link: Lin
     cross = powers[:, 0]
     l1_irs = np.sum(powers[:, 1:], axis=1)
     exp_ap, exp_irs = scenario.exponents(link)
-    rho = scenario.ref_gain
-    gamma = scenario.irs_ap_gain
-    return _snr_form(np.square(l1_irs) * (n * rho * gamma**2),
-                     l1_irs * (2.0 * math.sqrt(n) * rho * gamma) * cross,
-                     l2sq_direct * rho, exp_irs, exp_ap, d_ap, d_irs, scenario.snr_scale)
+    coefs = _snr_coefficients(np.square(l1_irs), l1_irs, cross, l2sq_direct, n,
+                              scenario.ref_gain, scenario.irs_ap_gain)
+    return _snr_form(*coefs, exp_irs, exp_ap, d_ap, d_irs, scenario.snr_scale)
 
 
 def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
@@ -288,20 +279,18 @@ def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
     ``ap_los`` and ``irs_los`` give each point's visibility class, as
     length-n boolean arrays or as scalars shared by all points.
 
-    The mean of every term of optimal_snr_closed_form is known: E[l1] =
-    M sqrt(pi)/2, E[l1^2] = M + M(M-1) pi/4, E|a^H h_d| = sqrt(pi)/2 and
-    E||h_d||^2 = N. So the mean is the fitted model's form with the class's
-    nominal exponents and A = N rho gamma^2 (M + M(M-1) pi/4),
-    B = sqrt(N) rho gamma M pi/2, C = rho N.
+    Each gain of optimal_snr_closed_form is linear in one draw statistic or in
+    the product of two independent ones. So the mean is the fitted model's form
+    with the class's nominal exponents and the gains of the four means E[l1^2] =
+    M + M(M-1) pi/4, E[l1] = M sqrt(pi)/2, E|a^H h_d| = sqrt(pi)/2 and
+    E||h_d||^2 = N: A = N rho gamma^2 (M + M(M-1) pi/4), B = sqrt(N) rho gamma M pi/2
+    and C = rho N.
     """
     m, n = scenario.n_irs_elements, scenario.n_antennas
-    rho = scenario.ref_gain
-    gamma = scenario.irs_ap_gain
-    a_coef = n * rho * gamma**2 * (m + m * (m - 1) * math.pi / 4)
-    b_coef = math.sqrt(n) * rho * gamma * m * math.pi / 2
-    c_coef = rho * n
+    half_sqrt_pi = math.sqrt(math.pi) / 2
+    coefs = _snr_coefficients(m + m * (m - 1) * math.pi / 4, m * half_sqrt_pi, half_sqrt_pi,
+                              n, n, scenario.ref_gain, scenario.irs_ap_gain)
     d_ap, d_irs = distances(np.atleast_2d(points), scenario)
     exp_ap = np.where(ap_los, scenario.los_exponent, scenario.nlos_exponent)
     exp_irs = np.where(irs_los, scenario.los_exponent, scenario.nlos_exponent)
-    return _snr_form(a_coef, b_coef, c_coef, exp_irs, exp_ap, d_ap, d_irs,
-                     scenario.snr_scale)
+    return _snr_form(*coefs, exp_irs, exp_ap, d_ap, d_irs, scenario.snr_scale)

@@ -151,8 +151,8 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _plan_once(scenario: Scenario, out_dir: Path, map_file=None, model_file=None,
-               grid=(100, 60), draws=200, seed=0) -> tuple:
+def _plan_once(scenario: Scenario, out_dir: Path, *, grid, draws: int, seed: int,
+               map_file=None, model_file=None) -> tuple:
     """Map (or reuse), fit and plan. Returns (exit_code, summary dict).
 
     The inputs are read before the output directory is made."""

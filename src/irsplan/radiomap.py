@@ -58,6 +58,10 @@ class RadioMap:
         """(xs, ys) 1-D center coordinates along each axis."""
         return _cell_centers(self.nx, self.ny, self.cell_size, self.origin)
 
+    def cell_grid(self) -> np.ndarray:
+        """(ny * nx, 2) cell centers, row-major over (iy, ix) like the flattened arrays."""
+        return _cell_grid(*self.cell_centers())
+
     def equals(self, other: "RadioMap") -> bool:
         return (
             (self.nx, self.ny, self.cell_size, self.origin, self.scenario_hash, self.seed)
@@ -73,6 +77,10 @@ class RadioMap:
 def _cell_centers(nx: int, ny: int, cell_size: float, origin) -> tuple:
     x0, y0 = origin
     return x0 + (np.arange(nx) + 0.5) * cell_size, y0 + (np.arange(ny) + 0.5) * cell_size
+
+
+def _cell_grid(xs, ys) -> np.ndarray:
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
 
 def check_map_settings(workspace, grid, draws: int, seed: int,
@@ -95,8 +103,7 @@ def check_map_settings(workspace, grid, draws: int, seed: int,
     return cell_x
 
 
-def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
-              draws_per_cell: int = 200, seed: int = 0) -> RadioMap:
+def build_map(scenario: Scenario, nx: int, ny: int, draws_per_cell: int, seed: int) -> RadioMap:
     """Generate the radio map on an nx-by-ny grid of cell centers.
 
     The settings must pass ``check_map_settings``: in particular the (square)
@@ -113,8 +120,7 @@ def build_map(scenario: Scenario, nx: int = 100, ny: int = 60,
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     origin = scenario.workspace[0], scenario.workspace[2]
-    grid = np.stack(np.meshgrid(*_cell_centers(nx, ny, cell_x, origin)),
-                    axis=-1).reshape(-1, 2)                    # row-major over (iy, ix)
+    grid = _cell_grid(*_cell_centers(nx, ny, cell_x, origin))
     ap_los, irs_los = los_class_batch(grid, scenario)
     links = [LinkClass(*pair) for pair in zip(ap_los.tolist(), irs_los.tolist())]
     d_ap, d_irs = (d.tolist() for d in distances(grid, scenario))
@@ -198,6 +204,9 @@ def load_map(path) -> RadioMap:
         origin = (float(geo["xmin"]), float(geo["ymin"]))
         scenario_hash = meta["scenario"]
         seed = int(meta["seed"])
+        if not (0 < cell < math.inf and all(map(math.isfinite, origin)) and seed >= 0):
+            raise ValueError(f"cell_size={cell!r}, xmin={origin[0]!r}, ymin={origin[1]!r} "
+                             f"or seed={seed} is out of range")
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"bad header: {exc}", path=path, line=2) from None
 

@@ -337,7 +337,7 @@ def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
     pinv = obstacle.shape_inv
     a = np.einsum("ni,ij,nj->n", d, pinv, d)
     b = 2.0 * np.einsum("ni,ij,nj->n", u0, pinv, d)
-    c = np.einsum("ni,ij,nj->n", u0, pinv, u0) - 1.0
+    c = obstacle_margin(points, obstacle) - 1.0
 
     # t-interval where the segment height stays below the cylinder top
     dz = z1 - z0

@@ -39,7 +39,7 @@ import numpy as np
 from . import audit
 from .errors import SubproblemError
 from .graphinit import select_initial
-from .scenario import Scenario, motion_energy
+from .scenario import Scenario, motion_energy, obstacle_margin
 from .snrmodel import SnrModel, linearize_rate
 from .socp import ObstacleLinearization, SubproblemSolution, assemble_p4, solve_p4
 
@@ -56,8 +56,12 @@ class ScoConfig:
     grid_spacing: float = 1.0      # initializer grid
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.n_it_max < 1 or self.trust_radius <= 0:
-            raise ValueError("epsilon, n_it_max and trust_radius must be positive")
+        for name in ("epsilon", "trust_radius", "grid_spacing"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (isinstance(self.n_it_max, (int, np.integer)) and self.n_it_max >= 1):
+            raise ValueError(f"n_it_max must be an integer at least 1, got {self.n_it_max!r}")
 
 
 @dataclass(frozen=True)
@@ -109,16 +113,15 @@ def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
     the safety level keeps the admitted half-plane inside the true feasible
     set. Rows run over the free slots, and over the obstacles within a slot.
     """
-    q0 = np.asarray(prev_traj, dtype=float)[1:-1, None, None, :]   # (free, 1, 1, 2)
+    points = np.asarray(prev_traj, dtype=float)[1:-1]
+    value = np.array([obstacle_margin(points, obs) for obs in obstacles]).T   # (free, obs)
+    q0 = points[:, None, None, :]                                   # (free, 1, 1, 2)
     centers = np.array([obs.center for obs in obstacles]).reshape(-1, 1, 2)
     shape_inv = np.array([obs.shape_inv for obs in obstacles]).reshape(-1, 2, 2)
-    # batched matmuls with the operand shapes of the per-row form
-    # diff @ P^-1 @ diff and (2 P^-1) @ diff, so every row keeps its bits
     diff = q0 - centers                                             # (free, obs, 1, 2)
-    value = diff @ shape_inv @ diff.swapaxes(-1, -2)                # (free, obs, 1, 1)
     grad = ((2.0 * shape_inv) @ diff.swapaxes(-1, -2)).swapaxes(-1, -2)
-    offset = value - grad @ q0.swapaxes(-1, -2)
-    n_free, n_obs = value.shape[:2]
+    offset = value - (grad @ q0.swapaxes(-1, -2))[..., 0, 0]
+    n_free, n_obs = grad.shape[:2]
     return ObstacleLinearization(slot=np.repeat(np.arange(1, n_free + 1), n_obs),
                                  coeff=grad.reshape(-1, 2), offset=offset.reshape(-1))
 

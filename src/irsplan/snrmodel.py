@@ -256,9 +256,7 @@ def fit(radio_map: RadioMap, scenario: Scenario) -> SnrModel:
     other class inherits the fit of the nearest fitted class: flip the IRS
     label first, then the AP label, then both.
     """
-    xs, ys = radio_map.cell_centers()
-    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    d_ap, d_irs = distances(grid, scenario)
+    d_ap, d_irs = distances(radio_map.cell_grid(), scenario)
     values = radio_map.avg_snr.reshape(-1)
     ap_los = radio_map.ap_los.reshape(-1)
     irs_los = radio_map.irs_los.reshape(-1)

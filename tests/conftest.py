@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def fitted_model(small_map, desk_scenario):
 
 def desk_config_with(tmp_path, key, value):
     """The desk config file with ``key = value`` in place of its own line."""
-    lines = [line for line in open(DESK_CONFIG).read().splitlines()
+    lines = [line for line in Path(DESK_CONFIG).read_text(encoding="utf-8").splitlines()
              if not line.startswith(f"{key} =")]
     path = tmp_path / "edited.cfg"
     path.write_text("\n".join([f"{key} = {value}", *lines]) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -126,6 +127,42 @@ def test_closed_form_monotone_decreasing_in_distances(empty_scenario):
     assert optimal_snr_closed_form(d, 10.0, 12.0, empty_scenario) < base
 
 
+def _closed_form_reference(draw, d_ap, d_irs, scenario):
+    """optimal_snr_closed_form with its gains written out, from the draw's own constants."""
+    rho = draw.ref_gain
+    n = draw.n_antennas
+    l1_irs = float(np.sum(np.abs(draw.fading_irs)))
+    cross = abs(draw.ap_response @ draw.fading_direct)
+    a_coef = n * rho * draw.gamma**2 * l1_irs**2
+    b_coef = 2.0 * math.sqrt(n) * rho * draw.gamma * l1_irs * cross
+    c_coef = rho * float(np.sum(np.abs(draw.fading_direct) ** 2))
+    return (
+        a_coef * d_irs ** (-draw.exp_irs)
+        + b_coef * d_irs ** (-draw.exp_irs / 2) * d_ap ** (-draw.exp_ap / 2)
+        + c_coef * d_ap ** (-draw.exp_ap)
+    ) * scenario.snr_scale
+
+
+@pytest.mark.parametrize("m,n", itertools.product((0, 16), (1, 4)))
+def test_closed_form_is_bitwise_the_reference_formula(empty_scenario, m, n):
+    sc = small_array_scenario(empty_scenario, m=m, n=n)
+    for seed in range(20):
+        d = draw_channel([17.3, 9.6], sc, LinkClass(seed % 2 == 0, seed % 3 == 0), seed)
+        for d_ap, d_irs in ((d.d_ap, d.d_irs), (7.5, 31.0)):
+            value = optimal_snr_closed_form(d, d_ap, d_irs, sc)
+            ref = _closed_form_reference(d, d_ap, d_irs, sc)
+            assert np.float64(value).view(np.uint64) == np.float64(ref).view(np.uint64)
+
+
+def test_closed_form_reads_the_draws_own_constants(empty_scenario):
+    # a hand-built draw may carry other constants than the scenario it is evaluated in
+    d = draw_channel([17.3, 9.6], small_array_scenario(empty_scenario, m=4, n=2), LOS, 9)
+    other = dataclasses.replace(d, gamma=3.0 * d.gamma, ref_gain=0.5 * d.ref_gain)
+    value = optimal_snr_closed_form(other, 10.0, 12.0, empty_scenario)
+    assert value == _closed_form_reference(other, 10.0, 12.0, empty_scenario)
+    assert value != optimal_snr_closed_form(d, 10.0, 12.0, empty_scenario)
+
+
 @pytest.mark.parametrize("m,n,count", itertools.product((0, 64), (1, 16), (1, 200)))
 def test_fading_stream_is_bitwise_the_reference_formula(m, n, count):
     # the map's per-cell seed stream: any change to these bits changes map.csv
@@ -229,6 +266,22 @@ def test_sample_mean_matches_the_exact_expected_snr(empty_scenario, m, link):
     assert exact.shape == (1,)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - exact[0]) <= 4 * se
+
+
+@pytest.mark.parametrize("m,n", itertools.product((0, 1, 16, 64), (1, 4)))
+def test_expected_snr_has_the_gains_of_its_docstring(desk_scenario, m, n):
+    sc = scenario_overrides(desk_scenario, n_irs_elements=m, n_antennas=n)
+    rho, gamma = sc.ref_gain, sc.irs_ap_gain
+    a_coef = n * rho * gamma**2 * (m + m * (m - 1) * math.pi / 4)
+    b_coef = math.sqrt(n) * rho * gamma * m * math.pi / 2
+    c_coef = rho * n
+    points = np.random.default_rng(m + n).uniform([0.0, 0.0], [50.0, 30.0], size=(50, 2))
+    d_ap, d_irs = distances(points, sc)
+    for ap_los, irs_los in ALL_LINK_CLASSES:
+        mu, nu = sc.exponents(LinkClass(ap_los, irs_los))
+        ref = (a_coef * d_irs ** (-nu) + b_coef * d_irs ** (-nu / 2) * d_ap ** (-mu / 2)
+               + c_coef * d_ap ** (-mu)) * sc.snr_scale
+        assert expected_snr(points, sc, ap_los, irs_los) == pytest.approx(ref, rel=1e-14)
 
 
 def test_expected_snr_is_vectorized_over_points_and_classes(desk_scenario):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import irsplan
 from irsplan import artifacts, audit, radiomap, sco, snrmodel
 from irsplan.cli import main
 from irsplan.errors import FitFailureError
-from irsplan.radiomap import load_map
+from irsplan.radiomap import load_map, save_map
 from irsplan.scenario import load_scenario
 from irsplan.snrmodel import load_model
 from irsplan.socp import SubproblemSolution
@@ -193,7 +195,7 @@ def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit
 
 
 def test_malformed_config_line_exits_3_naming_its_line(tmp_path, capsys):
-    lines = open(DESK_CONFIG).read().splitlines()
+    lines = Path(DESK_CONFIG).read_text(encoding="utf-8").splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("v_max ="))
     lines[lineno - 1] = "v_max 3.0"
     bad = tmp_path / "bad.cfg"
@@ -351,6 +353,20 @@ def test_unreadable_input_file_exits_3_before_any_output(planned, tmp_path, caps
                             model=planned / "model.txt") for arg in argv]) == 3
     err = capsys.readouterr().err
     assert "configuration error:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--config", DESK_CONFIG, "--map", "{bad}", "--out", "{out}/model.txt"],
+    ["plan", "--config", DESK_CONFIG, "--map", "{bad}", "--out", "{out}"]],
+    ids=["fit", "plan"])
+def test_map_with_a_nan_cell_size_exits_3(planned, tmp_path, capsys, argv):
+    bad = tmp_path / "nan-cell.csv"
+    save_map(dataclasses.replace(load_map(planned / "map.csv"), cell_size=math.nan), bad)
+    out = tmp_path / "new" / "out"
+    assert main([arg.format(bad=bad, out=out) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert "bad header" in err and "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -141,6 +142,19 @@ def test_a_header_without_cells_is_a_format_error(small_map, tmp_path):
     (tmp_path / "empty.csv").write_text("\n".join(lines[:4]) + "\n")      # and no rows
     with pytest.raises(FileFormatError, match="bad header") as err:
         load_map(tmp_path / "empty.csv")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cell_size", 0.0), ("cell_size", -5.0), ("cell_size", math.nan),
+    ("origin", (math.inf, 0.0)), ("origin", (0.0, -math.inf)), ("seed", -1)],
+    ids=["cell-zero", "cell-negative", "cell-nan", "xmin-inf", "ymin-inf", "seed-negative"])
+def test_a_header_with_impossible_geometry_is_a_format_error(small_map, tmp_path, field,
+                                                             value):
+    path = tmp_path / "map.csv"
+    save_map(dataclasses.replace(small_map, **{field: value}), path)   # rows labelled to match
+    with pytest.raises(FileFormatError, match="bad header") as err:
+        load_map(path)
     assert err.value.line == 2
 
 

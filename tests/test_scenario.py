@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from irsplan import scenario as scenario_module
 from irsplan.errors import (ConfigError, FileFormatError, InvalidObstacleError,
                             InvalidTrajectoryError)
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
@@ -190,6 +192,26 @@ def test_los_classification_agrees_with_sampling_oracle_on_grid(desk_scenario):
                                                   sc.obstacles), q
 
 
+def test_visibility_classes_match_the_einsum_form_of_the_ellipse_term(desk_scenario,
+                                                                      monkeypatch):
+    # the reference takes the segment test's u0' P^-1 u0 from an einsum, which
+    # differs from obstacle_margin in the last bit at some points: no class may move
+    rng = np.random.default_rng(25)
+    xmin, xmax, ymin, ymax = desk_scenario.workspace
+    points = np.column_stack([rng.uniform(xmin, xmax, 20_000),
+                              rng.uniform(ymin, ymax, 20_000)])
+    got = los_class_batch(points, desk_scenario)
+
+    def einsum_margin(q, obstacle):
+        u0 = q - obstacle.center
+        return np.einsum("ni,ij,nj->n", u0, obstacle.shape_inv, u0)
+
+    monkeypatch.setattr(scenario_module, "obstacle_margin", einsum_margin)
+    ref = los_class_batch(points, desk_scenario)
+    assert np.array_equal(got.ap_los, ref.ap_los)
+    assert np.array_equal(got.irs_los, ref.irs_los)
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -274,7 +296,7 @@ def test_bad_config_scalar_is_a_config_error_naming_the_key(tmp_path, key, value
 
 def test_bad_shape_obstacle_height_is_a_config_error(tmp_path):
     path = tmp_path / "shape.cfg"
-    path.write_text(open(DESK_CONFIG).read().split("\n[obstacle]")[0]
+    path.write_text(Path(DESK_CONFIG).read_text(encoding="utf-8").split("\n[obstacle]")[0]
                     + "\n[obstacle]\ncenter = 17 18.5\nshape = 9 0 4\nheight = x\n")
     with pytest.raises(ConfigError, match="obstacle"):
         load_scenario(path)
@@ -286,7 +308,7 @@ def test_bad_shape_obstacle_height_is_a_config_error(tmp_path):
     ("n_slots =", "n_slots 30", "n_slots 30")],
     ids=["repeated-top-level-key", "repeated-obstacle-key", "not-key-value"])
 def test_repeated_key_or_bad_line_is_a_format_error_at_its_line(tmp_path, after, extra, field):
-    lines = open(DESK_CONFIG).read().splitlines()
+    lines = Path(DESK_CONFIG).read_text(encoding="utf-8").splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(after)) + 1
     lines.insert(lineno - 1, extra)
     path = tmp_path / "bad.cfg"
@@ -306,7 +328,7 @@ def test_repeated_key_or_bad_line_is_a_format_error_at_its_line(tmp_path, after,
          "unknown-key"])
 def test_obstacle_block_takes_exactly_one_form(tmp_path, block):
     path = tmp_path / "obstacle.cfg"
-    path.write_text(open(DESK_CONFIG).read().split("\n[obstacle]")[0]
+    path.write_text(Path(DESK_CONFIG).read_text(encoding="utf-8").split("\n[obstacle]")[0]
                     + f"\n[obstacle]\n{block}\n")
     with pytest.raises(ConfigError, match="obstacle"):
         load_scenario(path)
