@@ -2,10 +2,12 @@
 
 Layer 0 holds exactly the start position and layer K the goal (both are
 injected as explicit nodes so endpoint constraints hold exactly); layers
-1..K-1 share one grid of obstacle-free positions at a configurable
-spacing. Edges connect consecutive layers for moves up to D_max,
-including the zero-length waiting move, since the deadline fixes the slot
-count and shorter paths must idle.
+1..K-1 share one grid of obstacle-free positions. Its spacing is
+GRID_SPACING, or the one-slot reach D_max = v_max * slot_duration when
+that is shorter, so every slot can move at least one grid step. Edges
+connect consecutive layers for moves up to D_max, including the
+zero-length waiting move, since the deadline fixes the slot count and
+shorter paths must idle.
 
 Two cost modes seed the descent loop: ME charges each edge its one-slot
 motion energy; MR charges ``max_rate - rate(destination)`` so that the
@@ -27,50 +29,48 @@ from .errors import GraphInfeasibleError
 from .scenario import Scenario, distances, los_class_batch, obstacle_margin, slot_energy
 from .snrmodel import SnrModel, slot_rate
 
+GRID_SPACING = 1.0    # meters; the node grid's spacing when a slot reaches that far
+
 
 @dataclass(frozen=True)
 class TimeExpandedGraph:
     scenario: Scenario
     mode: str                    # "ME" | "MR"
     spacing: float
-    xs: np.ndarray               # (nx,) grid x coordinates
-    ys: np.ndarray               # (ny,) grid y coordinates
+    nodes: np.ndarray            # (ny, nx, 2) grid positions, row-major from (xmin, ymin)
     free: np.ndarray             # (ny, nx) nodes satisfying the safety margin
     node_rate: np.ndarray | None  # (ny, nx) fitted rate, MR mode only
     rate_start: float
     rate_goal: float
     offsets: np.ndarray          # (n_off, 2) integer (oy, ox) moves, |o|*g <= D_max
 
-    def node_positions(self) -> np.ndarray:
-        return np.stack(np.meshgrid(self.xs, self.ys), axis=-1)
 
-
-def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
-                grid_spacing: float = 1.0) -> TimeExpandedGraph:
+def build_graph(scenario: Scenario, model: SnrModel = None,
+                mode: str = "ME") -> TimeExpandedGraph:
     """Construct the layered grid graph for one cost mode."""
-    if grid_spacing <= 0:
-        raise ValueError("grid spacing must be positive")
     if mode not in ("ME", "MR"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "MR" and model is None:
         raise ValueError("MR mode needs a fitted SNR model")
 
+    spacing = min(GRID_SPACING, scenario.max_step)
     xmin, xmax, ymin, ymax = scenario.workspace
-    xs = xmin + np.arange(math.floor((xmax - xmin) / grid_spacing) + 1) * grid_spacing
-    ys = ymin + np.arange(math.floor((ymax - ymin) / grid_spacing) + 1) * grid_spacing
-    points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    xs = xmin + np.arange(math.floor((xmax - xmin) / spacing) + 1) * spacing
+    ys = ymin + np.arange(math.floor((ymax - ymin) / spacing) + 1) * spacing
+    nodes = np.stack(np.meshgrid(xs, ys), axis=-1)
+    points = nodes.reshape(-1, 2)
 
     free = np.ones(len(points), dtype=bool)
     for obs in scenario.obstacles:
         free &= obstacle_margin(points, obs) >= scenario.safety_level
     free = free.reshape(len(ys), len(xs))
 
-    reach = math.floor(scenario.max_step / grid_spacing + 1e-9)
+    reach = math.floor(scenario.max_step / spacing + 1e-9)
     offs = [
         (oy, ox)
         for oy in range(-reach, reach + 1)
         for ox in range(-reach, reach + 1)
-        if math.hypot(ox, oy) * grid_spacing <= scenario.max_step + 1e-9
+        if math.hypot(ox, oy) * spacing <= scenario.max_step + 1e-9
     ]
     # ascending predecessor linear index for deterministic tie-breaking
     offs.sort(key=lambda o: (-o[0], -o[1]))
@@ -79,16 +79,16 @@ def build_graph(scenario: Scenario, model: SnrModel = None, mode: str = "ME",
     rate_start = rate_goal = 0.0
     if mode == "MR":
         # the grid nodes, then the injected start and goal nodes
-        nodes = np.vstack([points, scenario.q_start, scenario.q_goal])
-        rates = slot_rate(model, los_class_batch(nodes, scenario),
-                          *distances(nodes, scenario), scenario)
+        queried = np.vstack([points, scenario.q_start, scenario.q_goal])
+        rates = slot_rate(model, los_class_batch(queried, scenario),
+                          *distances(queried, scenario), scenario)
         node_rate = rates[:-2].reshape(len(ys), len(xs))
         rate_start, rate_goal = rates[-2:].tolist()
 
     return TimeExpandedGraph(
-        scenario=scenario, mode=mode, spacing=grid_spacing, xs=xs, ys=ys,
-        free=free, node_rate=node_rate, rate_start=rate_start,
-        rate_goal=rate_goal, offsets=np.array(offs, dtype=int),
+        scenario=scenario, mode=mode, spacing=spacing, nodes=nodes, free=free,
+        node_rate=node_rate, rate_start=rate_start, rate_goal=rate_goal,
+        offsets=np.array(offs, dtype=int),
     )
 
 
@@ -127,7 +127,7 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
         raise GraphInfeasibleError("goal unreachable in a single slot")
 
     ny, nx = graph.free.shape
-    grid = graph.node_positions()
+    grid = graph.nodes
 
     # an edge costs edge_cost(its length) + the node cost of its destination
     if graph.mode == "ME":
@@ -181,7 +181,7 @@ def shortest_path(graph: TimeExpandedGraph) -> np.ndarray:
     traj[0] = q_start
     traj[-1] = q_goal
     for slot, (jy, jx) in enumerate(nodes, start=1):
-        traj[slot] = (graph.xs[jx], graph.ys[jy])
+        traj[slot] = grid[jy, jx]
     return traj
 
 
@@ -198,8 +198,7 @@ class InitSelection:
         return self.trajectory is not None
 
 
-def select_initial(scenario: Scenario, model: SnrModel,
-                   grid_spacing: float = 1.0) -> InitSelection:
+def select_initial(scenario: Scenario, model: SnrModel) -> InitSelection:
     """Return the ME path if it satisfies every constraint, else MR, else neither.
 
     Feasibility is decided by the independent auditor on the full original
@@ -208,8 +207,7 @@ def select_initial(scenario: Scenario, model: SnrModel,
     reports = {}
     for mode in ("ME", "MR"):
         try:
-            graph = build_graph(scenario, model=model, mode=mode,
-                                grid_spacing=grid_spacing)
+            graph = build_graph(scenario, model=model, mode=mode)
             traj = shortest_path(graph)
         except GraphInfeasibleError as exc:
             reports[mode] = str(exc)

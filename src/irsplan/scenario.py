@@ -199,6 +199,9 @@ class Scenario:
             raise ConfigError("rate requirement cannot be negative", key="min_avg_rate")
         for name in ("q_start", "q_goal"):
             q = getattr(self, name)
+            if not (xmin <= q[0] <= xmax and ymin <= q[1] <= ymax):
+                raise ConfigError(f"outside the workspace rectangle {self.workspace}",
+                                  key=name)
             for obs in self.obstacles:
                 if obstacle_margin(q, obs) < self.safety_level:
                     raise ConfigError(

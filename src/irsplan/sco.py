@@ -31,7 +31,6 @@ end of the schedule raises SubproblemError carrying the trace so far.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +52,9 @@ class ScoConfig:
     epsilon: float = 0.01          # relative-improvement stopping threshold
     n_it_max: int = 100
     trust_radius: float = 1.0      # meters
-    grid_spacing: float = 1.0      # initializer grid
 
     def __post_init__(self):
-        for name in ("epsilon", "trust_radius", "grid_spacing"):
+        for name in ("epsilon", "trust_radius"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -72,7 +70,6 @@ class IterationRecord:
     audit_report: audit.AuditReport   # the P3 audit of solution.trajectory
     improvement: float             # relative energy change versus the previous record
     trust_radius: float
-    wall_time: float
 
 
 @dataclass
@@ -134,7 +131,6 @@ def descent_step(trace: list, model: SnrModel, scenario: Scenario,
     optimal and passes both audits, so the record's radius tells the number
     of shrinks; raises SubproblemError carrying ``trace`` when none passes.
     """
-    t0 = time.perf_counter()
     incumbent = trace[-1].solution
     traj = incumbent.trajectory
     lins = linearize_rate(model, traj, scenario)
@@ -149,8 +145,7 @@ def descent_step(trace: list, model: SnrModel, scenario: Scenario,
             if not rejected:
                 energy = incumbent.objective
                 improvement = (energy - sol.objective) / energy if energy > 0 else 0.0
-                return IterationRecord(sol, p3_report, improvement, trust,
-                                       time.perf_counter() - t0)
+                return IterationRecord(sol, p3_report, improvement, trust)
     violation = f", {rejected[0]}" if sol.status == "optimal" else ""
     raise SubproblemError(f"subproblem failed at iteration {len(trace)}{violation} "
                           f"(status {sol.status}, trust radius {trust})", trace=trace)
@@ -158,7 +153,7 @@ def descent_step(trace: list, model: SnrModel, scenario: Scenario,
 
 def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) -> PlanResult:
     """Full descent from the graph initializer to a stationary trajectory."""
-    selection = select_initial(scenario, model, grid_spacing=config.grid_spacing)
+    selection = select_initial(scenario, model)
     if not selection.feasible:
         return PlanResult(init_label=None, init_reports=selection.reports)
 
@@ -166,7 +161,7 @@ def run(scenario: Scenario, model: SnrModel, config: ScoConfig = ScoConfig()) ->
                                  motion_energy(selection.trajectory, scenario), "initial",
                                  conic=None)
     trace = [IterationRecord(initial, selection.reports[selection.label], improvement=0.0,
-                             trust_radius=config.trust_radius, wall_time=0.0)]
+                             trust_radius=config.trust_radius)]
     safety_pad = 1e-9    # monotonicity slack for solver round-off
     radii = [config.trust_radius]       # the retry schedule of the module docstring
     while radii[-1] > TRUST_FLOOR:

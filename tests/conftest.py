@@ -41,12 +41,14 @@ def fitted_model(small_map, desk_scenario):
     return fit(small_map, desk_scenario)
 
 
-def desk_config_with(tmp_path, key, value):
-    """The desk config file with ``key = value`` in place of its own line."""
+def desk_config_with(tmp_path, *edits):
+    """The desk config file with ``key = value`` in place of its own line, for
+    each ``(key, value)`` of ``edits``."""
+    keys = tuple(f"{key} =" for key, _ in edits)
     lines = [line for line in Path(DESK_CONFIG).read_text(encoding="utf-8").splitlines()
-             if not line.startswith(f"{key} =")]
+             if not line.startswith(keys)]
     path = tmp_path / "edited.cfg"
-    path.write_text("\n".join([f"{key} = {value}", *lines]) + "\n")
+    path.write_text("\n".join([*(f"{key} = {value}" for key, value in edits), *lines]) + "\n")
     return path
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irsplan
@@ -181,17 +182,31 @@ def test_unknown_config_key_exits_3(tmp_path):
     (("n_slots", "inf"), ["plan"], "n_slots"), (("los_exponent", "x"), ["plan"], "los_exponent"),
     (("bandwidth_mhz", "-200.0"), ["plan"], "bandwidth_hz"),
     (None, ["sweep", "--M", "0", "--rmin", "nan"], "min_avg_rate"),
-    (None, ["sweep", "--M", "-4", "--rmin", "2.0"], "n_irs_elements")],
+    (None, ["sweep", "--M", "-4", "--rmin", "2.0"], "n_irs_elements"),
+    (("q_start", "-5 15.5"), ["plan"], "q_start")],
     ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative",
-         "sweep-rmin-nan", "sweep-M-negative"])
+         "sweep-rmin-nan", "sweep-M-negative", "q_start-outside-workspace"])
 def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, args, named):
-    config = desk_config_with(tmp_path, *edit) if edit else DESK_CONFIG
+    config = desk_config_with(tmp_path, edit) if edit else DESK_CONFIG
     out = tmp_path / "run"
     verb, *flags = args
     assert main([verb, "--config", str(config), "--out", str(out), *SMALL, *flags]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and named in err
     assert not out.exists()
+
+
+def test_slot_shorter_than_the_grid_spacing_plans(tmp_path):
+    # the desk's 30 s deadline in 120 slots: one slot reaches 0.75 m, under the
+    # initializer's 1 m grid spacing
+    config = desk_config_with(tmp_path, ("n_slots", 120), ("slot_duration", 0.25))
+    out = tmp_path / "run"
+    assert main(["plan", "--config", str(config), "--out", str(out),
+                 "--grid", "20", "12", "--draws", "20", "--seed", "11"]) == 0
+    assert json.loads((out / "summary.json").read_text())["result"]["status"] == "optimal"
+    traj = artifacts.read_trajectory_csv(out / "trajectory.csv")
+    assert traj.shape == (121, 2)
+    assert np.linalg.norm(np.diff(traj, axis=0), axis=1).max() <= 0.75 + audit.STEP_TOL
 
 
 def test_malformed_config_line_exits_3_naming_its_line(tmp_path, capsys):
@@ -298,6 +313,18 @@ def test_bad_manifest_exits_3_naming_the_key(planned, tmp_path, capsys, edit, na
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not replay.exists()
+
+
+def test_manifest_with_the_old_grid_spacing_replays(planned, tmp_path):
+    # manifests written before the initializer worked out its grid spacing
+    # carry it in their solver settings, which a replay does not read
+    summary = json.loads((planned / "summary.json").read_text())
+    summary["sco"]["grid_spacing"] = 1.0
+    manifest = tmp_path / "summary.json"
+    manifest.write_text(json.dumps(summary))
+    replay = tmp_path / "replay"
+    assert main(["plan", "--out", str(replay), "--manifest", str(manifest)]) == 0
+    assert tree_digest(replay) == tree_digest(planned)
 
 
 def test_manifest_replays_without_config(planned, tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsplan import audit, graphinit
 from irsplan.errors import GraphInfeasibleError
@@ -23,7 +25,7 @@ def tiny_scenario(base, *, workspace, q_start, q_goal, n_slots, v_max=1.5,
 def enumerate_paths_oracle(graph):
     """Brute-force minimum cost over every layer-respecting node sequence."""
     sc = graph.scenario
-    grid = graph.node_positions().reshape(-1, 2)
+    grid = graph.nodes.reshape(-1, 2)
     free = graph.free.reshape(-1)
     nodes = [grid[i] for i in range(len(grid)) if free[i]]
     rates = graph.node_rate.reshape(-1)[free.nonzero()[0]] if graph.mode == "MR" else None
@@ -88,8 +90,7 @@ def path_cost(graph, traj):
     sc = graph.scenario
     if graph.mode == "ME":
         return motion_energy(traj, sc)
-    rates = []
-    grid = graph.node_positions()
+    origin = graph.nodes[0, 0]
     cap = float(max(graph.node_rate[graph.free].max(), graph.rate_start,
                     graph.rate_goal))
     total = 0.0
@@ -97,8 +98,8 @@ def path_cost(graph, traj):
         if np.allclose(traj[k], sc.q_goal):
             total += cap - graph.rate_goal
         else:
-            iy = int(round((traj[k][1] - graph.ys[0]) / graph.spacing))
-            ix = int(round((traj[k][0] - graph.xs[0]) / graph.spacing))
+            iy = int(round((traj[k][1] - origin[1]) / graph.spacing))
+            ix = int(round((traj[k][0] - origin[0]) / graph.spacing))
             total += cap - graph.node_rate[iy, ix]
     return total
 
@@ -108,7 +109,7 @@ def path_cost(graph, traj):
 
 def test_obstacle_free_me_path_is_discretized_straight_line(empty_scenario, toy_model):
     sc = scenario_overrides(empty_scenario, min_avg_rate=0.0)
-    graph = build_graph(sc, model=toy_model, mode="ME", grid_spacing=1.0)
+    graph = build_graph(sc, model=toy_model, mode="ME")
     traj = shortest_path(graph)
     # straight segment oracle: every waypoint within one grid diagonal
     direction = (sc.q_goal - sc.q_start) / np.linalg.norm(sc.q_goal - sc.q_start)
@@ -134,7 +135,7 @@ def test_dp_equals_exhaustive_enumeration_on_toy_graphs(empty_scenario, toy_mode
         q_start=[0.2, 0.1], q_goal=[0.9, 0.8], n_slots=k,
         v_max=float(rng.uniform(1.2, 2.5)),
     )
-    graph = build_graph(sc, model=toy_model, mode=mode, grid_spacing=1.0)
+    graph = build_graph(sc, model=toy_model, mode=mode)
     traj = shortest_path(graph)
     oracle = enumerate_paths_oracle(graph)
     assert path_cost(graph, traj) == pytest.approx(oracle, rel=1e-12)
@@ -158,7 +159,7 @@ def test_unreachable_goal_raises(empty_scenario, toy_model):
 
 def test_graph_nodes_respect_safety_margin(desk_scenario, fitted_model):
     graph = build_graph(desk_scenario, model=fitted_model, mode="ME")
-    grid = graph.node_positions().reshape(-1, 2)
+    grid = graph.nodes.reshape(-1, 2)
     free = graph.free.reshape(-1)
     for obs in desk_scenario.obstacles:
         diff = grid[free] - obs.center
@@ -166,11 +167,13 @@ def test_graph_nodes_respect_safety_margin(desk_scenario, fitted_model):
         assert margins.min() >= desk_scenario.safety_level
 
 
-def test_free_mask_is_the_one_point_margin_test(desk_scenario):
+def test_free_mask_is_the_one_point_margin_test(desk_scenario, monkeypatch):
     # a non-integer spacing puts nodes where a differently rounded form of the
     # quadratic could fall on the other side of the safety level
-    graph = build_graph(desk_scenario, mode="ME", grid_spacing=0.7)
-    grid = graph.node_positions().reshape(-1, 2)
+    monkeypatch.setattr(graphinit, "GRID_SPACING", 0.7)
+    graph = build_graph(desk_scenario, mode="ME")
+    assert graph.spacing == 0.7
+    grid = graph.nodes.reshape(-1, 2)
     expected = [all(obstacle_margin(point, obs) >= desk_scenario.safety_level
                     for obs in desk_scenario.obstacles) for point in grid]
     assert graph.free.reshape(-1).tolist() == expected
@@ -182,6 +185,18 @@ def test_edges_respect_step_bound(desk_scenario, fitted_model):
     lengths = np.linalg.norm(graph.offsets.astype(float), axis=1) * graph.spacing
     assert lengths.max() <= desk_scenario.max_step + 1e-9
     assert (graph.offsets == 0).all(axis=1).any()   # waiting move available
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(step=st.floats(0.25, 4.0))
+def test_every_slot_moves_at_least_one_grid_step(desk_scenario, step):
+    # a slot shorter than the 1 m grid must still leave a move other than waiting
+    sc = scenario_overrides(desk_scenario, slot_duration=step / desk_scenario.v_max)
+    graph = build_graph(sc, mode="ME")
+    lengths = np.linalg.norm(graph.offsets.astype(float), axis=1) * graph.spacing
+    assert graph.spacing <= 1.0
+    assert (lengths > 0).any()
+    assert lengths.max() <= sc.max_step + 1e-9
 
 
 def test_mr_path_rate_at_least_me_path_rate(desk_scenario, fitted_model):
@@ -218,12 +233,11 @@ def test_desk_m0_at_2p5_gbps_selects_max_rate_initialization(desk_scenario):
     assert audit.check_p3(selection.trajectory, sc, model).ok
 
 
-def test_grid_refinement_never_raises_me_energy(desk_scenario, fitted_model):
+def test_grid_refinement_never_raises_me_energy(desk_scenario, fitted_model, monkeypatch):
     sc = scenario_overrides(desk_scenario, min_avg_rate=0.0)
-    coarse = shortest_path(build_graph(sc, model=fitted_model, mode="ME",
-                                       grid_spacing=1.0))
-    fine = shortest_path(build_graph(sc, model=fitted_model, mode="ME",
-                                     grid_spacing=0.5))
+    coarse = shortest_path(build_graph(sc, model=fitted_model, mode="ME"))
+    monkeypatch.setattr(graphinit, "GRID_SPACING", 0.5)
+    fine = shortest_path(build_graph(sc, model=fitted_model, mode="ME"))
     assert motion_energy(fine, sc) <= motion_energy(coarse, sc) + 1e-9
 
 

@@ -290,7 +290,7 @@ def test_nan_safety_level_is_a_config_error(desk_scenario):
                                        ("nlos_exponent", "nan"), ("v_max", "nan")])
 def test_bad_config_scalar_is_a_config_error_naming_the_key(tmp_path, key, value):
     with pytest.raises(ConfigError) as err:
-        load_scenario(desk_config_with(tmp_path, key, value))
+        load_scenario(desk_config_with(tmp_path, (key, value)))
     assert key in str(err.value)
 
 
@@ -337,6 +337,18 @@ def test_obstacle_block_takes_exactly_one_form(tmp_path, block):
 def test_endpoint_inside_obstacle_rejected(desk_scenario):
     with pytest.raises(ConfigError):
         scenario_overrides(desk_scenario, q_start=[17.0, 18.5])  # center of O1
+
+
+@pytest.mark.parametrize("name,point", [("q_start", [-1.0, 15.5]), ("q_start", [-5.0, 15.5]),
+                                        ("q_goal", [40.5, 30.5]), ("q_goal", [50.01, 14.5])])
+def test_endpoint_outside_workspace_rejected(desk_scenario, name, point):
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        scenario_overrides(desk_scenario, **{name: point})
+
+
+def test_endpoint_on_the_workspace_edge_is_inside(desk_scenario):
+    sc = scenario_overrides(desk_scenario, q_start=[0.0, 15.5], q_goal=[50.0, 30.0])
+    assert sc.q_start.tolist() == [0.0, 15.5] and sc.q_goal.tolist() == [50.0, 30.0]
 
 
 def test_fingerprints_distinguish_planning_from_channel(desk_scenario):

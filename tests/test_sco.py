@@ -95,8 +95,7 @@ def test_no_obstacles_give_empty_rows(desk_scenario):
 @pytest.mark.parametrize("field,value", [
     ("trust_radius", math.inf), ("trust_radius", math.nan), ("trust_radius", 0.0),
     ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -0.01),
-    ("grid_spacing", 0.0), ("grid_spacing", -1.0), ("grid_spacing", math.nan),
-    ("grid_spacing", math.inf), ("n_it_max", 2.5), ("n_it_max", 0)])
+    ("n_it_max", 2.5), ("n_it_max", 0)])
 def test_config_rejects_values_the_descent_cannot_use(field, value):
     # only constructed: an infinite trust radius would never end the retry schedule
     with pytest.raises(ValueError, match=field):
