@@ -4,7 +4,10 @@ Layer 0 holds exactly the start position and layer K the goal (both are
 injected as explicit nodes so endpoint constraints hold exactly); layers
 1..K-1 share one grid of obstacle-free positions. Its spacing is
 GRID_SPACING, or the one-slot reach D_max = v_max * slot_duration when
-that is shorter, so every slot can move at least one grid step. Edges
+that is shorter, so every slot can move at least one grid step. The grid
+is centred in the workspace, leaving at most half a spacing to each edge,
+so every workspace point (an endpoint on the far edge too) lies within
+spacing / sqrt(2) <= D_max / sqrt(2) of a node. Edges
 connect consecutive layers for moves up to D_max, including the
 zero-length waiting move, since the deadline fixes the slot count and
 shorter paths must idle.
@@ -37,7 +40,7 @@ class TimeExpandedGraph:
     scenario: Scenario
     mode: str                    # "ME" | "MR"
     spacing: float
-    nodes: np.ndarray            # (ny, nx, 2) grid positions, row-major from (xmin, ymin)
+    nodes: np.ndarray            # (ny, nx, 2) grid positions, row-major, centred in the workspace
     free: np.ndarray             # (ny, nx) nodes satisfying the safety margin
     node_rate: np.ndarray | None  # (ny, nx) fitted rate, MR mode only
     rate_start: float
@@ -55,8 +58,11 @@ def build_graph(scenario: Scenario, model: SnrModel = None,
 
     spacing = min(GRID_SPACING, scenario.max_step)
     xmin, xmax, ymin, ymax = scenario.workspace
-    xs = xmin + np.arange(math.floor((xmax - xmin) / spacing) + 1) * spacing
-    ys = ymin + np.arange(math.floor((ymax - ymin) / spacing) + 1) * spacing
+    axes = []
+    for lo, hi in ((xmin, xmax), (ymin, ymax)):
+        n = math.floor((hi - lo) / spacing) + 1
+        axes.append(lo + (hi - lo - (n - 1) * spacing) / 2 + np.arange(n) * spacing)
+    xs, ys = axes
     nodes = np.stack(np.meshgrid(xs, ys), axis=-1)
     points = nodes.reshape(-1, 2)
 

@@ -5,15 +5,20 @@ q_1..q_{K-1} subject to: per-slot step bounds, a trust region around the
 previous trajectory, linearized obstacle half-planes, and the linearized
 average-rate constraint. Endpoints are substituted out as constants.
 
-Encodings (per slot k):
-    u_k >= ||q_k - q_{k-1}||            3-cone, carries the linear energy term
-    w_k >= ||q_k - q_{k-1}||^2 / dt     4-cone via ||(2 dq, w - dt)|| <= w + dt
-    u_k <= D_max                        scalar cone (step bound)
-    ||q_k - prev_k|| <= T               3-cone trust region (free slots)
-    s_ap,k  >= 3D robot-AP distance     4-cone with the height offset constant
-    s_irs,k >= 3D robot-IRS distance    4-cone
-    linearized obstacles                scalar cones
-    sum of slot rate minorants >= (K+1) r_min   one scalar cone
+The layout is written once, in ``_layout``. Variables, in order: the free
+waypoints q (2 each), then u and w (one per slot), then s_ap and s_irs (one
+per free waypoint). Constraint families, with cone sizes, in row order:
+
+    per slot k, interleaved:
+      speed    [3]  u_k >= ||q_k - q_{k-1}||         carries the linear energy term
+      energy   [4]  w_k >= ||q_k - q_{k-1}||^2 / dt  via ||(2 dq, w - dt)|| <= w + dt
+      step     [1]  u_k <= D_max
+    per free slot k, interleaved:
+      trust    [3]  ||q_k - prev_k|| <= T
+      dist_ap  [4]  s_ap,k  >= 3D robot-AP distance, with the height offset constant
+      dist_irs [4]  s_irs,k >= 3D robot-IRS distance
+    obstacle [1]  one linearized obstacle half-plane per row of the linearization
+    rate     [1]  sum of slot rate minorants >= (K+1) r_min
 
 Because the rate gradients are nonpositive, replacing distances by their
 cone over-estimators only tightens the rate constraint, so the epigraph
@@ -58,10 +63,8 @@ class P4Subproblem:
     linearization: RateLinearization   # slots 0..K
     obstacle_rows: ObstacleLinearization
     trust_radius: float
-
-    @property
-    def n_free(self) -> int:
-        return self.scenario.n_slots - 1
+    cols: dict                     # variable block -> (units, width) column indices
+    rows: dict                     # constraint family -> (units, cone size) row indices
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,34 @@ class SubproblemSolution:
     objective: float               # true motion energy of the trajectory, joules
     status: str                    # optimal | max-iter | infeasible | unbounded
     conic: ConicSolution | None    # the cone solve; None when no waypoint is free to move
+
+
+def _layout(k_slots: int, n_free: int, n_obs: int) -> tuple:
+    """The subproblem's layout: (cols, rows, dims).
+
+    A group repeats its blocks ``units`` times, interleaved unit by unit, and
+    the groups follow one another; columns and rows are laid out alike, and
+    dims lists the row groups' cone sizes in row order. Each block's indices
+    are a (units, width) array, one row per unit.
+    """
+    col_groups = ((n_free, (("q", 2),)), (k_slots, (("u", 1),)), (k_slots, (("w", 1),)),
+                  (n_free, (("s_ap", 1),)), (n_free, (("s_irs", 1),)))
+    row_groups = ((k_slots, (("speed", 3), ("energy", 4), ("step", 1))),
+                  (n_free, (("trust", 3), ("dist_ap", 4), ("dist_irs", 4))),
+                  (n_obs, (("obstacle", 1),)),
+                  (1, (("rate", 1),)))
+    cols, rows = {}, {}
+    for blocks, groups in ((cols, col_groups), (rows, row_groups)):
+        start = 0
+        for units, group in groups:
+            stride = sum(width for _, width in group)
+            first = start + stride * np.arange(units)[:, None]
+            for name, width in group:
+                blocks[name] = first + np.arange(width)
+                first += width
+            start += stride * units
+    dims = [size for units, group in row_groups for _ in range(units) for _, size in group]
+    return cols, rows, dims
 
 
 def assemble_p4(scenario: Scenario, linearization, prev_traj,
@@ -93,61 +124,48 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     if np.any((obs_slot < 1) | (obs_slot > k_slots - 1)):
         raise AssemblyError("obstacle rows apply to free slots only")
 
-    n_free = k_slots - 1
     dt = scenario.slot_duration
+    cols, rows, dims = _layout(k_slots, k_slots - 1, len(obs_slot))
+    q, u, w, s_ap, s_irs = (cols[name] for name in ("q", "u", "w", "s_ap", "s_irs"))
 
-    # variable layout: [q (2 each) | u (K) | w (K) | s_ap (n_free) | s_irs (n_free)]
-    off_u = 2 * n_free
-    off_w = off_u + k_slots
-    off_sa = off_w + k_slots
-    off_si = off_sa + n_free
-    n_vars = off_si + n_free
-
-    c = np.zeros(n_vars)
-    c[off_u:off_u + k_slots] = scenario.motor_v1
-    c[off_w:off_w + k_slots] = scenario.motor_v2
-
-    dims = [3, 4, 1] * k_slots + [3, 4, 4] * n_free + [1] * (len(obs_slot) + 1)
-    G = np.zeros((sum(dims), n_vars))
+    c = np.zeros(sum(block.size for block in cols.values()))
+    c[u] = scenario.motor_v1
+    c[w] = scenario.motor_v2
+    G = np.zeros((sum(dims), len(c)))
     h = np.zeros(sum(dims))
-    axes = np.arange(2)
-    free = np.arange(n_free)                   # k - 1 for each free slot k
-    q_cols = 2 * free[:, None] + axes          # columns of waypoint k
 
-    # per slot k (8 rows): (u_k, dq_k), (w_k + dt, 2 dq_k, w_k - dt), D_max - u_k
-    slots = np.arange(k_slots)                 # k - 1
-    r = 8 * slots
-    G[r, off_u + slots] = -1.0
-    G[r + 3, off_w + slots] = -1.0
-    G[r + 6, off_w + slots] = -1.0
-    G[r + 7, off_u + slots] = 1.0
-    h[r + 3], h[r + 6], h[r + 7] = dt, -dt, scenario.max_step
+    # per slot k: (u_k, dq_k), (w_k + dt, 2 dq_k, w_k - dt), D_max - u_k
+    speed, energy, step = rows["speed"], rows["energy"], rows["step"]
+    G[speed[:, :1], u] = -1.0
+    G[energy[:, ::3], w] = -1.0
+    G[step, u] = 1.0
+    h[energy[:, :1]], h[energy[:, 3:]], h[step] = dt, -dt, scenario.max_step
     # scale * (q_k - q_{k-1}) with the fixed endpoints moved into h
     ends = np.zeros((k_slots + 1, 2))
     ends[0], ends[-1] = scenario.q_start, scenario.q_goal
-    for scale, first in ((1.0, 1), (2.0, 4)):
-        rows = r[:, None] + first + axes
-        G[rows[:-1], q_cols] = -scale          # q_k of slots k < K
-        G[rows[1:], q_cols] = scale            # q_{k-1} of slots k > 1
-        h[rows] = scale * ends[1:] - scale * ends[:-1]
+    for scale, dq in ((1.0, speed[:, 1:]), (2.0, energy[:, 1:3])):
+        G[dq[:-1], q] = -scale                 # q_k of slots k < K
+        G[dq[1:], q] = scale                   # q_{k-1} of slots k > 1
+        h[dq] = scale * ends[1:] - scale * ends[:-1]
 
-    # per free slot k (11 rows): the trust region around the previous
-    # iterate, then the 3D distance epigraphs feeding the rate constraint
-    r = 8 * k_slots + 11 * free
-    h[r] = trust_radius
-    G[r[:, None] + 1 + axes, q_cols] = -1.0
-    h[r[:, None] + 1 + axes] = -prev_traj[1:-1]
-    for first, offset, anchor, z_anchor in ((3, off_sa, scenario.ap_pos, scenario.z_ap),
-                                            (7, off_si, scenario.irs_pos, scenario.z_irs)):
-        G[r + first, offset + free] = -1.0
-        G[r[:, None] + first + 1 + axes, q_cols] = -1.0
-        h[r[:, None] + first + 1 + axes] = -anchor
-        h[r + first + 3] = scenario.z_robot - z_anchor
+    # per free slot k: the trust region around the previous iterate, then
+    # the 3D distance epigraphs feeding the rate constraint
+    trust = rows["trust"]
+    h[trust[:, :1]] = trust_radius
+    G[trust[:, 1:], q] = -1.0
+    h[trust[:, 1:]] = -prev_traj[1:-1]
+    for name, s, anchor, z_anchor in (("dist_ap", s_ap, scenario.ap_pos, scenario.z_ap),
+                                      ("dist_irs", s_irs, scenario.irs_pos, scenario.z_irs)):
+        dist = rows[name]
+        G[dist[:, :1], s] = -1.0
+        G[dist[:, 1:3], q] = -1.0
+        h[dist[:, 1:3]] = -anchor
+        h[dist[:, 3:]] = scenario.z_robot - z_anchor
 
     # obstacles: coeff . q + offset >= safety_level
-    r = 8 * k_slots + 11 * n_free + np.arange(len(obs_slot))
-    G[r[:, None], 2 * (obs_slot[:, None] - 1) + axes] = -obstacle_rows.coeff
-    h[r] = obstacle_rows.offset - scenario.safety_level
+    obstacle = rows["obstacle"]
+    G[obstacle, q[obs_slot - 1]] = -obstacle_rows.coeff
+    h[obstacle[:, 0]] = obstacle_rows.offset - scenario.safety_level
 
     # rate constraint: sum of per-slot minorants >= (K+1) * r_min, in Gbps.
     # Fixed endpoints contribute their exact anchored rates; free slots
@@ -159,16 +177,15 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     beta = value.copy()
     beta[1:-1] = (value[1:-1] - grad[:, 0] * linearization.d_ap0[1:-1]
                   - grad[:, 1] * linearization.d_irs0[1:-1])
-    h[-1] = (np.add.accumulate(beta * GBPS)[-1]
-             - (k_slots + 1) * scenario.min_avg_rate * GBPS)
-    G[-1, off_sa + free] = -(grad[:, 0] * GBPS)
-    G[-1, off_si + free] = -(grad[:, 1] * GBPS)
+    h[rows["rate"]] = (np.add.accumulate(beta * GBPS)[-1]
+                       - (k_slots + 1) * scenario.min_avg_rate * GBPS)
+    G[rows["rate"], np.hstack([s_ap, s_irs])] = -(grad * GBPS)
 
     problem = ConicProblem(c=c, G=G, h=h, dims=dims)
     return P4Subproblem(
         problem=problem, scenario=scenario, prev_traj=prev_traj,
         linearization=linearization, obstacle_rows=obstacle_rows,
-        trust_radius=trust_radius,
+        trust_radius=trust_radius, cols=cols, rows=rows,
     )
 
 
@@ -179,13 +196,13 @@ def solve_p4(sub: P4Subproblem) -> SubproblemSolution:
     trajectory, so that case short-circuits to the (unique) feasible point.
     """
     scenario = sub.scenario
-    if sub.trust_radius <= 1e-8 or sub.n_free == 0:
+    q = sub.cols["q"]
+    if sub.trust_radius <= 1e-8 or q.size == 0:
         traj = sub.prev_traj.copy()
         return SubproblemSolution(trajectory=traj, objective=motion_energy(traj, scenario),
                                   status="optimal", conic=None)
     sol: ConicSolution = solve(sub.problem)
-    # the free waypoints lead the variable layout
-    traj = np.vstack([scenario.q_start, sol.x[:2 * sub.n_free].reshape(-1, 2), scenario.q_goal])
+    traj = np.vstack([scenario.q_start, sol.x[q], scenario.q_goal])
     return SubproblemSolution(
         trajectory=traj,
         objective=motion_energy(traj, scenario) if np.all(np.isfinite(traj)) else np.inf,

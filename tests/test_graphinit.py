@@ -199,6 +199,38 @@ def test_every_slot_moves_at_least_one_grid_step(desk_scenario, step):
     assert lengths.max() <= sc.max_step + 1e-9
 
 
+def test_goal_on_the_far_edge_of_a_sub_metre_grid_is_reachable(desk_scenario):
+    # 50 m is not a whole number of 0.82 m steps: a grid laid from xmin ended
+    # 0.88 m short of the far edge, out of one slot's reach of this goal
+    sc = scenario_overrides(desk_scenario, slot_duration=(50 / 60.95) / 3, n_slots=110,
+                            min_avg_rate=0.0, q_goal=[50.0, 8.61])
+    assert sc.v_max == 3.0
+    traj = shortest_path(build_graph(sc, mode="ME"))
+    assert np.array_equal(traj[-1], sc.q_goal)
+    assert np.linalg.norm(np.diff(traj, axis=0), axis=1).max() <= sc.max_step + 1e-9
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(step=st.floats(0.25, 4.0), steps=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+       rests=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)))
+def test_every_workspace_edge_point_is_near_a_grid_node(empty_scenario, step, steps, rests):
+    spacing = min(graphinit.GRID_SPACING, step)
+    (xmin, ymin), (w, h) = (-3.0, 2.0), [(n + r) * spacing for n, r in zip(steps, rests)]
+    sc = scenario_overrides(empty_scenario, workspace=(xmin, xmin + w, ymin, ymin + h),
+                            q_start=[xmin, ymin], q_goal=[xmin + w, ymin + h],
+                            slot_duration=step / empty_scenario.v_max)
+    graph = build_graph(sc, mode="ME")
+    assert graph.spacing == spacing
+    nodes = graph.nodes.reshape(-1, 2)
+    assert (nodes >= np.array([xmin, ymin]) - 1e-9).all()
+    assert (nodes <= np.array([xmin + w, ymin + h]) + 1e-9).all()
+    # every corner and edge midpoint (and the centre) is within one slot's
+    # reach of a node, since spacing <= max_step
+    for point in itertools.product((xmin, xmin + w / 2, xmin + w), (ymin, ymin + h / 2, ymin + h)):
+        gap = np.linalg.norm(nodes - point, axis=1).min()
+        assert gap <= spacing / math.sqrt(2) + 1e-9, point
+
+
 def test_mr_path_rate_at_least_me_path_rate(desk_scenario, fitted_model):
     sc = scenario_overrides(desk_scenario, min_avg_rate=0.0)
     me = shortest_path(build_graph(sc, model=fitted_model, mode="ME"))

@@ -348,14 +348,29 @@ def test_assembly_validates_shapes(desk_scenario, fitted_model):
         assemble_p4(sc, lin, traj, no_rows, -1.0)
 
 
-@pytest.mark.parametrize("n_slots", [1, 2, 30])
-def test_assembled_rows_are_the_constraint_families(desk_scenario, fitted_model, n_slots):
-    sc = scenario_overrides(desk_scenario, n_slots=n_slots)
+@pytest.mark.parametrize("n_slots, obstacle_free", [(1, False), (2, False), (30, False), (30, True)],
+                         ids=["1", "2", "30", "30-obstacle-free"])
+def test_assembled_rows_are_the_constraint_families(desk_scenario, empty_scenario, fitted_model,
+                                                   n_slots, obstacle_free):
+    sc = scenario_overrides(empty_scenario if obstacle_free else desk_scenario, n_slots=n_slots)
     prev = straight_line(sc)
     lins = linearize_rate(fitted_model, prev, sc)
     rows = linearize_obstacles(prev, sc.obstacles)
     sub = assemble_p4(sc, lins, prev, rows, 0.8)
     n_free, dt, gbps = n_slots - 1, sc.slot_duration, 1e-9
+    assert len(rows.slot) == (0 if obstacle_free else 5 * n_free)
+
+    # the variable blocks tile the columns
+    n_vars = sub.problem.n_vars
+    assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in sub.cols.values()])),
+                          np.arange(n_vars))
+    # the families' cones tile the rows, in the interleaved order, with dims' sizes
+    cones = sorted((unit, name) for name, block in sub.rows.items() for unit in block.tolist())
+    assert [name for _, name in cones] == (["speed", "energy", "step"] * n_slots
+                                           + ["trust", "dist_ap", "dist_irs"] * n_free
+                                           + ["obstacle"] * len(rows.slot) + ["rate"])
+    assert [len(unit) for unit, _ in cones] == list(sub.problem.dims)
+    assert [row for unit, _ in cones for row in unit] == list(range(len(sub.problem.h)))
 
     # a perturbed trajectory with its own epigraph values
     q = prev.copy()
@@ -364,38 +379,34 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, fitted_model,
     u = np.linalg.norm(dq, axis=1)
     w = u**2 / dt
     s_ap, s_irs = distances(q[1:-1], sc)
-    x = np.concatenate([q[1:-1].reshape(-1), u, w, s_ap, s_irs])
+    x = np.zeros(n_vars)
+    for name, value in (("q", q[1:-1]), ("u", u), ("w", w), ("s_ap", s_ap), ("s_irs", s_irs)):
+        x[sub.cols[name]] = value.reshape(sub.cols[name].shape)
     assert sub.problem.c @ x + n_slots * sc.motor_v0 * dt == pytest.approx(
         motion_energy(q, sc), rel=1e-12)
 
-    expected, dims = [], []
+    expected = {name: [] for name in sub.rows}
     for k in range(n_slots):
-        expected += [[u[k], *dq[k]], [w[k] + dt, *(2 * dq[k]), w[k] - dt],
-                     [sc.max_step - u[k]]]
-        dims += [3, 4, 1]
+        expected["speed"].append([u[k], *dq[k]])
+        expected["energy"].append([w[k] + dt, *(2 * dq[k]), w[k] - dt])
+        expected["step"].append([sc.max_step - u[k]])
     for k in range(1, n_slots):
-        expected += [[0.8, *(q[k] - prev[k])],
-                     [s_ap[k - 1], *(q[k] - sc.ap_pos), sc.z_robot - sc.z_ap],
-                     [s_irs[k - 1], *(q[k] - sc.irs_pos), sc.z_robot - sc.z_irs]]
-        dims += [3, 4, 4]
+        expected["trust"].append([0.8, *(q[k] - prev[k])])
+        expected["dist_ap"].append([s_ap[k - 1], *(q[k] - sc.ap_pos), sc.z_robot - sc.z_ap])
+        expected["dist_irs"].append([s_irs[k - 1], *(q[k] - sc.irs_pos), sc.z_robot - sc.z_irs])
     for slot, coeff, offset in zip(rows.slot, rows.coeff, rows.offset):
-        expected.append([coeff @ q[slot] + offset - sc.safety_level])
-        dims.append(1)
+        expected["obstacle"].append([coeff @ q[slot] + offset - sc.safety_level])
     rate = lins.value.tolist()
     for k in range(1, n_slots):
         g_ap, g_irs = lins.grad[k]
         rate[k] += g_ap * (s_ap[k - 1] - lins.d_ap0[k]) + g_irs * (s_irs[k - 1] - lins.d_irs0[k])
-    expected.append([(sum(rate) - (n_slots + 1) * sc.min_avg_rate) * gbps])
-    dims.append(1)
+    expected["rate"].append([(sum(rate) - (n_slots + 1) * sc.min_avg_rate) * gbps])
 
-    assert list(sub.problem.dims) == dims
     slack = sub.problem.h - sub.problem.G @ x
-    start = 0
-    for cone in expected:
-        got = slack[start:start + len(cone)]
-        assert np.allclose(got, cone, rtol=1e-12, atol=1e-9), (start, got, cone)
-        start += len(cone)
-    assert start == len(slack)
+    for name, want in expected.items():
+        got = slack[sub.rows[name]]
+        assert len(got) == len(want), name
+        assert np.allclose(got, np.reshape(want, got.shape), rtol=1e-12, atol=1e-9), (name, got)
 
 
 def test_k2_instances_match_grid_search(empty_scenario):
