@@ -152,13 +152,14 @@ def check_p4(traj, sub) -> list:
         if move > sub.trust_radius + P4_TOL:
             violations.append(f"slot {k}: trust move {move:.8f} > {sub.trust_radius}")
     rows = sub.obstacle_rows
-    for slot, coeff, offset in zip(rows.slot.tolist(), rows.coeff, rows.offset):
-        value = coeff[0] * traj[slot][0] + coeff[1] * traj[slot][1] + offset
-        if value < scenario.safety_level - P4_TOL:
-            violations.append(
-                f"slot {slot}: linearized obstacle {value:.8f} < "
-                f"{scenario.safety_level}"
-            )
+    for slot in range(1, n - 1):
+        for coeff, offset in zip(rows.coeff[slot - 1], rows.offset[slot - 1]):
+            value = coeff[0] * traj[slot][0] + coeff[1] * traj[slot][1] + offset
+            if value < scenario.safety_level - P4_TOL:
+                violations.append(
+                    f"slot {slot}: linearized obstacle {value:.8f} < "
+                    f"{scenario.safety_level}"
+                )
 
     # true linearized rate evaluated from positions (not the epigraph vars)
     total = 0.0

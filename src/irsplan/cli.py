@@ -275,19 +275,24 @@ def _cmd_plan(args) -> int:
     return code
 
 
-def _sweep_axis(text: str, kind, flag: str) -> list:
-    """Parse one comma-separated sweep axis; an empty or bad entry is a ConfigError."""
+def _sweep_axis(text: str, kind, flag: str, spec: str) -> list:
+    """Parse one comma-separated sweep axis; an empty or bad entry is a ConfigError, and
+    so are two that read alike in ``spec``, the axis's format in cell directory names."""
     try:
-        return [kind(v) for v in text.split(",")]
+        values = [kind(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}",
                           key=flag) from None
+    names = [format(v, spec) for v in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"two values of {text!r} name one cell directory", key=flag)
+    return values
 
 
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    m_values = _sweep_axis(args.M, int, "--M")
-    r_values = _sweep_axis(args.rmin, float, "--rmin")
+    m_values = _sweep_axis(args.M, int, "--M", "d")
+    r_values = _sweep_axis(args.rmin, float, "--rmin", "g")
     radiomap.check_map_settings(scenario.workspace, args.grid, args.draws, args.seed,
                                 MAP_FLAGS)
     # every cell's scenario before any work, so that a bad value writes nothing
@@ -306,7 +311,7 @@ def _cmd_sweep(args) -> int:
         except FitFailureError as exc:
             model = exc
         for r, sc_r in zip(r_values, row):
-            cell_dir = out_root / f"M{m}_rmin{r:g}"
+            cell_dir = out_root / f"M{m:d}_rmin{r:g}"
             try:
                 if isinstance(model, FitFailureError):
                     raise model

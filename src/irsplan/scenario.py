@@ -174,6 +174,10 @@ class Scenario:
         xmin, xmax, ymin, ymax = self.workspace
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("workspace rectangle is empty", key="workspace")
+        for key in ("z_ap", "z_irs"):
+            if getattr(self, key) == self.z_robot:
+                # a waypoint under the antenna would be at 3D distance 0
+                raise ConfigError("must differ from z_robot", key=key)
         if self.n_slots < 1:
             raise ConfigError("need at least one timeslot", key="n_slots")
         if self.slot_duration <= 0:
@@ -275,6 +279,13 @@ class Scenario:
 # Core geometric / energetic operations
 
 
+def _speed_energy(steps, scenario: Scenario):
+    """The speed-dependent part of each slot's energy, motor_v2*v^2*dt + motor_v1*v*dt
+    with v = step / dt; the idle draw motor_v0*dt is left to the caller."""
+    return (scenario.motor_v2 * np.square(steps) / scenario.slot_duration
+            + scenario.motor_v1 * steps)
+
+
 def motion_energy(traj, scenario: Scenario) -> float:
     """Total motion energy of a K+1-waypoint trajectory, in joules.
 
@@ -289,19 +300,13 @@ def motion_energy(traj, scenario: Scenario) -> float:
     if not np.all(np.isfinite(traj)):
         raise InvalidTrajectoryError("trajectory contains non-finite coordinates")
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
-    dt = scenario.slot_duration
-    return float(
-        np.sum(scenario.motor_v2 * steps**2 / dt + scenario.motor_v1 * steps)
-        + scenario.n_slots * scenario.motor_v0 * dt
-    )
+    return float(np.sum(_speed_energy(steps, scenario))
+                 + scenario.n_slots * scenario.motor_v0 * scenario.slot_duration)
 
 
 def slot_energy(steps, scenario: Scenario):
     """Motion energy of one slot for each step length, in joules."""
-    steps = np.asarray(steps)
-    dt = scenario.slot_duration
-    return (scenario.motor_v2 * np.square(steps) / dt + scenario.motor_v1 * steps
-            + scenario.motor_v0 * dt)
+    return _speed_energy(np.asarray(steps), scenario) + scenario.motor_v0 * scenario.slot_duration
 
 
 def obstacle_margin(q, obstacle: Obstacle):

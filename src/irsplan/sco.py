@@ -108,7 +108,7 @@ def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
     f(q0) + grad f(q0) . (q - q0) with grad f = 2 P^-1 (q0-c); convexity of
     f makes it a global under-estimator, so requiring the minorant to clear
     the safety level keeps the admitted half-plane inside the true feasible
-    set. Rows run over the free slots, and over the obstacles within a slot.
+    set. Entry [k - 1, j] is the minorant of obstacles[j] at waypoint k.
     """
     points = np.asarray(prev_traj, dtype=float)[1:-1]
     value = np.array([obstacle_margin(points, obs) for obs in obstacles]).T   # (free, obs)
@@ -118,9 +118,7 @@ def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
     diff = q0 - centers                                             # (free, obs, 1, 2)
     grad = ((2.0 * shape_inv) @ diff.swapaxes(-1, -2)).swapaxes(-1, -2)
     offset = value - (grad @ q0.swapaxes(-1, -2))[..., 0, 0]
-    n_free, n_obs = grad.shape[:2]
-    return ObstacleLinearization(slot=np.repeat(np.arange(1, n_free + 1), n_obs),
-                                 coeff=grad.reshape(-1, 2), offset=offset.reshape(-1))
+    return ObstacleLinearization(coeff=grad[..., 0, :], offset=offset)
 
 
 def descent_step(trace: list, model: SnrModel, scenario: Scenario,

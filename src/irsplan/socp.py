@@ -17,7 +17,8 @@ per free waypoint). Constraint families, with cone sizes, in row order:
       trust    [3]  ||q_k - prev_k|| <= T
       dist_ap  [4]  s_ap,k  >= 3D robot-AP distance, with the height offset constant
       dist_irs [4]  s_irs,k >= 3D robot-IRS distance
-    obstacle [1]  one linearized obstacle half-plane per row of the linearization
+    per free slot k, then per obstacle j:
+      obstacle [1]  the linearized half-plane of obstacle j at q_k
     rate     [1]  sum of slot rate minorants >= (K+1) r_min
 
 Because the rate gradients are nonpositive, replacing distances by their
@@ -43,16 +44,15 @@ GBPS = 1e-9
 
 @dataclass(frozen=True)
 class ObstacleLinearization:
-    """Tangent minorants of the obstacle quadratics, one row per (slot, obstacle).
+    """Tangent minorants of the obstacle quadratics, one per (free slot, obstacle).
 
-    Row i reads coeff[i] . q + offset[i] <= (q - center)' P^-1 (q - center)
-    for waypoint q of slot[i] and the row's obstacle; the subproblem
-    enforces coeff[i] . q + offset[i] >= safety_level.
+    Entry [k - 1, j] reads coeff[k - 1, j] . q + offset[k - 1, j] <=
+    (q - center_j)' P_j^-1 (q - center_j) for waypoint q_k and obstacle j of
+    the scenario; the subproblem enforces coeff . q_k + offset >= safety_level.
     """
 
-    slot: np.ndarray               # (r,) int, the free slot of each row
-    coeff: np.ndarray              # (r, 2)
-    offset: np.ndarray             # (r,)
+    coeff: np.ndarray              # (K-1, n_obs, 2)
+    offset: np.ndarray             # (K-1, n_obs)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _layout(k_slots: int, n_free: int, n_obs: int) -> tuple:
                   (n_free, (("s_ap", 1),)), (n_free, (("s_irs", 1),)))
     row_groups = ((k_slots, (("speed", 3), ("energy", 4), ("step", 1))),
                   (n_free, (("trust", 3), ("dist_ap", 4), ("dist_irs", 4))),
-                  (n_obs, (("obstacle", 1),)),
+                  (n_free * n_obs, (("obstacle", 1),)),
                   (1, (("rate", 1),)))
     cols, rows = {}, {}
     for blocks, groups in ((cols, col_groups), (rows, row_groups)):
@@ -108,9 +108,9 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
     """Build the conic subproblem around the previous trajectory.
 
     ``linearization`` holds the rate minorants of slots 0..K (anchored at
-    prev_traj); ``obstacle_rows`` the affine obstacle constraints for free
-    slots. The previous trajectory must be feasible for the subproblem at
-    itself, which makes its energy an upper bound on the optimum.
+    prev_traj); ``obstacle_rows`` the affine obstacle constraints, one per
+    free slot and obstacle. The previous trajectory must be feasible for the
+    subproblem at itself, which makes its energy an upper bound on the optimum.
     """
     prev_traj = np.asarray(prev_traj, dtype=float)
     k_slots = scenario.n_slots
@@ -120,12 +120,14 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
         raise AssemblyError("need one rate linearization per slot")
     if trust_radius < 0:
         raise AssemblyError("trust radius must be nonnegative")
-    obs_slot = obstacle_rows.slot
-    if np.any((obs_slot < 1) | (obs_slot > k_slots - 1)):
-        raise AssemblyError("obstacle rows apply to free slots only")
+    n_free, n_obs = k_slots - 1, obstacle_rows.offset.shape[-1]
+    if (obstacle_rows.offset.shape, obstacle_rows.coeff.shape) != ((n_free, n_obs),
+                                                                   (n_free, n_obs, 2)):
+        raise AssemblyError(f"obstacle rows must be ({n_free}, n_obs), one per free slot "
+                            "and obstacle")
 
     dt = scenario.slot_duration
-    cols, rows, dims = _layout(k_slots, k_slots - 1, len(obs_slot))
+    cols, rows, dims = _layout(k_slots, n_free, n_obs)
     q, u, w, s_ap, s_irs = (cols[name] for name in ("q", "u", "w", "s_ap", "s_irs"))
 
     c = np.zeros(sum(block.size for block in cols.values()))
@@ -163,9 +165,9 @@ def assemble_p4(scenario: Scenario, linearization, prev_traj,
         h[dist[:, 3:]] = scenario.z_robot - z_anchor
 
     # obstacles: coeff . q + offset >= safety_level
-    obstacle = rows["obstacle"]
-    G[obstacle, q[obs_slot - 1]] = -obstacle_rows.coeff
-    h[obstacle[:, 0]] = obstacle_rows.offset - scenario.safety_level
+    obstacle = rows["obstacle"].reshape(n_free, n_obs, 1)
+    G[obstacle, q[:, None]] = -obstacle_rows.coeff
+    h[obstacle[..., 0]] = obstacle_rows.offset - scenario.safety_level
 
     # rate constraint: sum of per-slot minorants >= (K+1) * r_min, in Gbps.
     # Fixed endpoints contribute their exact anchored rates; free slots

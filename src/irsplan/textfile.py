@@ -48,13 +48,18 @@ def read(path, kind: str) -> list:
 
 
 def header_fields(line: str, lineno: int, path) -> dict:
-    """The ``key=value`` tokens of a ``# ...`` metadata line, as a dict of strings."""
+    """The ``key=value`` tokens of a ``# ...`` metadata line, as a dict of strings.
+
+    FileFormatError at a token without ``=`` and at a key given twice.
+    """
     out = {}
     for token in line.lstrip("# ").split():
         if "=" not in token:
             raise FileFormatError("malformed header token", path=path, line=lineno,
                                   field=token)
         key, value = token.split("=", 1)
+        if key in out:
+            raise FileFormatError("repeated key", path=path, line=lineno, field=key)
         out[key] = value
     return out
 

@@ -124,9 +124,9 @@ def random_k2_subproblem(base_scenario, seed, trust=1.0):
         # expressed through the minorant form coeff . q + offset >= safety_level
         coeffs.append(direction)
         offsets.append(sc.safety_level - float(direction @ mid) + slack)
-    obstacle_rows = ObstacleLinearization(slot=np.ones(len(coeffs), dtype=int),
-                                          coeff=np.reshape(coeffs, (-1, 2)),
-                                          offset=np.array(offsets))
+    # one free slot: a (1, r) grid of half-planes
+    obstacle_rows = ObstacleLinearization(coeff=np.reshape(coeffs, (1, -1, 2)),
+                                          offset=np.reshape(offsets, (1, -1)))
 
     d_ap0, d_irs0, values, grads = [], [], [], []
     for q in (start, mid, goal):
@@ -160,7 +160,7 @@ def grid_search_k2(sub, resolution=0.01):
     step1 = np.linalg.norm(pts - start, axis=1)
     step2 = np.linalg.norm(goal - pts, axis=1)
     ok &= (step1 <= sc.max_step) & (step2 <= sc.max_step)
-    for coeff, offset in zip(sub.obstacle_rows.coeff, sub.obstacle_rows.offset):
+    for coeff, offset in zip(sub.obstacle_rows.coeff[0], sub.obstacle_rows.offset[0]):
         ok &= pts @ coeff + offset >= sc.safety_level
     dz_ap = sc.z_robot - sc.z_ap
     dz_irs = sc.z_robot - sc.z_irs

@@ -183,9 +183,11 @@ def test_unknown_config_key_exits_3(tmp_path):
     (("bandwidth_mhz", "-200.0"), ["plan"], "bandwidth_hz"),
     (None, ["sweep", "--M", "0", "--rmin", "nan"], "min_avg_rate"),
     (None, ["sweep", "--M", "-4", "--rmin", "2.0"], "n_irs_elements"),
-    (("q_start", "-5 15.5"), ["plan"], "q_start")],
+    (("q_start", "-5 15.5"), ["plan"], "q_start"),
+    (("z_ap", "0.5"), ["plan", "--rmin", "2.5"], "z_ap")],
     ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative",
-         "sweep-rmin-nan", "sweep-M-negative", "q_start-outside-workspace"])
+         "sweep-rmin-nan", "sweep-M-negative", "q_start-outside-workspace",
+         "z_ap-at-robot-height"])
 def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, args, named):
     config = desk_config_with(tmp_path, edit) if edit else DESK_CONFIG
     out = tmp_path / "run"
@@ -476,7 +478,8 @@ def test_sweep_fits_each_element_count_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flag,value", [("--M", "0,x"), ("--M", ""), ("--rmin", ""),
-                                        ("--rmin", "2.0,,2.5")])
+                                        ("--rmin", "2.0,,2.5"), ("--rmin", "2.0,2.0000001"),
+                                        ("--M", "64,64")])
 def test_bad_sweep_axis_exits_3_naming_the_flag(tmp_path, capsys, flag, value):
     axes = {"--M": "64", "--rmin": "2.0", flag: value}
     code = main(["sweep", "--config", DESK_CONFIG, "--out", str(tmp_path / "sweep"),

@@ -53,6 +53,23 @@ def test_slot_energies_add_up_to_the_motion_energy(desk_scenario):
         motion_energy(traj, desk_scenario), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_slots", [1, 2, 30, 120, 240])
+def test_energies_are_bitwise_the_reference_formulas(desk_scenario, n_slots):
+    # each function's own formula, written out in full
+    sc = scenario_overrides(desk_scenario, n_slots=n_slots, slot_duration=30.0 / n_slots)
+    v2, v1, v0, dt = sc.motor_v2, sc.motor_v1, sc.motor_v0, sc.slot_duration
+    rng = np.random.default_rng(n_slots)
+    for _ in range(50):
+        traj = rng.uniform([0, 0], [50, 30], size=(n_slots + 1, 2))
+        steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
+        total = float(np.sum(v2 * steps**2 / dt + v1 * steps) + n_slots * v0 * dt)
+        assert np.float64(motion_energy(traj, sc)).view(np.uint64) == \
+            np.float64(total).view(np.uint64)
+        steps = rng.uniform(0.0, sc.max_step, size=n_slots)
+        per_slot = v2 * np.square(steps) / dt + v1 * steps + v0 * dt
+        assert np.array_equal(slot_energy(steps, sc).view(np.uint64), per_slot.view(np.uint64))
+
+
 def test_wrong_waypoint_count_rejected(empty_scenario):
     with pytest.raises(InvalidTrajectoryError):
         motion_energy(np.zeros((7, 2)), empty_scenario)

@@ -20,30 +20,25 @@ from conftest import point_class, straight_line
 def test_obstacle_linearization_exact_at_anchor(desk_scenario):
     prev = straight_line(desk_scenario)
     rows = linearize_obstacles(prev, desk_scenario.obstacles)
-    assert len(rows.slot) == (desk_scenario.n_slots - 1) * len(desk_scenario.obstacles)
-    # at the anchor the affine minorant equals the true quadratic
-    for slot in set(rows.slot.tolist()):
-        anchor = prev[slot]
-        here = rows.slot == slot
-        values = sorted((rows.coeff[here] @ anchor + rows.offset[here]).tolist())
-        true_vals = sorted(obstacle_margin(anchor, o) for o in desk_scenario.obstacles)
-        assert values == pytest.approx(true_vals, rel=1e-12)
+    n_free, n_obs = desk_scenario.n_slots - 1, len(desk_scenario.obstacles)
+    assert rows.coeff.shape == (n_free, n_obs, 2) and rows.offset.shape == (n_free, n_obs)
+    # at the anchor each affine minorant equals its own obstacle's true quadratic
+    for k in range(1, n_free + 1):
+        for j, obs in enumerate(desk_scenario.obstacles):
+            value = rows.coeff[k - 1, j] @ prev[k] + rows.offset[k - 1, j]
+            assert value == pytest.approx(obstacle_margin(prev[k], obs), rel=1e-12)
 
 
 def test_obstacle_linearization_is_tangent_minorant(desk_scenario):
     rng = np.random.default_rng(0)
     prev = straight_line(desk_scenario)
     rows = linearize_obstacles(prev, desk_scenario.obstacles)
-    obstacles = list(desk_scenario.obstacles)
+    assert rows.offset.shape == (desk_scenario.n_slots - 1, len(desk_scenario.obstacles))
     for _ in range(100):
         q = rng.uniform([0, 0], [50, 30])
-        for slot, coeff, offset in zip(rows.slot, rows.coeff, rows.offset):
-            # identify the obstacle by re-deriving the row at its anchor
-            anchor = prev[slot]
-            for obs in obstacles:
-                grad = 2.0 * obs.shape_inv @ (anchor - obs.center)
-                if np.allclose(grad, coeff):
-                    assert coeff @ q + offset <= obstacle_margin(q, obs) + 1e-9
+        for coeffs, offsets in zip(rows.coeff, rows.offset):
+            for coeff, offset, obs in zip(coeffs, offsets, desk_scenario.obstacles):
+                assert coeff @ q + offset <= obstacle_margin(q, obs) + 1e-9
 
 
 def test_obstacle_half_plane_hand_case():
@@ -52,25 +47,26 @@ def test_obstacle_half_plane_hand_case():
     rows = linearize_obstacles(prev, (obs,))
     # hand expansion at q0 = (2, 0): f(q0) = 4, grad f = (4, 0), offset -4,
     # so the admitted half-plane against level d_s is x >= (d_s + 4) / 4
-    assert np.allclose(rows.coeff[0], [4.0, 0.0])
-    assert rows.offset[0] == pytest.approx(-4.0, rel=1e-12)
+    assert rows.coeff.shape == (1, 1, 2)
+    assert np.allclose(rows.coeff[0, 0], [4.0, 0.0])
+    assert rows.offset[0, 0] == pytest.approx(-4.0, rel=1e-12)
     d_s = 1.35
-    x_threshold = (d_s - rows.offset[0]) / rows.coeff[0, 0]
+    x_threshold = (d_s - rows.offset[0, 0]) / rows.coeff[0, 0, 0]
     assert x_threshold == pytest.approx((d_s + 4.0) / 4.0, rel=1e-12)
 
 
 def _scalar_obstacle_rows(prev, obstacles):
-    """The per-(slot, obstacle) formula, one row at a time, as lists."""
-    slots, coeffs, offsets = [], [], []
+    """The per-(slot, obstacle) formula, one entry at a time, as (K-1, n_obs) arrays."""
+    coeffs = np.zeros((len(prev) - 2, len(obstacles), 2))
+    offsets = np.zeros((len(prev) - 2, len(obstacles)))
     for k in range(1, len(prev) - 1):
-        for obs in obstacles:
+        for j, obs in enumerate(obstacles):
             diff = prev[k] - obs.center
             value = float(diff @ obs.shape_inv @ diff)
             grad = 2.0 * obs.shape_inv @ diff
-            slots.append(k)
-            coeffs.append(grad)
-            offsets.append(value - float(grad @ prev[k]))
-    return slots, coeffs, offsets
+            coeffs[k - 1, j] = grad
+            offsets[k - 1, j] = value - float(grad @ prev[k])
+    return coeffs, offsets
 
 
 @pytest.mark.parametrize("n_slots", [1, 2, 30])
@@ -79,17 +75,16 @@ def test_batched_obstacle_rows_keep_the_bits_of_the_scalar_formula(desk_scenario
     for _ in range(20):
         prev = rng.uniform([0.0, 0.0], [50.0, 30.0], size=(n_slots + 1, 2))
         rows = linearize_obstacles(prev, desk_scenario.obstacles)
-        slots, coeffs, offsets = _scalar_obstacle_rows(prev, desk_scenario.obstacles)
-        assert rows.slot.tolist() == slots
-        assert np.array_equal(rows.coeff.view(np.int64),
-                              np.reshape(coeffs, (-1, 2)).view(np.int64))
-        assert np.array_equal(rows.offset.view(np.int64), np.array(offsets).view(np.int64))
+        coeffs, offsets = _scalar_obstacle_rows(prev, desk_scenario.obstacles)
+        assert rows.coeff.shape == coeffs.shape and rows.offset.shape == offsets.shape
+        assert np.array_equal(rows.coeff.view(np.int64), coeffs.view(np.int64))
+        assert np.array_equal(rows.offset.view(np.int64), offsets.view(np.int64))
 
 
 def test_no_obstacles_give_empty_rows(desk_scenario):
     rows = linearize_obstacles(straight_line(desk_scenario), ())
-    assert rows.slot.shape == (0,) and rows.coeff.shape == (0, 2)
-    assert rows.offset.shape == (0,)
+    n_free = desk_scenario.n_slots - 1
+    assert rows.coeff.shape == (n_free, 0, 2) and rows.offset.shape == (n_free, 0)
 
 
 @pytest.mark.parametrize("field,value", [

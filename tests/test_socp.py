@@ -14,7 +14,7 @@ from irsplan.errors import AssemblyError, FileFormatError
 from irsplan.scenario import distances, motion_energy, scenario_overrides
 from irsplan.snrmodel import RateLinearization, linearize_rate
 from irsplan.sco import linearize_obstacles
-from irsplan.socp import assemble_p4, solve_p4
+from irsplan.socp import ObstacleLinearization, assemble_p4, solve_p4
 
 from conftest import straight_line
 from helpers import (grid_search_k2, random_certified_socp, random_infeasible_socp,
@@ -346,6 +346,13 @@ def test_assembly_validates_shapes(desk_scenario, fitted_model):
         assemble_p4(sc, lin, traj[:-1], no_rows, 1.0)
     with pytest.raises(AssemblyError):
         assemble_p4(sc, lin, traj, no_rows, -1.0)
+    # obstacle rows whose first axis is not one per free slot
+    rows = sub.obstacle_rows
+    for coeff, offset in ((rows.coeff[1:], rows.offset[1:]),
+                          (rows.coeff[:, :, :1], rows.offset),
+                          (rows.coeff.reshape(-1, 2), rows.offset.reshape(-1))):
+        with pytest.raises(AssemblyError):
+            assemble_p4(sc, lin, traj, ObstacleLinearization(coeff, offset), 1.0)
 
 
 @pytest.mark.parametrize("n_slots, obstacle_free", [(1, False), (2, False), (30, False), (30, True)],
@@ -358,7 +365,7 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, empty_scenari
     rows = linearize_obstacles(prev, sc.obstacles)
     sub = assemble_p4(sc, lins, prev, rows, 0.8)
     n_free, dt, gbps = n_slots - 1, sc.slot_duration, 1e-9
-    assert len(rows.slot) == (0 if obstacle_free else 5 * n_free)
+    assert rows.offset.shape == (n_free, 0 if obstacle_free else 5)
 
     # the variable blocks tile the columns
     n_vars = sub.problem.n_vars
@@ -368,7 +375,7 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, empty_scenari
     cones = sorted((unit, name) for name, block in sub.rows.items() for unit in block.tolist())
     assert [name for _, name in cones] == (["speed", "energy", "step"] * n_slots
                                            + ["trust", "dist_ap", "dist_irs"] * n_free
-                                           + ["obstacle"] * len(rows.slot) + ["rate"])
+                                           + ["obstacle"] * rows.offset.size + ["rate"])
     assert [len(unit) for unit, _ in cones] == list(sub.problem.dims)
     assert [row for unit, _ in cones for row in unit] == list(range(len(sub.problem.h)))
 
@@ -394,8 +401,9 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, empty_scenari
         expected["trust"].append([0.8, *(q[k] - prev[k])])
         expected["dist_ap"].append([s_ap[k - 1], *(q[k] - sc.ap_pos), sc.z_robot - sc.z_ap])
         expected["dist_irs"].append([s_irs[k - 1], *(q[k] - sc.irs_pos), sc.z_robot - sc.z_irs])
-    for slot, coeff, offset in zip(rows.slot, rows.coeff, rows.offset):
-        expected["obstacle"].append([coeff @ q[slot] + offset - sc.safety_level])
+    for k in range(1, n_slots):
+        for coeff, offset in zip(rows.coeff[k - 1], rows.offset[k - 1]):
+            expected["obstacle"].append([coeff @ q[k] + offset - sc.safety_level])
     rate = lins.value.tolist()
     for k in range(1, n_slots):
         g_ap, g_irs = lins.grad[k]

@@ -67,6 +67,20 @@ def test_blocks_reject_a_repeated_key_or_a_line_that_is_neither(lines, line, fie
     assert (err.value.path, err.value.line, err.value.field) == ("f.cfg", line, field)
 
 
+@pytest.mark.parametrize("kind,line,key", [("radiomap", 2, "nx"), ("radiomap", 3, "seed"),
+                                           ("snrmodel", 2, "scenario")],
+                         ids=["map-nx", "map-seed", "model-scenario"])
+def test_header_rejects_a_key_given_twice(artifact_io, tmp_path, kind, line, key):
+    write, read = artifact_io[kind]
+    write(tmp_path / "file.txt")
+    lines = (tmp_path / "file.txt").read_text().splitlines()
+    lines[line - 1] = lines[line - 1].replace("# ", f"# {key}=99 ", 1)
+    (tmp_path / "file.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        read(tmp_path / "file.txt")
+    assert (err.value.line, err.value.field) == (line, key)
+
+
 def test_trajectory_error_names_its_line_past_a_blank_line(artifact_io, tmp_path):
     write, read = artifact_io["trajectory"]
     write(tmp_path / "trajectory.csv")
