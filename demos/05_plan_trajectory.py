@@ -8,7 +8,7 @@ import numpy as np
 
 from irsplan import audit
 from irsplan.radiomap import build_map
-from irsplan.scenario import load_scenario, obstacle_margin, scenario_overrides
+from irsplan.scenario import load_scenario, obstacle_margins, scenario_overrides
 from irsplan.sco import ScoConfig, run
 from irsplan.snrmodel import fit
 
@@ -26,12 +26,10 @@ print(audit.check_p3(result.trajectory, scenario, model).summary())
 # ASCII sketch: '#' blocked cells (safety level), 'o' trajectory, S/G endpoints
 cols, rows = 50, 30
 canvas = [[" "] * cols for _ in range(rows)]
-for iy in range(rows):
-    for ix in range(cols):
-        q = np.array([ix + 0.5, iy + 0.5])
-        if any(obstacle_margin(q, o) < scenario.safety_level
-               for o in scenario.obstacles):
-            canvas[iy][ix] = "#"
+centres = np.stack(np.meshgrid(np.arange(cols) + 0.5, np.arange(rows) + 0.5), axis=-1)
+blocked = np.any(obstacle_margins(centres, scenario) < scenario.safety_level, axis=-1)
+for iy, ix in zip(*np.nonzero(blocked)):
+    canvas[iy][ix] = "#"
 for q in result.trajectory:
     canvas[min(int(q[1]), rows - 1)][min(int(q[0]), cols - 1)] = "o"
 sx, sy = scenario.q_start.astype(int)

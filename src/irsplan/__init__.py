@@ -16,7 +16,7 @@ from .scenario import (  # noqa: F401
     distances,
     load_scenario,
     motion_energy,
-    obstacle_margin,
+    obstacle_margins,
     scenario_overrides,
 )
 from .channel import (  # noqa: F401
@@ -39,7 +39,7 @@ __all__ = [
     "distances",
     "load_scenario",
     "motion_energy",
-    "obstacle_margin",
+    "obstacle_margins",
     "scenario_overrides",
     "Beamformer",
     "ChannelDraw",

@@ -291,6 +291,5 @@ def expected_snr(points, scenario: Scenario, ap_los, irs_los) -> Array:
     coefs = _snr_coefficients(m + m * (m - 1) * math.pi / 4, m * half_sqrt_pi, half_sqrt_pi,
                               n, n, scenario.ref_gain, scenario.irs_ap_gain)
     d_ap, d_irs = distances(np.atleast_2d(points), scenario)
-    exp_ap = np.where(ap_los, scenario.los_exponent, scenario.nlos_exponent)
-    exp_irs = np.where(irs_los, scenario.los_exponent, scenario.nlos_exponent)
+    exp_ap, exp_irs = scenario.exponents(LinkClass(ap_los, irs_los))
     return _snr_form(*coefs, exp_irs, exp_ap, d_ap, d_irs, scenario.snr_scale)

@@ -483,3 +483,5 @@ def load_problem(path) -> ConicProblem:
                             A=A, b=fields["b"] if fields["p"] else None)
     except KeyError as exc:
         raise FileFormatError(f"missing record {exc}", path=path, line=len(lines)) from None
+    except AssemblyError as exc:      # records that parse but make no cone program
+        raise FileFormatError(str(exc), path=path) from None

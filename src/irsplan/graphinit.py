@@ -2,7 +2,8 @@
 
 Layer 0 holds exactly the start position and layer K the goal (both are
 injected as explicit nodes so endpoint constraints hold exactly); layers
-1..K-1 share one grid of obstacle-free positions. Its spacing is
+1..K-1 share one grid of positions that clear the safety level of every
+obstacle in the (node, obstacle) grid of ``obstacle_margins``. Its spacing is
 GRID_SPACING, or the one-slot reach D_max = v_max * slot_duration when
 that is shorter, so every slot can move at least one grid step. The grid
 is centred in the workspace, leaving at most half a spacing to each edge,
@@ -29,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import audit
 from .errors import GraphInfeasibleError
-from .scenario import Scenario, distances, los_class_batch, obstacle_margin, slot_energy
+from .scenario import Scenario, distances, los_class_batch, obstacle_margins, slot_energy
 from .snrmodel import SnrModel, slot_rate
 
 GRID_SPACING = 1.0    # meters; the node grid's spacing when a slot reaches that far
@@ -64,12 +65,7 @@ def build_graph(scenario: Scenario, model: SnrModel = None,
         axes.append(lo + (hi - lo - (n - 1) * spacing) / 2 + np.arange(n) * spacing)
     xs, ys = axes
     nodes = np.stack(np.meshgrid(xs, ys), axis=-1)
-    points = nodes.reshape(-1, 2)
-
-    free = np.ones(len(points), dtype=bool)
-    for obs in scenario.obstacles:
-        free &= obstacle_margin(points, obs) >= scenario.safety_level
-    free = free.reshape(len(ys), len(xs))
+    free = np.all(obstacle_margins(nodes, scenario) >= scenario.safety_level, axis=-1)
 
     reach = math.floor(scenario.max_step / spacing + 1e-9)
     offs = [
@@ -85,7 +81,7 @@ def build_graph(scenario: Scenario, model: SnrModel = None,
     rate_start = rate_goal = 0.0
     if mode == "MR":
         # the grid nodes, then the injected start and goal nodes
-        queried = np.vstack([points, scenario.q_start, scenario.q_goal])
+        queried = np.vstack([nodes.reshape(-1, 2), scenario.q_start, scenario.q_goal])
         rates = slot_rate(model, los_class_batch(queried, scenario),
                           *distances(queried, scenario), scenario)
         node_rate = rates[:-2].reshape(len(ys), len(xs))

@@ -3,6 +3,8 @@
 Positions are length-2 float arrays [x, y] in meters on the robot's motion
 plane. All quantities are stored in linear SI units (watts, Hz, bits/s,
 meters); dB/dBm/Gbps appear only at the configuration-file interface.
+Obstacles are stacked once per scenario (``Scenario.obstacle_stack``) and
+queried as a (point, obstacle) grid, by ``obstacle_margins`` and the LOS test.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ class LinkClass(NamedTuple):
 
     def label(self) -> str:
         return f"ap={'LOS' if self.ap_los else 'NLOS'} irs={'LOS' if self.irs_los else 'NLOS'}"
+
+
+class ObstacleStack(NamedTuple):
+    """A scenario's obstacles stacked along a leading obstacle axis."""
+
+    centers: Array      # (n_obs, 2)
+    shape_inv: Array    # (n_obs, 2, 2) inverse shape matrices
+    heights: Array      # (n_obs,)
 
 
 ALL_LINK_CLASSES = [
@@ -206,11 +216,8 @@ class Scenario:
             if not (xmin <= q[0] <= xmax and ymin <= q[1] <= ymax):
                 raise ConfigError(f"outside the workspace rectangle {self.workspace}",
                                   key=name)
-            for obs in self.obstacles:
-                if obstacle_margin(q, obs) < self.safety_level:
-                    raise ConfigError(
-                        f"{name} violates the obstacle safety constraint", key=name
-                    )
+            if np.any(obstacle_margins(q, self) < self.safety_level):
+                raise ConfigError(f"{name} violates the obstacle safety constraint", key=name)
 
     @property
     def max_step(self) -> float:
@@ -227,6 +234,14 @@ class Scenario:
         return self.tx_power / self.noise_power
 
     @cached_property
+    def obstacle_stack(self) -> ObstacleStack:
+        """The obstacles' centres, inverse shapes and heights, one row per obstacle."""
+        obstacles = self.obstacles
+        return ObstacleStack(np.array([o.center for o in obstacles]).reshape(-1, 2),
+                             np.array([o.shape_inv for o in obstacles]).reshape(-1, 2, 2),
+                             np.array([o.height for o in obstacles], dtype=float))
+
+    @cached_property
     def ap_irs_distance(self) -> float:
         """Fixed 3D distance between the AP and the IRS."""
         planar = float(np.linalg.norm(self.ap_pos - self.irs_pos))
@@ -238,10 +253,10 @@ class Scenario:
         return math.sqrt(self.ref_gain) / self.ap_irs_distance
 
     def exponents(self, link: LinkClass) -> tuple:
-        """(AP-link, IRS-link) path-loss exponents for a visibility class."""
-        e_ap = self.los_exponent if link.ap_los else self.nlos_exponent
-        e_irs = self.los_exponent if link.irs_los else self.nlos_exponent
-        return e_ap, e_irs
+        """(AP-link, IRS-link) path-loss exponents of a visibility class: two floats
+        for a LinkClass of bools, two arrays for a LinkClass of boolean arrays."""
+        pair = (np.where(los, self.los_exponent, self.nlos_exponent) for los in link)
+        return tuple(e if e.ndim else float(e) for e in pair)
 
     def _hash_fields(self, names) -> str:
         parts = []
@@ -309,12 +324,13 @@ def slot_energy(steps, scenario: Scenario):
     return _speed_energy(np.asarray(steps), scenario) + scenario.motor_v0 * scenario.slot_duration
 
 
-def obstacle_margin(q, obstacle: Obstacle):
-    """Quadratic form (q-center)^T shape^-1 (q-center) of one (2,) point, or of each row
-    of an (n, 2) array with the same bits; compare against safety_level."""
-    d = np.asarray(q, dtype=float) - obstacle.center
-    margin = (d[..., None, :] @ obstacle.shape_inv @ d[..., :, None])[..., 0, 0]
-    return float(margin) if d.ndim == 1 else margin
+def obstacle_margins(points, scenario: Scenario) -> Array:
+    """The (..., n_obs) grid of quadratic forms (q-c_j)^T P_j^-1 (q-c_j) of each point
+    q of a (2,) or (..., 2) array and each obstacle j, every entry with the bits of
+    one point and one obstacle; compare against safety_level."""
+    stack = scenario.obstacle_stack
+    d = np.asarray(points, dtype=float)[..., None, :] - stack.centers
+    return (d[..., None, :] @ stack.shape_inv @ d[..., :, None])[..., 0, 0]
 
 
 def distances(points, scenario: Scenario) -> tuple:
@@ -332,68 +348,50 @@ def distances(points, scenario: Scenario) -> tuple:
 
 
 def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
-                     obstacle: Obstacle) -> Array:
-    """True where the 3D segment from (points, z0) to (target, z1) crosses the cylinder.
+                     scenario: Scenario) -> Array:
+    """The (n, n_obs) grid, True where the 3D segment from (points[i], z0) to
+    (target, z1) crosses the cylinder of obstacle j.
 
-    The planar segment p(t) enters the ellipse on a t-interval found from a
-    quadratic; the crossing blocks the link only where the segment height
-    z0 + t (z1 - z0) is at or below the cylinder height on that interval.
+    The planar segment p(t) = points + t (target - points) lies inside ellipse j
+    where a t^2 + b t + c < 0; the crossing blocks the link only where the
+    segment height z0 + t (z1 - z0) is at or below the cylinder height, on the
+    obstacle's height window [z_lo, z_hi] of t.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = target[None, :] - points                      # (n, 2)
-    u0 = points - obstacle.center[None, :]
-    pinv = obstacle.shape_inv
-    a = np.einsum("ni,ij,nj->n", d, pinv, d)
-    b = 2.0 * np.einsum("ni,ij,nj->n", u0, pinv, d)
-    c = obstacle_margin(points, obstacle) - 1.0
+    stack = scenario.obstacle_stack
+    d = target[None, :] - points                              # (n, 2)
+    u0 = points[:, None, :] - stack.centers                   # (n, n_obs, 2)
+    a = np.einsum("ni,oij,nj->no", d, stack.shape_inv, d)
+    b = 2.0 * np.einsum("noi,oij,nj->no", u0, stack.shape_inv, d)
+    c = obstacle_margins(points, scenario) - 1.0
 
-    # t-interval where the segment height stays below the cylinder top
     dz = z1 - z0
     if abs(dz) < 1e-15:
-        if z0 <= obstacle.height:
-            z_lo, z_hi = 0.0, 1.0
-        else:
-            return np.zeros(len(points), dtype=bool)
+        z_lo, z_hi = 0.0, np.where(z0 <= stack.heights, 1.0, 0.0)
     else:
-        t_h = (obstacle.height - z0) / dz
-        if dz > 0:
-            z_lo, z_hi = 0.0, min(1.0, t_h)
-        else:
-            z_lo, z_hi = max(0.0, t_h), 1.0
-        if z_hi <= z_lo:
-            return np.zeros(len(points), dtype=bool)
-
-    blocked = np.zeros(len(points), dtype=bool)
+        t_h = (stack.heights - z0) / dz
+        z_lo, z_hi = (0.0, np.minimum(1.0, t_h)) if dz > 0 else (np.maximum(0.0, t_h), 1.0)
 
     degenerate = a < 1e-18
     # stationary planar point: blocked iff it sits inside the ellipse
-    blocked |= degenerate & (c < 0.0)
-
-    ok = ~degenerate
+    blocked = degenerate & (c < 0.0)
     disc = b * b - 4.0 * a * c
-    cross = ok & (disc > 0.0)
-    if np.any(cross):
-        sq = np.sqrt(np.where(cross, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-b - sq) / (2.0 * a)
-            t2 = (-b + sq) / (2.0 * a)
-        lo = np.maximum(t1, z_lo)
-        hi = np.minimum(t2, z_hi)
-        blocked |= cross & (hi - lo > 1e-12)
-    return blocked
+    cross = ~degenerate & (disc > 0.0)
+    sq = np.sqrt(np.where(cross, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-b - sq) / (2.0 * a)
+        t2 = (-b + sq) / (2.0 * a)
+        blocked |= cross & (np.minimum(t2, z_hi) - np.maximum(t1, z_lo) > 1e-12)
+    return blocked & (z_hi > z_lo)
 
 
 def los_class_batch(points: Array, scenario: Scenario) -> LinkClass:
     """The visibility class of every point, as a LinkClass of boolean arrays."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ap_blocked = np.zeros(len(points), dtype=bool)
-    irs_blocked = np.zeros(len(points), dtype=bool)
-    for obs in scenario.obstacles:
-        ap_blocked |= _segment_blocked(points, scenario.z_robot, scenario.ap_pos,
-                                       scenario.z_ap, obs)
-        irs_blocked |= _segment_blocked(points, scenario.z_robot, scenario.irs_pos,
-                                        scenario.z_irs, obs)
-    return LinkClass(~ap_blocked, ~irs_blocked)
+    ap_blocked = _segment_blocked(points, scenario.z_robot, scenario.ap_pos, scenario.z_ap,
+                                  scenario)
+    irs_blocked = _segment_blocked(points, scenario.z_robot, scenario.irs_pos, scenario.z_irs,
+                                   scenario)
+    return LinkClass(~ap_blocked.any(axis=-1), ~irs_blocked.any(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 from . import audit
 from .errors import SubproblemError
 from .graphinit import select_initial
-from .scenario import Scenario, motion_energy, obstacle_margin
+from .scenario import Scenario, motion_energy, obstacle_margins
 from .snrmodel import SnrModel, linearize_rate
 from .socp import ObstacleLinearization, SubproblemSolution, assemble_p4, solve_p4
 
@@ -101,23 +101,23 @@ class PlanResult:
         return self.trace[-1].audit_report if self.trace else None
 
 
-def linearize_obstacles(prev_traj, obstacles) -> ObstacleLinearization:
+def linearize_obstacles(prev_traj, scenario: Scenario) -> ObstacleLinearization:
     """Tangent minorants of each obstacle quadratic at the previous waypoints.
 
     For f(q) = (q-c)' P^-1 (q-c), the first-order expansion at q0 is
     f(q0) + grad f(q0) . (q - q0) with grad f = 2 P^-1 (q0-c); convexity of
     f makes it a global under-estimator, so requiring the minorant to clear
     the safety level keeps the admitted half-plane inside the true feasible
-    set. Entry [k - 1, j] is the minorant of obstacles[j] at waypoint k.
+    set. f(q0) is the (free slot, obstacle) grid of ``obstacle_margins`` and
+    the gradients read the scenario's stacked obstacles; entry [k - 1, j] is
+    the minorant of scenario.obstacles[j] at waypoint k.
     """
     points = np.asarray(prev_traj, dtype=float)[1:-1]
-    value = np.array([obstacle_margin(points, obs) for obs in obstacles]).T   # (free, obs)
+    stack = scenario.obstacle_stack
     q0 = points[:, None, None, :]                                   # (free, 1, 1, 2)
-    centers = np.array([obs.center for obs in obstacles]).reshape(-1, 1, 2)
-    shape_inv = np.array([obs.shape_inv for obs in obstacles]).reshape(-1, 2, 2)
-    diff = q0 - centers                                             # (free, obs, 1, 2)
-    grad = ((2.0 * shape_inv) @ diff.swapaxes(-1, -2)).swapaxes(-1, -2)
-    offset = value - (grad @ q0.swapaxes(-1, -2))[..., 0, 0]
+    diff = q0 - stack.centers[:, None, :]                           # (free, obs, 1, 2)
+    grad = ((2.0 * stack.shape_inv) @ diff.swapaxes(-1, -2)).swapaxes(-1, -2)
+    offset = obstacle_margins(points, scenario) - (grad @ q0.swapaxes(-1, -2))[..., 0, 0]
     return ObstacleLinearization(coeff=grad[..., 0, :], offset=offset)
 
 
@@ -132,7 +132,7 @@ def descent_step(trace: list, model: SnrModel, scenario: Scenario,
     incumbent = trace[-1].solution
     traj = incumbent.trajectory
     lins = linearize_rate(model, traj, scenario)
-    obstacle_rows = linearize_obstacles(traj, scenario.obstacles)
+    obstacle_rows = linearize_obstacles(traj, scenario)
     for trust in radii:
         sub = assemble_p4(scenario, lins, traj, obstacle_rows, trust)
         sol = solve_p4(sub)

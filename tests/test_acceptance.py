@@ -8,11 +8,14 @@ the slow part of the suite.
 
 import gc
 import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from irsplan import audit
 from irsplan.channel import draw_channel, optimal_beamformer, optimal_snr_closed_form, snr
@@ -31,6 +34,7 @@ from conftest import DESK_CONFIG
 from helpers import grid_search_k2, random_k2_subproblem
 from test_snrmodel import synthetic_map
 
+GOLDEN = Path(__file__).with_name("golden.json")
 SEEDS = (11, 12, 13, 14, 15)
 M_VALUES = (0, 16, 64, 128)
 LOS = LinkClass(True, True)
@@ -47,9 +51,8 @@ def desk():
     return load_scenario(DESK_CONFIG)
 
 
-@pytest.fixture(scope="module")
-def battery(desk):
-    """Desk-scale experiment grid shared by criteria 5 and 7.
+def run_battery(desk) -> dict:
+    """Desk-scale experiment grid shared by criteria 5 and 7 and the golden record.
 
     For each seed set: one 100x60 / 200-draw map per element count, one fit,
     and runs at 2.0 Gbps for every M plus 2.5 Gbps at M in {0, 64}.
@@ -74,6 +77,34 @@ def battery(desk):
             del built
             gc.collect()
     return results
+
+
+@pytest.fixture(scope="module")
+def battery(desk):
+    return run_battery(desk)
+
+
+def toolchain_versions() -> dict:
+    """The numpy, scipy and BLAS builds whose arithmetic the golden record holds."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+def golden_record(battery) -> dict:
+    """The toolchain and, per battery cell, what ``tests/golden.json`` holds of its plan."""
+    cells = {}
+    for (seed, m, rmin), cell in sorted(battery.items()):
+        outcome = cell["outcome"]
+        cells[f"seed={seed} M={m} rmin={rmin}"] = {
+            "energy_j": repr(outcome.energy),
+            "sco_iterations": len(outcome.trace) - 1,
+            "ipm_iterations": sum(rec.solution.conic.iterations for rec in outcome.trace
+                                  if rec.solution.conic is not None),
+            "stop_reason": outcome.stop_reason,
+            "initial_path": outcome.init_label,
+        }
+    return {"versions": toolchain_versions(), "cells": cells}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +362,16 @@ def test_criterion_7_figure_trends_across_element_counts(battery):
               "init labels MR@M0 / ME@M64": trend_c}
     ok = all(v >= 4 for v in counts.values())
     conclude(7, ok, "trend seed-set counts " + str(counts) + "; " + "; ".join(details))
+
+
+def test_battery_matches_the_golden_record(battery):
+    # the record holds one toolchain's arithmetic: another numpy, scipy or BLAS
+    # fails here, and tests/make_golden.py re-records only on purpose
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = golden_record(battery)
+    assert got["versions"] == golden["versions"], \
+        f"toolchain {got['versions']} is not the golden record's {golden['versions']}"
+    assert got["cells"] == golden["cells"]
 
 
 def test_criterion_8_fit_recovery(desk):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from irsplan import audit, graphinit
 from irsplan.errors import GraphInfeasibleError
 from irsplan.graphinit import build_graph, select_initial, shortest_path
-from irsplan.scenario import Obstacle, motion_energy, obstacle_margin, scenario_overrides
+from irsplan.scenario import Obstacle, motion_energy, obstacle_margins, scenario_overrides
 from irsplan.snrmodel import rate
 
 from conftest import straight_line
@@ -174,8 +174,8 @@ def test_free_mask_is_the_one_point_margin_test(desk_scenario, monkeypatch):
     graph = build_graph(desk_scenario, mode="ME")
     assert graph.spacing == 0.7
     grid = graph.nodes.reshape(-1, 2)
-    expected = [all(obstacle_margin(point, obs) >= desk_scenario.safety_level
-                    for obs in desk_scenario.obstacles) for point in grid]
+    expected = [all(obstacle_margins(point, desk_scenario) >= desk_scenario.safety_level)
+                for point in grid]
     assert graph.free.reshape(-1).tolist() == expected
     assert 0 < sum(expected) < len(expected)
 

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irsplan import scenario as scenario_module
+from irsplan.graphinit import build_graph
 from irsplan.errors import (ConfigError, FileFormatError, InvalidObstacleError,
                             InvalidTrajectoryError)
 from irsplan.scenario import (LinkClass, Obstacle, distances, load_scenario,
-                              los_class_batch, motion_energy, obstacle_margin,
+                              los_class_batch, motion_energy, obstacle_margins,
                               scenario_from_payload, scenario_overrides, scenario_payload,
                               slot_energy)
 
@@ -93,17 +94,25 @@ def test_midpoint_convexity_and_translation_invariance(empty_scenario):
 # obstacles
 
 
-def test_margin_at_center_is_zero():
+def one_obstacle(obs, scenario):
+    """``scenario`` with ``obs`` as its one obstacle and both endpoints far outside it."""
+    return scenario_overrides(scenario, obstacles=(obs,), workspace=(-100.0, 100.0, -100.0, 100.0),
+                              q_start=[99.0, 99.0], q_goal=[99.0, 99.0])
+
+
+def test_margin_at_center_is_zero(empty_scenario):
     obs = Obstacle.from_extents([5.0, 5.0], 6.0, 4.0, height=2.0)
-    assert obstacle_margin([5.0, 5.0], obs) == 0.0
+    assert obstacle_margins([5.0, 5.0], one_obstacle(obs, empty_scenario)).tolist() == [0.0]
 
 
-def test_margin_reduces_to_euclidean_for_identity_shape():
+def test_margin_reduces_to_euclidean_for_identity_shape(empty_scenario):
     obs = Obstacle(np.array([1.0, 1.0]), np.eye(2), 2.0)
-    assert obstacle_margin([1.0, 3.0], obs) == pytest.approx(4.0, rel=1e-14)
+    margins = obstacle_margins([1.0, 3.0], one_obstacle(obs, empty_scenario))
+    assert margins.shape == (1,)
+    assert margins[0] == pytest.approx(4.0, rel=1e-14)
 
 
-def test_margin_on_ellipse_axis_endpoint_matches_matrix_arithmetic():
+def test_margin_on_ellipse_axis_endpoint_matches_matrix_arithmetic(empty_scenario):
     # 6 m long, 4 m wide ellipse: semi-axes (3, 2)
     obs = Obstacle.from_extents([10.0, 8.0], 6.0, 4.0, angle_deg=30.0, height=2.0)
     phi = math.radians(30.0)
@@ -111,11 +120,12 @@ def test_margin_on_ellipse_axis_endpoint_matches_matrix_arithmetic():
     # independent oracle: explicit quadratic-form evaluation
     diff = tip - obs.center
     expected = float(diff @ np.linalg.inv(obs.shape) @ diff)
-    assert obstacle_margin(tip, obs) == pytest.approx(expected, rel=1e-12)
+    assert obstacle_margins(tip, one_obstacle(obs, empty_scenario))[0] == pytest.approx(
+        expected, rel=1e-12)
     assert expected == pytest.approx(1.0, rel=1e-12)
 
 
-def test_margin_invariant_under_joint_rotation():
+def test_margin_invariant_under_joint_rotation(empty_scenario):
     rng = np.random.default_rng(3)
     for _ in range(50):
         center = rng.uniform(0, 20, 2)
@@ -125,20 +135,22 @@ def test_margin_invariant_under_joint_rotation():
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         obs_rot = Obstacle(rot @ center, rot @ obs.shape @ rot.T, 2.0)
-        assert obstacle_margin(rot @ q, obs_rot) == pytest.approx(
-            obstacle_margin(q, obs), rel=1e-9
-        )
+        assert obstacle_margins(rot @ q, one_obstacle(obs_rot, empty_scenario))[0] == \
+            pytest.approx(obstacle_margins(q, one_obstacle(obs, empty_scenario))[0], rel=1e-9)
 
 
 def test_margin_of_an_array_is_the_one_point_margin_of_each_row(desk_scenario):
     rng = np.random.default_rng(8)
     xmin, xmax, ymin, ymax = desk_scenario.workspace
     points = np.column_stack([rng.uniform(xmin, xmax, 2000), rng.uniform(ymin, ymax, 2000)])
-    for obs in desk_scenario.obstacles:
-        margins = obstacle_margin(points, obs)
-        assert margins.shape == (2000,)
-        one_by_one = np.array([obstacle_margin(q, obs) for q in points])
-        assert np.array_equal(margins.view(np.uint64), one_by_one.view(np.uint64))
+    margins = obstacle_margins(points, desk_scenario)
+    assert margins.shape == (2000, len(desk_scenario.obstacles))
+    one_by_one = np.array([obstacle_margins(q, desk_scenario) for q in points])
+    assert np.array_equal(margins.view(np.uint64), one_by_one.view(np.uint64))
+    # each column is the grid of a scenario holding that obstacle alone
+    for j, obs in enumerate(desk_scenario.obstacles):
+        alone = obstacle_margins(points, scenario_overrides(desk_scenario, obstacles=(obs,)))
+        assert np.array_equal(margins[:, j].view(np.uint64), alone[:, 0].view(np.uint64))
 
 
 def test_invalid_obstacles_rejected():
@@ -212,21 +224,110 @@ def test_los_classification_agrees_with_sampling_oracle_on_grid(desk_scenario):
 def test_visibility_classes_match_the_einsum_form_of_the_ellipse_term(desk_scenario,
                                                                       monkeypatch):
     # the reference takes the segment test's u0' P^-1 u0 from an einsum, which
-    # differs from obstacle_margin in the last bit at some points: no class may move
+    # differs from obstacle_margins in the last bit at some points: no class may move
     rng = np.random.default_rng(25)
     xmin, xmax, ymin, ymax = desk_scenario.workspace
     points = np.column_stack([rng.uniform(xmin, xmax, 20_000),
                               rng.uniform(ymin, ymax, 20_000)])
     got = los_class_batch(points, desk_scenario)
 
-    def einsum_margin(q, obstacle):
-        u0 = q - obstacle.center
-        return np.einsum("ni,ij,nj->n", u0, obstacle.shape_inv, u0)
+    def einsum_margins(q, scenario):
+        u0 = q[:, None, :] - scenario.obstacle_stack.centers
+        return np.einsum("noi,oij,noj->no", u0, scenario.obstacle_stack.shape_inv, u0)
 
-    monkeypatch.setattr(scenario_module, "obstacle_margin", einsum_margin)
+    monkeypatch.setattr(scenario_module, "obstacle_margins", einsum_margins)
     ref = los_class_batch(points, desk_scenario)
     assert np.array_equal(got.ap_los, ref.ap_los)
     assert np.array_equal(got.irs_los, ref.irs_los)
+
+
+def _scalar_margin(q, obs):
+    """(q - c)' P^-1 (q - c) of one point and one obstacle, in Python floats."""
+    dx, dy = q[0] - obs.center[0], q[1] - obs.center[1]
+    p = obs.shape_inv.tolist()
+    return dx * (p[0][0] * dx + p[0][1] * dy) + dy * (p[1][0] * dx + p[1][1] * dy)
+
+
+def _scalar_blocked(q, z0, target, z1, obs):
+    """Whether the segment from (q, z0) to (target, z1) crosses one cylinder: the
+    planar roots of a t^2 + b t + c, cut to the t-window below the cylinder top."""
+    dx, dy = target[0] - q[0], target[1] - q[1]
+    ux, uy = q[0] - obs.center[0], q[1] - obs.center[1]
+    p = obs.shape_inv.tolist()
+    a = dx * (p[0][0] * dx + p[0][1] * dy) + dy * (p[1][0] * dx + p[1][1] * dy)
+    b = 2.0 * (ux * (p[0][0] * dx + p[0][1] * dy) + uy * (p[1][0] * dx + p[1][1] * dy))
+    c = _scalar_margin(q, obs) - 1.0
+    lo, hi = 0.0, 1.0
+    if z1 > z0:
+        hi = min(1.0, (obs.height - z0) / (z1 - z0))
+    elif z1 < z0:
+        lo = max(0.0, (obs.height - z0) / (z1 - z0))
+    elif z0 > obs.height:
+        return False
+    if hi <= lo:
+        return False
+    if a < 1e-18:
+        return c < 0.0
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return False
+    t1, t2 = (-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)
+    return min(t2, hi) - max(t1, lo) > 1e-12
+
+
+@st.composite
+def _obstacle_fields(draw):
+    """Heights of the robot, the AP and the IRS (each antenna above or below the
+    robot); 0-6 obstacles clear of the (0, 0) and (50, 30) corners, whose heights
+    fall below, between, above or exactly at those heights; and each antenna
+    anywhere in the workspace or over an obstacle's centre."""
+    z_robot = draw(st.floats(0.2, 3.0))
+    z_ap, z_irs = (draw(st.floats(0.0, 6.0).filter(lambda z: abs(z - z_robot) > 1e-3))
+                   for _ in range(2))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 6))):
+        height = draw(st.one_of(st.floats(0.05, 8.0), st.sampled_from([z_robot, z_ap, z_irs]))
+                      .filter(lambda h: h > 0.0))
+        obstacles.append(Obstacle.from_extents(
+            [draw(st.floats(6.0, 44.0)), draw(st.floats(6.0, 24.0))],
+            draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0)),
+            draw(st.floats(0.0, 180.0)), height))
+    anywhere = st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 30.0)).map(list)
+    antenna = (st.one_of(anywhere, st.sampled_from([o.center.tolist() for o in obstacles]))
+               if obstacles else anywhere)
+    return dict(z_robot=z_robot, z_ap=z_ap, z_irs=z_irs, obstacles=tuple(obstacles),
+                ap_pos=draw(antenna), irs_pos=draw(antenna),
+                q_start=[0.0, 0.0], q_goal=[50.0, 30.0])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(fields=_obstacle_fields(), seed=st.integers(0, 2**32 - 1))
+def test_obstacle_grids_match_a_per_obstacle_scalar_reference(desk_scenario, fields, seed):
+    sc = scenario_overrides(desk_scenario, **fields)
+    obstacles = sc.obstacles
+    rng = np.random.default_rng(seed)
+    # random points, each obstacle's centre and the points under the antennas
+    points = np.vstack([rng.uniform([0.0, 0.0], [50.0, 30.0], size=(60, 2)),
+                        *(obs.center for obs in obstacles), sc.ap_pos, sc.irs_pos])
+
+    margins = obstacle_margins(points, sc)
+    assert margins.shape == (len(points), len(obstacles))
+    ref = [[_scalar_margin(q, obs) for obs in obstacles] for q in points.tolist()]
+    assert margins == pytest.approx(np.array(ref).reshape(margins.shape), rel=1e-12, abs=1e-12)
+
+    graph = build_graph(sc, mode="ME")
+    free = [all(_scalar_margin(q, obs) >= sc.safety_level for obs in obstacles)
+            for q in graph.nodes.reshape(-1, 2).tolist()]
+    assert graph.free.reshape(-1).tolist() == free
+
+    ap_los, irs_los = los_class_batch(points, sc)
+    for i, q in enumerate(points.tolist()):
+        assert ap_los[i] == (not any(_scalar_blocked(q, sc.z_robot, sc.ap_pos.tolist(), sc.z_ap,
+                                                     obs) for obs in obstacles)), q
+        assert irs_los[i] == (not any(_scalar_blocked(q, sc.z_robot, sc.irs_pos.tolist(),
+                                                      sc.z_irs, obs) for obs in obstacles)), q
+    if not obstacles:
+        assert all(free) and ap_los.all() and irs_los.all()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from irsplan.errors import SubproblemError
 from irsplan.graphinit import build_graph, shortest_path
 from irsplan.radiomap import build_map
 from irsplan.scenario import (LinkClass, Obstacle, los_class_batch, motion_energy,
-                              obstacle_margin, scenario_overrides)
+                              obstacle_margins, scenario_overrides)
 from irsplan.sco import ScoConfig, linearize_obstacles, run
 from irsplan.snrmodel import fit
 from irsplan.socp import SubproblemSolution
@@ -19,32 +19,34 @@ from conftest import point_class, straight_line
 
 def test_obstacle_linearization_exact_at_anchor(desk_scenario):
     prev = straight_line(desk_scenario)
-    rows = linearize_obstacles(prev, desk_scenario.obstacles)
+    rows = linearize_obstacles(prev, desk_scenario)
     n_free, n_obs = desk_scenario.n_slots - 1, len(desk_scenario.obstacles)
     assert rows.coeff.shape == (n_free, n_obs, 2) and rows.offset.shape == (n_free, n_obs)
     # at the anchor each affine minorant equals its own obstacle's true quadratic
     for k in range(1, n_free + 1):
         for j, obs in enumerate(desk_scenario.obstacles):
             value = rows.coeff[k - 1, j] @ prev[k] + rows.offset[k - 1, j]
-            assert value == pytest.approx(obstacle_margin(prev[k], obs), rel=1e-12)
+            alone = scenario_overrides(desk_scenario, obstacles=(obs,))
+            assert value == pytest.approx(obstacle_margins(prev[k], alone)[0], rel=1e-12)
 
 
 def test_obstacle_linearization_is_tangent_minorant(desk_scenario):
     rng = np.random.default_rng(0)
     prev = straight_line(desk_scenario)
-    rows = linearize_obstacles(prev, desk_scenario.obstacles)
+    rows = linearize_obstacles(prev, desk_scenario)
     assert rows.offset.shape == (desk_scenario.n_slots - 1, len(desk_scenario.obstacles))
     for _ in range(100):
         q = rng.uniform([0, 0], [50, 30])
+        margins = obstacle_margins(q, desk_scenario)
         for coeffs, offsets in zip(rows.coeff, rows.offset):
-            for coeff, offset, obs in zip(coeffs, offsets, desk_scenario.obstacles):
-                assert coeff @ q + offset <= obstacle_margin(q, obs) + 1e-9
+            for coeff, offset, margin in zip(coeffs, offsets, margins):
+                assert coeff @ q + offset <= margin + 1e-9
 
 
-def test_obstacle_half_plane_hand_case():
+def test_obstacle_half_plane_hand_case(empty_scenario):
     obs = Obstacle(np.array([0.0, 0.0]), np.eye(2), 2.0)
     prev = np.array([[5.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
-    rows = linearize_obstacles(prev, (obs,))
+    rows = linearize_obstacles(prev, scenario_overrides(empty_scenario, obstacles=(obs,)))
     # hand expansion at q0 = (2, 0): f(q0) = 4, grad f = (4, 0), offset -4,
     # so the admitted half-plane against level d_s is x >= (d_s + 4) / 4
     assert rows.coeff.shape == (1, 1, 2)
@@ -74,15 +76,15 @@ def test_batched_obstacle_rows_keep_the_bits_of_the_scalar_formula(desk_scenario
     rng = np.random.default_rng(n_slots)
     for _ in range(20):
         prev = rng.uniform([0.0, 0.0], [50.0, 30.0], size=(n_slots + 1, 2))
-        rows = linearize_obstacles(prev, desk_scenario.obstacles)
+        rows = linearize_obstacles(prev, desk_scenario)
         coeffs, offsets = _scalar_obstacle_rows(prev, desk_scenario.obstacles)
         assert rows.coeff.shape == coeffs.shape and rows.offset.shape == offsets.shape
         assert np.array_equal(rows.coeff.view(np.int64), coeffs.view(np.int64))
         assert np.array_equal(rows.offset.view(np.int64), offsets.view(np.int64))
 
 
-def test_no_obstacles_give_empty_rows(desk_scenario):
-    rows = linearize_obstacles(straight_line(desk_scenario), ())
+def test_no_obstacles_give_empty_rows(desk_scenario, empty_scenario):
+    rows = linearize_obstacles(straight_line(desk_scenario), empty_scenario)
     n_free = desk_scenario.n_slots - 1
     assert rows.coeff.shape == (n_free, 0, 2) and rows.offset.shape == (n_free, 0)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,28 @@ def test_problem_dump_round_trip(tmp_path):
     assert sol_a.primal_objective == sol_b.primal_objective
 
 
+@pytest.mark.parametrize("edit", ["cones", "nan", "short"])
+def test_a_dump_that_is_no_cone_program_is_a_format_error(tmp_path, edit):
+    # each edited record still parses, but the records no longer make a problem
+    problem, _ = random_certified_socp(3)
+    path = tmp_path / "problem.txt"
+    dump_problem(problem, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    dims_at = next(i for i, line in enumerate(lines) if line.startswith("dims "))
+    c_at = next(i for i, line in enumerate(lines) if line.startswith("c "))
+    c_values = lines[c_at].split()[1:]
+    if edit == "cones":
+        assert problem.dims == (1, 1)
+        lines[dims_at] = "dims 1 2"
+    elif edit == "nan":
+        lines[c_at] = " ".join(["c", "nan", *c_values[1:]])
+    else:
+        lines[c_at] = " ".join(["c", *c_values[:-1]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=re.escape(str(path))):
+        load_problem(path)
+
+
 # ---------------------------------------------------------------------------
 # the trajectory subproblem
 
@@ -264,7 +287,7 @@ def _desk_subproblem(scenario, model, trust=1.0):
     sc = scenario_overrides(scenario, min_avg_rate=1.0e9)
     traj = straight_line(sc)
     lins = linearize_rate(model, traj, sc)
-    rows = linearize_obstacles(traj, sc.obstacles)
+    rows = linearize_obstacles(traj, sc)
     return assemble_p4(sc, lins, traj, rows, trust), sc, traj
 
 
@@ -282,7 +305,7 @@ def test_two_slot_symmetric_instance_puts_midpoint_in_the_middle(empty_scenario)
     prev = np.array([[20.0, 15.0], [21.0, 14.0], [24.0, 15.0]])
     # harmless constant linearizations (zero slope)
     lins = linearize_rate_stub(sc, prev)
-    sub = assemble_p4(sc, lins, prev, linearize_obstacles(prev, ()), trust_radius=3.0)
+    sub = assemble_p4(sc, lins, prev, linearize_obstacles(prev, sc), trust_radius=3.0)
     sol = solve_p4(sub)
     assert sol.status == "optimal"
     assert np.allclose(sol.trajectory[1], [22.0, 15.0], atol=1e-5)
@@ -302,7 +325,7 @@ def test_subproblem_objective_never_exceeds_previous_energy(desk_scenario, fitte
     prev[0], prev[-1] = sc.q_start, sc.q_goal
     assert audit.check_p3(prev, sc, fitted_model).ok   # prev feasible for itself
     lins = linearize_rate(fitted_model, prev, sc)
-    rows = linearize_obstacles(prev, sc.obstacles)
+    rows = linearize_obstacles(prev, sc)
     sub = assemble_p4(sc, lins, prev, rows, 1.0)
     sol = solve_p4(sub)
     assert sol.status == "optimal"
@@ -338,7 +361,8 @@ def test_subproblem_determinism(desk_scenario, fitted_model):
 
 def test_assembly_validates_shapes(desk_scenario, fitted_model):
     sub, sc, traj = _desk_subproblem(desk_scenario, fitted_model)
-    lin, no_rows = sub.linearization, linearize_obstacles(traj, ())
+    lin = sub.linearization
+    no_rows = linearize_obstacles(traj, scenario_overrides(sc, obstacles=()))
     short = RateLinearization(lin.d_ap0[:-1], lin.d_irs0[:-1], lin.value[:-1], lin.grad[:-1])
     with pytest.raises(AssemblyError):
         assemble_p4(sc, short, traj, no_rows, 1.0)
@@ -362,7 +386,7 @@ def test_assembled_rows_are_the_constraint_families(desk_scenario, empty_scenari
     sc = scenario_overrides(empty_scenario if obstacle_free else desk_scenario, n_slots=n_slots)
     prev = straight_line(sc)
     lins = linearize_rate(fitted_model, prev, sc)
-    rows = linearize_obstacles(prev, sc.obstacles)
+    rows = linearize_obstacles(prev, sc)
     sub = assemble_p4(sc, lins, prev, rows, 0.8)
     n_free, dt, gbps = n_slots - 1, sc.slot_duration, 1e-9
     assert rows.offset.shape == (n_free, 0 if obstacle_free else 5)
