@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .scenario import LinkClass, Scenario, los_class_batch
 
 ENDPOINT_TOL = 1e-9
@@ -71,25 +73,28 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
     Checks endpoints (exact), per-slot step bounds, the true obstacle
     quadratics at the safety level, and the fitted-model average rate with
     visibility classes re-derived at each waypoint. A non-finite coordinate,
-    which every comparison below would let through, is a violation of its own.
+    which every comparison below would let through, is a violation of its own,
+    and steps, margins, classes and rates are measured at finite waypoints only.
     """
     violations = []
     n = len(traj)
     if n != scenario.n_slots + 1:
         violations.append(f"waypoint count {n} != {scenario.n_slots + 1}")
-    non_finite = [k for k in range(n) if not all(map(math.isfinite, traj[k]))]
-    violations += [f"slot {k}: non-finite waypoint" for k in non_finite]
+    finite = [all(map(math.isfinite, q)) for q in traj]
+    violations += [f"slot {k}: non-finite waypoint" for k in range(n) if not finite[k]]
+    kept = [k for k in range(n) if finite[k]]
 
     endpoint_error = max(_gap(traj[0], scenario.q_start), _gap(traj[-1], scenario.q_goal))
     if endpoint_error > ENDPOINT_TOL:
         violations.append(f"endpoints off by {endpoint_error:.3e}")
 
-    max_step = max([0.0, *(_gap(traj[k], traj[k - 1]) for k in range(1, n))])
+    max_step = max([0.0, *(_gap(traj[k], traj[k - 1]) for k in range(1, n)
+                           if finite[k - 1] and finite[k])])
     if max_step > scenario.max_step + STEP_TOL:
         violations.append(f"step {max_step:.6f} exceeds {scenario.max_step}")
 
     worst_margin = math.inf
-    for k in range(n):
+    for k in kept:
         for obs in scenario.obstacles:
             dx = traj[k][0] - obs.center[0]
             dy = traj[k][1] - obs.center[1]
@@ -103,12 +108,12 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
                 )
 
     total_rate = 0.0
-    ap_los, irs_los = los_class_batch(traj, scenario)
-    for k in range(n):
-        fitted = model.fit_for(LinkClass(ap_los[k], irs_los[k]))
+    links = los_class_batch(np.reshape(traj, (-1, 2))[kept], scenario)
+    for k, ap_los, irs_los in zip(kept, *links):
+        fitted = model.fit_for(LinkClass(ap_los, irs_los))
         snr = _slot_snr(fitted, *_distances(traj[k], scenario), scenario.snr_scale)
         total_rate += scenario.bandwidth_hz * math.log2(1.0 + snr)
-    avg_rate = total_rate / n if n else 0.0
+    avg_rate = total_rate / len(kept) if kept else 0.0
     if avg_rate < scenario.min_avg_rate * (1.0 - RATE_REL_TOL):
         violations.append(
             f"avg rate {avg_rate / 1e9:.6f} Gbps < required "
@@ -122,7 +127,7 @@ def check_p3(traj, scenario: Scenario, model) -> AuditReport:
         worst_margin=worst_margin,
         avg_rate=avg_rate,
         worst_violation=max(
-            math.inf if non_finite else 0.0,
+            0.0 if len(kept) == n else math.inf,
             endpoint_error,
             max_step - scenario.max_step,
             scenario.safety_level - worst_margin,

@@ -112,9 +112,11 @@ def build_map(scenario: Scenario, nx: int, ny: int, draws_per_cell: int, seed: i
     samples from its own seeded stream.
 
     Rows are filled by a pool of threads, one per CPU this process may run on.
-    Each cell's small numpy operations and ``default_rng`` hold the GIL: 2 threads
-    built the desk map 1.1-1.7x faster than 1 on a 2-vCPU host. Per-cell seeds
-    make the map the same, bit for bit, for every thread count.
+    Each cell's small numpy operations and ``default_rng`` hold the GIL: on a
+    2-vCPU host, 2 threads built the desk map only 0.9-1.1x as fast as 1 (medians
+    of 0.867 against 0.969 s over 12 alternating pairs, 0.952 against 0.895 s in
+    another run), for about 38% more CPU time. Per-cell seeds make the map the
+    same, bit for bit, for every thread count.
     """
     cell_x = check_map_settings(scenario.workspace, (nx, ny), draws_per_cell, seed)
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

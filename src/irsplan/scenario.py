@@ -185,9 +185,10 @@ class Scenario:
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("workspace rectangle is empty", key="workspace")
         for key in ("z_ap", "z_irs"):
-            if getattr(self, key) == self.z_robot:
-                # a waypoint under the antenna would be at 3D distance 0
-                raise ConfigError("must differ from z_robot", key=key)
+            if abs(getattr(self, key) - self.z_robot) < 1e-15:
+                # a waypoint under the antenna would be at 3D distance 0, and
+                # the LOS test divides by the height difference
+                raise ConfigError("must differ from z_robot by at least 1e-15 m", key=key)
         if self.n_slots < 1:
             raise ConfigError("need at least one timeslot", key="n_slots")
         if self.slot_duration <= 0:
@@ -347,10 +348,11 @@ def distances(points, scenario: Scenario) -> tuple:
     return d_ap, d_irs
 
 
-def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
+def _segment_blocked(points: Array, z0: float, targets: Array, z1: Array,
                      scenario: Scenario) -> Array:
-    """The (n, n_obs) grid, True where the 3D segment from (points[i], z0) to
-    (target, z1) crosses the cylinder of obstacle j.
+    """The (n, L, n_obs) grid, True where the 3D segment from (points[i], z0) to
+    (targets[l], z1[l]) crosses the cylinder of obstacle j. Each z1[l] lies at
+    least 1e-15 from z0, as ``Scenario`` checks for the antenna heights.
 
     The planar segment p(t) = points + t (target - points) lies inside ellipse j
     where a t^2 + b t + c < 0; the crossing blocks the link only where the
@@ -358,18 +360,16 @@ def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
     obstacle's height window [z_lo, z_hi] of t.
     """
     stack = scenario.obstacle_stack
-    d = target[None, :] - points                              # (n, 2)
+    d = targets - points[:, None, :]                          # (n, L, 2)
     u0 = points[:, None, :] - stack.centers                   # (n, n_obs, 2)
-    a = np.einsum("ni,oij,nj->no", d, stack.shape_inv, d)
-    b = 2.0 * np.einsum("noi,oij,nj->no", u0, stack.shape_inv, d)
-    c = obstacle_margins(points, scenario) - 1.0
+    a = np.einsum("nli,oij,nlj->nlo", d, stack.shape_inv, d)
+    b = 2.0 * np.einsum("noi,oij,nlj->nlo", u0, stack.shape_inv, d)
+    c = obstacle_margins(points, scenario)[:, None, :] - 1.0
 
-    dz = z1 - z0
-    if abs(dz) < 1e-15:
-        z_lo, z_hi = 0.0, np.where(z0 <= stack.heights, 1.0, 0.0)
-    else:
-        t_h = (stack.heights - z0) / dz
-        z_lo, z_hi = (0.0, np.minimum(1.0, t_h)) if dz > 0 else (np.maximum(0.0, t_h), 1.0)
+    rising = (z1 > z0)[:, None]                               # (L, 1)
+    t_h = (stack.heights - z0) / (z1 - z0)[:, None]           # (L, n_obs)
+    z_lo = np.where(rising, 0.0, np.maximum(0.0, t_h))
+    z_hi = np.where(rising, np.minimum(1.0, t_h), 1.0)
 
     degenerate = a < 1e-18
     # stationary planar point: blocked iff it sits inside the ellipse
@@ -387,11 +387,10 @@ def _segment_blocked(points: Array, z0: float, target: Array, z1: float,
 def los_class_batch(points: Array, scenario: Scenario) -> LinkClass:
     """The visibility class of every point, as a LinkClass of boolean arrays."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ap_blocked = _segment_blocked(points, scenario.z_robot, scenario.ap_pos, scenario.z_ap,
-                                  scenario)
-    irs_blocked = _segment_blocked(points, scenario.z_robot, scenario.irs_pos, scenario.z_irs,
-                                   scenario)
-    return LinkClass(~ap_blocked.any(axis=-1), ~irs_blocked.any(axis=-1))
+    blocked = _segment_blocked(points, scenario.z_robot,
+                               np.stack([scenario.ap_pos, scenario.irs_pos]),
+                               np.array([scenario.z_ap, scenario.z_irs]), scenario)
+    return LinkClass(*~blocked.any(axis=-1).T)
 
 
 # ---------------------------------------------------------------------------

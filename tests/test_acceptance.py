@@ -10,6 +10,7 @@ import gc
 import hashlib
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 import scipy
 
 from irsplan import audit
+from irsplan.artifacts import write_trace_csv, write_trajectory_csv
 from irsplan.channel import draw_channel, optimal_beamformer, optimal_snr_closed_form, snr
 from irsplan.cli import main as cli_main
 from irsplan.radiomap import build_map, load_map, save_map
@@ -51,11 +53,28 @@ def desk():
     return load_scenario(DESK_CONFIG)
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_hashes(built, run_scenario, model, outcome) -> dict:
+    """SHA-256 of the map, model, trajectory and trace files of one planned cell."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        save_map(built, out / "map.csv")
+        save_model(model, out / "model.txt")
+        write_trajectory_csv(out / "trajectory.csv", outcome.trajectory, run_scenario, model)
+        write_trace_csv(out / "trace.csv", outcome.trace)
+        return {f.name: sha256(f.read_bytes()) for f in sorted(out.iterdir())}
+
+
 def run_battery(desk) -> dict:
     """Desk-scale experiment grid shared by criteria 5 and 7 and the golden record.
 
     For each seed set: one 100x60 / 200-draw map per element count, one fit,
-    and runs at 2.0 Gbps for every M plus 2.5 Gbps at M in {0, 64}.
+    and runs at 2.0 Gbps for every M plus 2.5 Gbps at M in {0, 64}. Each cell
+    also carries the SHA-256 of its map's ``avg_snr``, and each seed-11 cell
+    at M in {0, 64} the SHA-256 of its four artifact files.
     """
     results = {}
     for seed in SEEDS:
@@ -73,7 +92,11 @@ def run_battery(desk) -> dict:
                     "wall": time.perf_counter() - t0,
                     "scenario": sc_run,
                     "model": model,
+                    "map_sha256": sha256(built.avg_snr.tobytes()),
                 }
+                if seed == SEEDS[0] and m in (0, 64):
+                    results[(seed, m, rmin)]["artifact_sha256"] = artifact_hashes(
+                        built, sc_run, model, outcome)
             del built
             gc.collect()
     return results
@@ -92,11 +115,15 @@ def toolchain_versions() -> dict:
 
 
 def golden_record(battery) -> dict:
-    """The toolchain and, per battery cell, what ``tests/golden.json`` holds of its plan."""
-    cells = {}
+    """The toolchain and what ``tests/golden.json`` holds of the battery: per cell
+    its plan's counts and energy, the SHA-256 of its final trajectory's bytes and,
+    for the seed-11 cells at M in {0, 64}, of its artifact files; per map the
+    SHA-256 of its ``avg_snr`` bytes."""
+    cells, maps, trajectories, artifacts = {}, {}, {}, {}
     for (seed, m, rmin), cell in sorted(battery.items()):
         outcome = cell["outcome"]
-        cells[f"seed={seed} M={m} rmin={rmin}"] = {
+        key = f"seed={seed} M={m} rmin={rmin}"
+        cells[key] = {
             "energy_j": repr(outcome.energy),
             "sco_iterations": len(outcome.trace) - 1,
             "ipm_iterations": sum(rec.solution.conic.iterations for rec in outcome.trace
@@ -104,7 +131,12 @@ def golden_record(battery) -> dict:
             "stop_reason": outcome.stop_reason,
             "initial_path": outcome.init_label,
         }
-    return {"versions": toolchain_versions(), "cells": cells}
+        maps[f"seed={seed} M={m}"] = cell["map_sha256"]
+        trajectories[key] = sha256(outcome.trajectory.tobytes())
+        if "artifact_sha256" in cell:
+            artifacts[key] = cell["artifact_sha256"]
+    return {"versions": toolchain_versions(), "cells": cells, "map_sha256": maps,
+            "trajectory_sha256": trajectories, "artifact_sha256": artifacts}
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +403,7 @@ def test_battery_matches_the_golden_record(battery):
     got = golden_record(battery)
     assert got["versions"] == golden["versions"], \
         f"toolchain {got['versions']} is not the golden record's {golden['versions']}"
-    assert got["cells"] == golden["cells"]
+    assert got == golden
 
 
 def test_criterion_8_fit_recovery(desk):

@@ -15,7 +15,7 @@ from irsplan import artifacts, audit, radiomap, sco, snrmodel
 from irsplan.cli import main
 from irsplan.errors import FitFailureError
 from irsplan.radiomap import load_map, save_map
-from irsplan.scenario import load_scenario
+from irsplan.scenario import load_scenario, obstacle_margins
 from irsplan.snrmodel import load_model
 from irsplan.socp import SubproblemSolution
 
@@ -121,6 +121,34 @@ def test_audit_verb_fails_a_non_finite_waypoint(planned, tmp_path, capsys):
     assert report.worst_violation == float("inf")
 
 
+def test_audit_measures_a_trajectory_at_its_finite_waypoints(planned, tmp_path, capsys):
+    # nan and inf at slot 5 give one report, with no numpy warning on the way
+    lines = (planned / "trajectory.csv").read_text().splitlines()
+    scenario, model = load_scenario(DESK_CONFIG), load_model(planned / "model.txt")
+    reports = []
+    for value in ("nan", "inf"):
+        parts = lines[8].split(",")              # the row of waypoint k=5
+        assert parts[0] == "5"
+        parts[1] = value
+        edited = tmp_path / f"{value}.csv"
+        edited.write_text("\n".join([*lines[:8], ",".join(parts), *lines[9:]]) + "\n")
+        assert main(["audit", "--config", DESK_CONFIG, "--trajectory", str(edited),
+                     "--model", str(planned / "model.txt")]) == 2
+        assert capsys.readouterr().err == ""
+        reports.append(audit.check_p3(artifacts.read_trajectory_csv(edited), scenario, model))
+    assert reports[0] == reports[1]
+    assert reports[0].violations == ["slot 5: non-finite waypoint"]
+
+    traj = artifacts.read_trajectory_csv(planned / "trajectory.csv")
+    kept = [k for k in range(len(traj)) if k != 5]
+    rates = [float(line.split(",")[5]) for line in lines[3:]]
+    assert reports[0].max_step == max(math.hypot(*(traj[k] - traj[k - 1]))
+                                      for k in range(1, len(traj)) if k not in (5, 6))
+    assert reports[0].worst_margin == pytest.approx(obstacle_margins(traj[kept], scenario).min(),
+                                                    rel=1e-12)
+    assert reports[0].avg_rate == pytest.approx(np.mean([rates[k] for k in kept]), rel=1e-12)
+
+
 def test_audit_rejects_a_model_fitted_for_another_channel(planned, tmp_path, capsys):
     code = main(["audit", "--config", DESK_CONFIG, "--M", "16",
                  "--trajectory", str(planned / "trajectory.csv"),
@@ -184,10 +212,11 @@ def test_unknown_config_key_exits_3(tmp_path):
     (None, ["sweep", "--M", "0", "--rmin", "nan"], "min_avg_rate"),
     (None, ["sweep", "--M", "-4", "--rmin", "2.0"], "n_irs_elements"),
     (("q_start", "-5 15.5"), ["plan"], "q_start"),
-    (("z_ap", "0.5"), ["plan", "--rmin", "2.5"], "z_ap")],
+    (("z_ap", "0.5"), ["plan", "--rmin", "2.5"], "z_ap"),
+    (("z_ap", "0.5000000000000001"), ["plan", "--rmin", "2.5"], "z_ap")],
     ids=["rmin-nan", "rmin-inf", "n_slots-inf", "los_exponent-x", "bandwidth-negative",
          "sweep-rmin-nan", "sweep-M-negative", "q_start-outside-workspace",
-         "z_ap-at-robot-height"])
+         "z_ap-at-robot-height", "z_ap-within-1e-15-of-robot-height"])
 def test_non_finite_or_bad_scalar_exits_3_before_any_work(tmp_path, capsys, edit, args, named):
     config = desk_config_with(tmp_path, edit) if edit else DESK_CONFIG
     out = tmp_path / "run"
