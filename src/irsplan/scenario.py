@@ -350,14 +350,14 @@ def distances(points, scenario: Scenario) -> tuple:
 
 def _segment_blocked(points: Array, z0: float, targets: Array, z1: Array,
                      scenario: Scenario) -> Array:
-    """The (n, L, n_obs) grid, True where the 3D segment from (points[i], z0) to
-    (targets[l], z1[l]) crosses the cylinder of obstacle j. Each z1[l] lies at
-    least 1e-15 from z0, as ``Scenario`` checks for the antenna heights.
+    """The (n, L, n_obs) grid, True where the non-horizontal 3D segment from
+    (points[i], z0) to (targets[l], z1[l]) crosses the cylinder of obstacle j.
 
-    The planar segment p(t) = points + t (target - points) lies inside ellipse j
-    where a t^2 + b t + c < 0; the crossing blocks the link only where the
-    segment height z0 + t (z1 - z0) is at or below the cylinder height, on the
-    obstacle's height window [z_lo, z_hi] of t.
+    The planar segment p(t) = points[i] + t (targets[l] - points[i]) lies inside
+    ellipse j where a t^2 + b t + c < 0; the crossing blocks the link only where
+    the segment height z0 + t (z1[l] - z0) is at or below the cylinder height, on
+    the obstacle's height window [z_lo, z_hi] of t. The window divides by
+    z1[l] - z0, which ``Scenario`` keeps at least 1e-15 for the antenna heights.
     """
     stack = scenario.obstacle_stack
     d = targets - points[:, None, :]                          # (n, L, 2)

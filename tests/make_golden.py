@@ -4,47 +4,15 @@ Run from the repository root, and only once a change of the battery's
 outcomes or of the numpy/scipy/BLAS builds is known to be intended:
 
     PYTHONPATH=src python tests/make_golden.py
-
-With ``--check`` the script writes nothing: it prints every entry of the
-record that the fresh run moved, as old -> new, and exits 1 if any moved.
 """
 
-import argparse
 import json
-import sys
 
 from irsplan.scenario import load_scenario
 
 from conftest import DESK_CONFIG
 from test_acceptance import GOLDEN, golden_record, run_battery
 
-
-def entries(record: dict, path=()) -> dict:
-    """The record's leaf values, keyed by their path of keys joined by ' / '."""
-    flat = {}
-    for key, value in record.items():
-        if isinstance(value, dict):
-            flat.update(entries(value, (*path, key)))
-        else:
-            flat[" / ".join((*path, key))] = value
-    return flat
-
-
-parser = argparse.ArgumentParser(description="Rewrite or check tests/golden.json.")
-parser.add_argument("--check", action="store_true",
-                    help="print the entries that moved, as old -> new, and exit 1 if any "
-                         "did; write nothing")
-args = parser.parse_args()
-
 record = golden_record(run_battery(load_scenario(DESK_CONFIG)))
-if args.check:
-    old = entries(json.loads(GOLDEN.read_text(encoding="utf-8")))
-    new = entries(record)
-    moved = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
-    for key in moved:
-        print(f"{key}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}")
-    print(f"{len(moved)} of {len(old.keys() | new.keys())} entries moved")
-    sys.exit(1 if moved else 0)
-
 GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 print(f"wrote {GOLDEN} ({len(record['cells'])} cells)")
