@@ -129,30 +129,25 @@ class Beamformer:
 
 
 def draw_channel(q, scenario: Scenario, link: LinkClass, seed: int) -> ChannelDraw:
-    """Draw one channel realization at position q. Identical seeds reproduce bits."""
-    fading_irs, fading_direct = _draw_fading(scenario.n_irs_elements, scenario.n_antennas,
-                                             1, seed)
+    """Draw one channel realization at position q. Identical seeds reproduce bits.
+
+    The unit-variance complex Gaussian fading comes from one draw of the seeded
+    stream, IRS block before AP block, scaled in place and read as (re, im)
+    pairs of complex128 without a copy. Multiplying by 1/sqrt(2) gives the bits
+    numpy's complex-by-real division by sqrt(2) gives, since that division
+    multiplies by the reciprocal.
+    """
+    m, n = scenario.n_irs_elements, scenario.n_antennas
+    normals = np.random.default_rng(seed).standard_normal((m + n) * 2)
+    normals *= 1.0 / math.sqrt(2.0)
+    fading = normals.view(np.complex128)
     irs_resp, ap_resp = _array_responses(scenario)
     d_ap, d_irs = distances(q, scenario)
     exp_ap, exp_irs = scenario.exponents(link)
-    return ChannelDraw(fading_irs=fading_irs[0], fading_direct=fading_direct[0],
+    return ChannelDraw(fading_irs=fading[:m], fading_direct=fading[m:],
                        irs_response=irs_resp, ap_response=ap_resp,
                        gamma=scenario.irs_ap_gain, ref_gain=scenario.ref_gain,
                        d_ap=d_ap, d_irs=d_irs, exp_ap=exp_ap, exp_irs=exp_irs)
-
-
-def _draw_fading(m: int, n: int, count: int, seed: int) -> tuple:
-    """Unit-variance complex Gaussian fading, IRS block drawn before AP block.
-
-    Both blocks come from one draw of the sequential stream, scaled in place
-    and read as (re, im) pairs of complex128 without a copy. Multiplying by
-    1/sqrt(2) gives the bits numpy's complex-by-real division by sqrt(2)
-    gives, since that division multiplies by the reciprocal.
-    """
-    normals = np.random.default_rng(seed).standard_normal(count * (m + n) * 2)
-    normals *= 1.0 / math.sqrt(2.0)
-    fading = normals.view(np.complex128)
-    return fading[:count * m].reshape(count, m), fading[count * m:].reshape(count, n)
 
 
 def optimal_beamformer(draw: ChannelDraw) -> Beamformer:

@@ -2,19 +2,16 @@
 
 Cells tile the workspace exactly; each cell averages the optimal SNR of
 ``n_draws`` channel realizations drawn at its center, in the linear domain.
-Per-cell seeds are ``seed XOR (iy * nx + ix)`` so parallel generation is
-deterministic regardless of scheduling. What a cell's seed stream draws is
-part of the file's meaning: format v2 draws the three sufficient statistics
-of each draw (see ``channel.optimal_snr_samples``), v1 drew full fading
-vectors, and v1 files are rejected.
+Per-cell seeds are ``seed XOR (iy * nx + ix)``. The seeds and what each
+cell's seed stream draws are part of the file's meaning: format v2 draws the
+three sufficient statistics of each draw (see ``channel.optimal_snr_samples``),
+v1 drew full fading vectors, and v1 files are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,40 +106,29 @@ def build_map(scenario: Scenario, nx: int, ny: int, draws_per_cell: int, seed: i
     The settings must pass ``check_map_settings``: in particular the (square)
     cell size must tile the workspace exactly. Each cell is classified
     geometrically, then averages ``draws_per_cell`` closed-form optimal SNR
-    samples from its own seeded stream.
+    samples from its own seeded stream, whose seed ``seed ^ cell`` (cells
+    numbered row-major) is part of format v2.
 
-    Rows are filled by a pool of threads, one per CPU this process may run on.
-    Each cell's small numpy operations and ``default_rng`` hold the GIL: on a
-    2-vCPU host, 2 threads built the desk map only 0.9-1.1x as fast as 1 (medians
-    of 0.867 against 0.969 s over 12 alternating pairs, 0.952 against 0.895 s in
-    another run), for about 38% more CPU time. Per-cell seeds make the map the
-    same, bit for bit, for every thread count.
+    The cells are filled in one serial loop: each cell's small numpy operations
+    hold the GIL, so a pool of row threads built the desk map no faster, for
+    about 50% more CPU time (README).
     """
     cell_x = check_map_settings(scenario.workspace, (nx, ny), draws_per_cell, seed)
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
     origin = scenario.workspace[0], scenario.workspace[2]
     grid = _cell_grid(*_cell_centers(nx, ny, cell_x, origin))
     ap_los, irs_los = los_class_batch(grid, scenario)
     links = [LinkClass(*pair) for pair in zip(ap_los.tolist(), irs_los.tolist())]
     d_ap, d_irs = (d.tolist() for d in distances(grid, scenario))
 
-    avg = np.zeros((ny, nx))
-
-    def fill_row(iy: int):
-        row = avg[iy]
-        for ix in range(nx):
-            cell = iy * nx + ix
-            samples = optimal_snr_samples(d_ap[cell], d_irs[cell], scenario, links[cell],
-                                          draws_per_cell, seed ^ cell)
-            row[ix] = samples.sum() / draws_per_cell       # bitwise samples.mean()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill_row, range(ny)))
+    avg = np.empty(nx * ny)
+    for cell, link in enumerate(links):
+        samples = optimal_snr_samples(d_ap[cell], d_irs[cell], scenario, link,
+                                      draws_per_cell, seed ^ cell)
+        avg[cell] = samples.sum() / draws_per_cell      # bitwise samples.mean()
 
     return RadioMap(
         nx=nx, ny=ny, cell_size=cell_x, origin=origin,
-        avg_snr=avg, n_draws=np.full((ny, nx), draws_per_cell, dtype=np.int64),
+        avg_snr=avg.reshape(ny, nx), n_draws=np.full((ny, nx), draws_per_cell, dtype=np.int64),
         ap_los=ap_los.reshape(ny, nx), irs_los=irs_los.reshape(ny, nx),
         scenario_hash=scenario.channel_fingerprint(), seed=seed,
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import irsplan
-from irsplan import artifacts, audit, radiomap, sco, snrmodel
+from irsplan import artifacts, audit, sco, snrmodel
 from irsplan.cli import main
 from irsplan.errors import FitFailureError
 from irsplan.radiomap import load_map, save_map
@@ -42,19 +42,6 @@ def test_map_verb_builds_loadable_file(tmp_path):
     assert main(["map", "--config", DESK_CONFIG, "--out", str(out), *SMALL]) == 0
     built = load_map(out)
     assert built.nx == 40 and built.ny == 24
-
-
-def test_map_verb_default_workers_write_the_serial_bytes(tmp_path, monkeypatch):
-    # the map verb builds on one thread per CPU the process may use
-    args = ["--config", DESK_CONFIG, "--grid", "20", "12", "--draws", "20"]
-    written = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(radiomap.os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
-        out = tmp_path / f"cpus{cpus}.csv"
-        assert main(["map", *args, "--out", str(out)]) == 0
-        written.append(out.read_bytes())
-    assert written[0] == written[1] == written[2]
 
 
 def test_fit_verb_round_trips_model(tmp_path):

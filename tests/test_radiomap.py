@@ -1,11 +1,11 @@
 import dataclasses
+import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from irsplan import radiomap, textfile
+from irsplan import textfile
 from irsplan.channel import optimal_snr_samples
 from irsplan.cli import main
 from irsplan.errors import ConfigError, FileFormatError, UnsupportedVersionError
@@ -15,44 +15,31 @@ from irsplan.scenario import LinkClass, distances, scenario_overrides
 from conftest import DESK_CONFIG, point_class
 
 
-def test_single_draw_cell_equals_that_draws_optimal_snr(empty_scenario):
-    built = build_map(empty_scenario, nx=5, ny=3, draws_per_cell=1, seed=40)
+@pytest.mark.parametrize("obstacles,m,nx,ny,draws,n_classes", [
+    (False, 64, 5, 3, 1, 1), (True, 0, 20, 12, 20, 4), (True, 64, 20, 12, 20, 4)],
+    ids=["empty-M64-single-draw", "desk-M0", "desk-M64"])
+def test_each_cell_is_the_mean_of_its_own_stream(desk_scenario, empty_scenario, obstacles, m,
+                                                 nx, ny, draws, n_classes):
+    # bit for bit, in every visibility class the map holds
+    scenario = scenario_overrides(desk_scenario if obstacles else empty_scenario,
+                                  n_irs_elements=m)
+    built = build_map(scenario, nx=nx, ny=ny, draws_per_cell=draws, seed=40)
     xs, ys = built.cell_centers()
-    for iy in range(3):
-        for ix in range(5):
-            center = np.array([xs[ix], ys[iy]])
-            link = point_class(center, empty_scenario)
-            expected = optimal_snr_samples(*distances(center, empty_scenario),
-                                           empty_scenario, link, 1, 40 ^ (iy * 5 + ix))[0]
-            assert built.avg_snr[iy, ix] == expected
+    classes = set()
+    for iy, ix in itertools.product(range(ny), range(nx)):
+        center = np.array([xs[ix], ys[iy]])
+        link = point_class(center, scenario)
+        classes.add(link)
+        expected = optimal_snr_samples(*distances(center, scenario), scenario, link, draws,
+                                       40 ^ (iy * nx + ix)).mean()
+        assert built.avg_snr[iy, ix] == expected
+    assert len(classes) == n_classes
 
 
 def test_same_seed_identical_maps(desk_scenario):
     a = build_map(desk_scenario, nx=10, ny=6, draws_per_cell=5, seed=8)
     b = build_map(desk_scenario, nx=10, ny=6, draws_per_cell=5, seed=8)
     assert a.equals(b)
-
-
-def test_parallel_build_matches_serial(desk_scenario, monkeypatch):
-    # the pool has one thread per CPU the process may use; 15 rows do not divide
-    # evenly among 2 or 3, and a short switch interval interleaves the row threads
-    # as often as possible
-    maps, pools = [], []
-    real_pool = radiomap.ThreadPoolExecutor
-    monkeypatch.setattr(radiomap, "ThreadPoolExecutor",
-                        lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(radiomap.os, "sched_getaffinity",
-                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
-            maps.append(build_map(desk_scenario, nx=25, ny=15, draws_per_cell=5, seed=8))
-    finally:
-        sys.setswitchinterval(interval)
-    assert pools == [1, 2, 3]
-    assert maps[0].equals(maps[1])
-    assert maps[0].equals(maps[2])
 
 
 def test_grid_must_tile_workspace_squarely(desk_scenario):
