@@ -43,9 +43,9 @@ class ChannelDraw:
     """One realization of both robot links plus the fixed IRS-AP structure.
 
     ``fading_irs`` / ``fading_direct`` are the unscaled unit-variance fading
-    vectors; the physical channels (path loss applied) are exposed as
-    properties. ``gamma`` = sqrt(ref_gain) / d_irs_ap is the rank-one IRS-AP
-    amplitude.
+    vectors; the path-loss amplitudes ``path_gain_irs`` / ``path_gain_direct``
+    and the scaled robot-AP channel ``h_direct`` are properties. ``gamma`` =
+    sqrt(ref_gain) / d_irs_ap is the rank-one IRS-AP amplitude.
     """
 
     fading_irs: Array        # (M,) complex, robot -> IRS
@@ -88,20 +88,9 @@ class ChannelDraw:
         return math.sqrt(self.ref_gain * self.d_ap ** (-self.exp_ap))
 
     @property
-    def h_irs(self) -> Array:
-        """Scaled robot-IRS channel vector."""
-        return self.path_gain_irs * self.fading_irs
-
-    @property
     def h_direct(self) -> Array:
         """Scaled robot-AP channel vector."""
         return self.path_gain_direct * self.fading_direct
-
-    def irs_ap_matrix(self) -> Array:
-        """Rank-one IRS-AP channel sqrt(NM) * gamma * a b^T, shape (M, N)."""
-        m, n = self.n_irs_elements, self.n_antennas
-        return (math.sqrt(m * n) * self.gamma
-                * np.outer(self.irs_response, self.ap_response))
 
 
 @dataclass(frozen=True)
@@ -123,9 +112,6 @@ class Beamformer:
             raise ValueError("phases must lie in [0, 2*pi)")
         if np.linalg.norm(self.combiner) > 1.0 + 1e-12:
             raise ValueError("combiner norm must not exceed 1")
-
-    def irs_matrix(self) -> Array:
-        return np.exp(1j * self.global_phase) * np.diag(np.exp(1j * self.phases))
 
 
 def draw_channel(q, scenario: Scenario, link: LinkClass, seed: int) -> ChannelDraw:

@@ -34,8 +34,8 @@ shorter than dmax. (kappa, tau) is the last row, read as s[-1, 0] and
 z[-1, 0]. ``cone_mask`` marks the entries that are not pad; read row by
 row it is in stacked row order, so ``blocks[mask]`` is the stacked vector,
 built only where G, h and the KKT right-hand side need one. Every cone
-operation (Jordan product and divide, margins, step to the boundary, NT
-scaling) is one array expression over blocks that keeps the pad zero. A
+operation (Jordan product and divide, step to the boundary, NT scaling)
+is one array expression over blocks that keeps the pad zero. A
 dimension-1 cone is the degenerate second-order cone with a zero v part,
 so one code path covers both.
 
@@ -157,11 +157,6 @@ def _jsign(d: int) -> Array:
     sign = -np.ones(d)
     sign[0] = 1.0
     return sign
-
-
-def cone_margin(u: Array) -> float:
-    """Smallest interior margin t - ||v|| (the value itself for dim 1)."""
-    return float(np.min(u[:, 0] - np.linalg.norm(u[:, 1:], axis=1), initial=math.inf))
 
 
 def jordan_product(u: Array, v: Array) -> Array:

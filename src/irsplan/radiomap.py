@@ -59,17 +59,6 @@ class RadioMap:
         """(ny * nx, 2) cell centers, row-major over (iy, ix) like the flattened arrays."""
         return _cell_grid(*self.cell_centers())
 
-    def equals(self, other: "RadioMap") -> bool:
-        return (
-            (self.nx, self.ny, self.cell_size, self.origin, self.scenario_hash, self.seed)
-            == (other.nx, other.ny, other.cell_size, other.origin, other.scenario_hash,
-                other.seed)
-            and np.array_equal(self.avg_snr, other.avg_snr)
-            and np.array_equal(self.n_draws, other.n_draws)
-            and np.array_equal(self.ap_los, other.ap_los)
-            and np.array_equal(self.irs_los, other.irs_los)
-        )
-
 
 def _cell_centers(nx: int, ny: int, cell_size: float, origin) -> tuple:
     x0, y0 = origin

@@ -16,9 +16,12 @@ is a convex function of the two distances, which yields a global
 first-order minorant (the rate linearization consumed by the trajectory
 optimizer).
 
-All derivative expressions here are exercised against central finite
-differences in the test suite; gradients carry the bandwidth factor so
-they are consistent with the bits/s rate values.
+This module gives the rate and its first derivatives in the two distances,
+which carry the bandwidth factor so they are consistent with the bits/s
+rate values. The second derivatives and the minorant's position-space
+value, gradient and Hessian, which the convexity and concavity checks
+need, are test oracles in ``tests/helpers.py``; the tests check every
+derivative against central finite differences.
 """
 
 from __future__ import annotations
@@ -161,21 +164,6 @@ def _term_shapes(nu, mu, d_ap, d_irs) -> tuple:
     return d_irs ** (-nu), d_irs ** (-nu / 2) * d_ap ** (-mu / 2), d_ap ** (-mu)
 
 
-def _snr_terms(params, d_ap, d_irs, snr_scale):
-    """Value and first/second partials of the linear SNR w.r.t. (d_ap, d_irs)."""
-    a, b, c, nu, mu = params
-    ti, tx, ta = _term_shapes(nu, mu, d_ap, d_irs)
-    s = (a * ti + b * tx + c * ta) * snr_scale
-    s_a = (-mu * c * ta / d_ap - (mu / 2) * b * tx / d_ap) * snr_scale
-    s_i = (-nu * a * ti / d_irs - (nu / 2) * b * tx / d_irs) * snr_scale
-    s_aa = (mu * (mu + 1) * c * ta / d_ap**2
-            + (mu / 2) * (mu / 2 + 1) * b * tx / d_ap**2) * snr_scale
-    s_ii = (nu * (nu + 1) * a * ti / d_irs**2
-            + (nu / 2) * (nu / 2 + 1) * b * tx / d_irs**2) * snr_scale
-    s_ai = ((mu / 2) * (nu / 2) * b * tx / (d_ap * d_irs)) * snr_scale
-    return s, s_a, s_i, s_aa, s_ii, s_ai
-
-
 def rate_gradient(model: SnrModel, link: LinkClass, d_ap, d_irs,
                   scenario: Scenario) -> np.ndarray:
     """(d rate/d d_ap, d rate/d d_irs) in bits/s per meter; both nonpositive.
@@ -183,26 +171,16 @@ def rate_gradient(model: SnrModel, link: LinkClass, d_ap, d_irs,
     Length-n distance arrays give an (n, 2) array, one gradient per point.
     """
     _check_distances(d_ap, d_irs)
-    s, s_a, s_i, *_ = _snr_terms(_class_params(model, link), np.asarray(d_ap, dtype=float),
-                                 np.asarray(d_irs, dtype=float), scenario.snr_scale)
+    a, b, c, nu, mu = _class_params(model, link)
+    d_ap, d_irs = np.asarray(d_ap, dtype=float), np.asarray(d_irs, dtype=float)
+    snr_scale = scenario.snr_scale
+    ti, tx, ta = _term_shapes(nu, mu, d_ap, d_irs)
+    s = (a * ti + b * tx + c * ta) * snr_scale
+    s_a = (-mu * c * ta / d_ap - (mu / 2) * b * tx / d_ap) * snr_scale
+    s_i = (-nu * a * ti / d_irs - (nu / 2) * b * tx / d_irs) * snr_scale
     f = LN2 * (1.0 + s)
     bw = scenario.bandwidth_hz
     return np.stack([bw * s_a / f, bw * s_i / f], axis=-1)
-
-
-def rate_hessian_distances(model: SnrModel, link: LinkClass, d_ap: float,
-                           d_irs: float, scenario: Scenario) -> np.ndarray:
-    """Symmetric 2x2 Hessian of the slot rate w.r.t. (d_ap, d_irs)."""
-    _check_distances(d_ap, d_irs)
-    s, s_a, s_i, s_aa, s_ii, s_ai = _snr_terms(
-        model.fit_for(link).as_tuple(), d_ap, d_irs, scenario.snr_scale
-    )
-    f = LN2 * (1.0 + s)
-    bw = scenario.bandwidth_hz
-    h_aa = bw * (s_aa * f - LN2 * s_a * s_a) / f**2
-    h_ii = bw * (s_ii * f - LN2 * s_i * s_i) / f**2
-    h_ai = bw * (s_ai * f - LN2 * s_a * s_i) / f**2
-    return np.array([[h_aa, h_ai], [h_ai, h_ii]])
 
 
 def linearize_rate(model: SnrModel, expansion_traj, scenario: Scenario) -> RateLinearization:
@@ -213,35 +191,6 @@ def linearize_rate(model: SnrModel, expansion_traj, scenario: Scenario) -> RateL
     return RateLinearization(d_ap0=d_ap, d_irs0=d_irs,
                              value=slot_rate(model, links, d_ap, d_irs, scenario),
                              grad=rate_gradient(model, links, d_ap, d_irs, scenario))
-
-
-def rate_app_value(lin: RateLinearization, points, scenario: Scenario) -> np.ndarray:
-    """Linearized rate of each slot k at points[k] (global under-estimators)."""
-    d_ap, d_irs = distances(points, scenario)
-    return (lin.value + lin.grad[:, 0] * (d_ap - lin.d_ap0)
-            + lin.grad[:, 1] * (d_irs - lin.d_irs0))
-
-
-def rate_app_position_gradient(lin: RateLinearization, points,
-                               scenario: Scenario) -> np.ndarray:
-    """(n, 2) gradients of the linearized slot rates w.r.t. the planar positions."""
-    points = np.asarray(points, dtype=float)
-    d_ap, d_irs = distances(points, scenario)
-    return (lin.grad[:, :1] * (points - scenario.ap_pos) / d_ap[:, None]
-            + lin.grad[:, 1:] * (points - scenario.irs_pos) / d_irs[:, None])
-
-
-def rate_app_position_hessian(lin: RateLinearization, points,
-                              scenario: Scenario) -> np.ndarray:
-    """(n, 2, 2) position Hessians of the linearized slot rates; negative semidefinite."""
-    points = np.asarray(points, dtype=float)
-    d_ap, d_irs = (d[:, None, None] for d in distances(points, scenario))
-    eye = np.eye(2)
-    u_ap = points - scenario.ap_pos
-    u_irs = points - scenario.irs_pos
-    h_ap = (d_ap**2 * eye - u_ap[:, :, None] * u_ap[:, None, :]) / d_ap**3
-    h_irs = (d_irs**2 * eye - u_irs[:, :, None] * u_irs[:, None, :]) / d_irs**3
-    return lin.grad[:, 0, None, None] * h_ap + lin.grad[:, 1, None, None] * h_irs
 
 
 # ---------------------------------------------------------------------------

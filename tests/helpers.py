@@ -1,14 +1,92 @@
 """Shared test oracles: certified random SOCPs (optimal, infeasible and
-unbounded) and a grid-search solver."""
+unbounded), a grid-search solver, the cone margin, the explicit-matrix
+effective channel, radio-map equality, and the rate forms only the convexity
+checks need (the Hessian in the two distances; the tangent minorant's value,
+gradient and Hessian in position), written out here, not shared with the package."""
 
 import math
 
 import numpy as np
 
 from irsplan.conic import ConicProblem
-from irsplan.scenario import scenario_overrides
+from irsplan.scenario import distances, scenario_overrides
 from irsplan.snrmodel import RateLinearization
 from irsplan.socp import ObstacleLinearization, assemble_p4
+
+
+def cone_margin(u):
+    """Smallest interior margin t - ||v|| over the rows of a (k, dmax) cone
+    block (the value itself for a dimension-1 cone)."""
+    return float(np.min(u[:, 0] - np.linalg.norm(u[:, 1:], axis=1), initial=math.inf))
+
+
+def explicit_effective_channel(draw, phases, global_phase):
+    """h_irs^H Phi G + h_direct^H with every matrix written out: the rank-one
+    IRS-AP channel G = sqrt(MN) gamma a b^T, shape (M, N), and the IRS matrix
+    Phi = exp(j global_phase) diag(exp(j phases))."""
+    m, n = draw.n_irs_elements, draw.n_antennas
+    h_irs = draw.path_gain_irs * draw.fading_irs
+    g_mat = math.sqrt(m * n) * draw.gamma * np.outer(draw.irs_response, draw.ap_response)
+    phi = np.exp(1j * global_phase) * np.diag(np.exp(1j * phases))
+    return np.conj(h_irs) @ phi @ g_mat + np.conj(draw.h_direct)
+
+
+def maps_equal(a, b):
+    """Two radio maps hold the same grid, metadata and cell arrays, bit for bit."""
+    return ((a.nx, a.ny, a.cell_size, a.origin, a.scenario_hash, a.seed)
+            == (b.nx, b.ny, b.cell_size, b.origin, b.scenario_hash, b.seed)
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("avg_snr", "n_draws", "ap_los", "irs_los")))
+
+
+def rate_hessian_distances(model, link, d_ap, d_irs, scenario):
+    """Symmetric 2x2 Hessian of the fitted slot rate w.r.t. (d_ap, d_irs).
+
+    With the SNR s = (A x + B y + C z) * scale, where x = d_irs^-nu,
+    y = d_irs^(-nu/2) d_ap^(-mu/2) and z = d_ap^-mu, the rate is
+    bw log2(1 + s), so its Hessian is bw (s'' (1 + s) - s' s'^T) / (ln2 (1 + s)^2).
+    """
+    a, b, c, nu, mu = model.fit_for(link).as_tuple()
+    scale = scenario.snr_scale
+    x, z = d_irs ** -nu, d_ap ** -mu
+    y = math.sqrt(x * z)
+    s = (a * x + b * y + c * z) * scale
+    s_a = -(mu * c * z + mu / 2 * b * y) / d_ap * scale
+    s_i = -(nu * a * x + nu / 2 * b * y) / d_irs * scale
+    s_aa = (mu * (mu + 1) * c * z + mu / 2 * (mu / 2 + 1) * b * y) / d_ap**2 * scale
+    s_ii = (nu * (nu + 1) * a * x + nu / 2 * (nu / 2 + 1) * b * y) / d_irs**2 * scale
+    s_ai = mu / 2 * nu / 2 * b * y / (d_ap * d_irs) * scale
+    grad = np.array([s_a, s_i])
+    second = np.array([[s_aa, s_ai], [s_ai, s_ii]])
+    return (scenario.bandwidth_hz * (second * (1 + s) - np.outer(grad, grad))
+            / (math.log(2.0) * (1 + s) ** 2))
+
+
+def rate_app_value(lin, points, scenario):
+    """Linearized rate of each slot k at points[k] (global under-estimators)."""
+    d_ap, d_irs = distances(points, scenario)
+    return (lin.value + lin.grad[:, 0] * (d_ap - lin.d_ap0)
+            + lin.grad[:, 1] * (d_irs - lin.d_irs0))
+
+
+def rate_app_position_gradient(lin, points, scenario):
+    """(n, 2) gradients of the linearized slot rates w.r.t. the planar positions."""
+    points = np.asarray(points, dtype=float)
+    d_ap, d_irs = distances(points, scenario)
+    return (lin.grad[:, :1] * (points - scenario.ap_pos) / d_ap[:, None]
+            + lin.grad[:, 1:] * (points - scenario.irs_pos) / d_irs[:, None])
+
+
+def rate_app_position_hessian(lin, points, scenario):
+    """(n, 2, 2) position Hessians of the linearized slot rates; negative semidefinite.
+    A distance d has Hessian (d^2 I - u u^T) / d^3, u the planar offset."""
+    points = np.asarray(points, dtype=float)
+    d_ap, d_irs = (d[:, None, None] for d in distances(points, scenario))
+    u_ap = points - scenario.ap_pos
+    u_irs = points - scenario.irs_pos
+    hess_ap = (d_ap**2 * np.eye(2) - u_ap[:, :, None] * u_ap[:, None, :]) / d_ap**3
+    hess_irs = (d_irs**2 * np.eye(2) - u_irs[:, :, None] * u_irs[:, None, :]) / d_irs**3
+    return lin.grad[:, 0, None, None] * hess_ap + lin.grad[:, 1, None, None] * hess_irs
 
 
 def _cone_slices(dims):

@@ -27,13 +27,12 @@ from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, load_scenario,
                               motion_energy, scenario_overrides)
 from irsplan.sco import ScoConfig, run
 from irsplan.snrmodel import (ClassFit, SnrModel, fit, linearize_rate, load_model,
-                              rate_app_position_gradient, rate_app_position_hessian,
-                              rate_app_value, rate_gradient, rate_hessian_distances,
-                              save_model, slot_rate)
+                              rate_gradient, save_model, slot_rate)
 from irsplan.socp import solve_p4
 
 from conftest import DESK_CONFIG
-from helpers import grid_search_k2, random_k2_subproblem
+from helpers import (grid_search_k2, random_k2_subproblem, rate_app_position_gradient,
+                     rate_app_position_hessian, rate_app_value, rate_hessian_distances)
 from test_snrmodel import synthetic_map
 
 GOLDEN = Path(__file__).with_name("golden.json")

@@ -13,6 +13,8 @@ from irsplan.channel import (Beamformer, ChannelDraw, _effective_channel,
 from irsplan.errors import DegenerateChannelError
 from irsplan.scenario import ALL_LINK_CLASSES, LinkClass, distances, scenario_overrides
 
+from helpers import explicit_effective_channel
+
 LOS = LinkClass(True, True)
 
 
@@ -296,16 +298,13 @@ def test_expected_snr_is_vectorized_over_points_and_classes(desk_scenario):
 
 @pytest.mark.parametrize("m", (0, 1, 4, 16))
 def test_effective_channel_is_the_explicit_matrix_product(empty_scenario, m):
-    # h_irs^H Phi G + h_d^H with G = irs_ap_matrix and Phi = irs_matrix
     sc = small_array_scenario(empty_scenario, m=m, n=4)
     rng = np.random.default_rng(m)
     for seed in range(3):
         draw = draw_channel([20.0, 12.0], sc, LinkClass(True, False), seed=seed)
         phases = rng.uniform(0.0, 2 * math.pi, m)
         global_phase = float(rng.uniform(-math.pi, math.pi))
-        phi = Beamformer(phases=phases, combiner=np.zeros(4),
-                         global_phase=global_phase).irs_matrix()
-        explicit = np.conj(draw.h_irs) @ phi @ draw.irs_ap_matrix() + np.conj(draw.h_direct)
+        explicit = explicit_effective_channel(draw, phases, global_phase)
         assert explicit.shape == (4,)
         assert np.allclose(_effective_channel(draw, phases, global_phase), explicit,
                            rtol=1e-12, atol=0.0)

@@ -13,13 +13,12 @@ from irsplan.radiomap import RadioMap, build_map
 from irsplan.scenario import (ALL_LINK_CLASSES, LinkClass, distances, los_class_batch,
                               scenario_overrides)
 from irsplan.snrmodel import (MIN_CLASS_CELLS, ClassFit, RateLinearization, SnrModel, fit,
-                              linearize_rate,
-                              load_model, rate, rate_app_position_gradient,
-                              rate_app_position_hessian, rate_app_value, rate_gradient,
-                              rate_hessian_distances, _fit_class, save_model, slot_rate,
-                              snr_hat)
+                              linearize_rate, load_model, rate, rate_gradient, _fit_class,
+                              save_model, slot_rate, snr_hat)
 
 from conftest import straight_line
+from helpers import (rate_app_position_gradient, rate_app_position_hessian, rate_app_value,
+                     rate_hessian_distances)
 
 LOS = LinkClass(True, True)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsplan import audit
-from irsplan.conic import (ConicProblem, _NTScaling, cone_margin, cone_mask,
-                           dump_problem, jordan_divide, jordan_product, load_problem,
+from irsplan.conic import (ConicProblem, _NTScaling, cone_mask, dump_problem,
+                           jordan_divide, jordan_product, load_problem,
                            max_step_to_boundary, solve)
 from irsplan.errors import AssemblyError, FileFormatError
 from irsplan.scenario import distances, motion_energy, scenario_overrides
@@ -18,8 +18,8 @@ from irsplan.sco import linearize_obstacles
 from irsplan.socp import ObstacleLinearization, assemble_p4, solve_p4
 
 from conftest import straight_line
-from helpers import (grid_search_k2, random_certified_socp, random_infeasible_socp,
-                     random_k2_subproblem, random_unbounded_socp)
+from helpers import (cone_margin, grid_search_k2, random_certified_socp,
+                     random_infeasible_socp, random_k2_subproblem, random_unbounded_socp)
 
 
 # ---------------------------------------------------------------------------
